@@ -69,7 +69,7 @@ class Graph:
     """
 
     __slots__ = ("_nodes", "_index", "_directed", "_undirected",
-                 "_und_norm", "_pa", "_ch", "_nb", "_hash")
+                 "_und_norm", "_pa", "_ch", "_nb", "_hash", "_class")
 
     def __init__(self, nodes: Sequence[str],
                  directed: Iterable[tuple[str, str]] = (),
@@ -118,6 +118,7 @@ class Graph:
         self._nb = {v: frozenset(s) for v, s in nb.items()}
         self._und_norm = frozenset(frozenset(e) for e in uset)
         self._hash = hash((frozenset(nodes), self._directed, self._und_norm))
+        self._class: GraphClass | None = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -256,6 +257,12 @@ class Graph:
         return frozenset(out)
 
     def classify(self) -> GraphClass:
+        """The graph's class, computed on the first call and then kept."""
+        if self._class is None:
+            self._class = self._compute_class()
+        return self._class
+
+    def _compute_class(self) -> GraphClass:
         if not self.directed_part_acyclic():
             return GraphClass.PDAG
         if not self._undirected:
@@ -353,12 +360,20 @@ def parse_graph_json(text: str) -> Graph:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "nodes" not in obj:
         raise ParseError("JSON graph must be an object with 'nodes'")
+    nodes, edges = obj["nodes"], obj.get("edges", [])
+    if not (isinstance(nodes, list)
+            and all(isinstance(v, str) for v in nodes)):
+        raise ParseError("JSON 'nodes' must be a list of strings")
+    if not isinstance(edges, list):
+        raise ParseError("JSON 'edges' must be a list")
     directed, undirected = [], []
-    for e in obj.get("edges", ()):
+    for e in edges:
         try:
             a, b, kind = e["a"], e["b"], e["kind"]
         except (TypeError, KeyError) as exc:
             raise ParseError(f"bad edge entry {e!r}") from exc
+        if not isinstance(a, str) or not isinstance(b, str):
+            raise ParseError(f"edge endpoints must be strings in {e!r}")
         if kind == EdgeKind.DIRECTED.value:
             directed.append((a, b))
         elif kind == EdgeKind.UNDIRECTED.value:
@@ -366,7 +381,7 @@ def parse_graph_json(text: str) -> Graph:
         else:
             raise ParseError(f"bad edge kind {kind!r}")
     try:
-        return Graph(obj["nodes"], directed, undirected)
+        return Graph(nodes, directed, undirected)
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
 

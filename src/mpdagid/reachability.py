@@ -3,17 +3,32 @@
 A path ``<v0, ..., vk>`` is possibly directed when the graph has no edge
 ``vi <- vj`` for any ``i < j``.  That condition is pairwise over the whole
 path, not edge-by-edge: an early node may be cut off by a directed edge from
-a node much later on the path.  The searches below therefore extend partial
-paths and re-check the new node against every node already on the path;
-worst case exponential, which is accepted for the graph sizes in scope.
+a node much later on the path.
+
+On DAGs and MPDAGs the condition can be checked locally.  A shortest
+possibly directed path has no chord (a forward chord would shortcut it, a
+backward one breaks the condition), and conversely every walk that steps
+along ``->`` or ``--`` through unshielded triples only ends at a node some
+possibly directed path reaches (Perkovic, Kalisch & Maathuis, UAI 2017).
+The one exception is a path whose first edge must be undirected: its
+source may have a directed chord to the third node, because the shortcut
+over that chord would start with a directed edge.
+:func:`_state_search` is that breadth-first search over edge states
+``(prev, cur)``: each ordered adjacent pair is entered at most once and
+expanded over the neighbours of ``cur``, so a query costs O(sum of deg^2)
+time without recursion.  Graphs that ``classify()`` as PDAG (cyclic, not
+closed, or without a consistent extension) give no such guarantee; there the
+searches fall back on :func:`_walk_paths`, which lists every simple path and
+checks the pairwise condition itself, in exponential worst-case time.
 All set relations (ancestors, descendants, possible variants) are reflexive.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, Sequence
 
-from .graph import Graph
+from .graph import Graph, GraphClass
 
 
 def parents(graph: Graph, nodes: Iterable[str]) -> frozenset[str]:
@@ -49,73 +64,141 @@ def descendants(graph: Graph, nodes: Iterable[str]) -> frozenset[str]:
     return _closure(graph, nodes, graph.children_of)
 
 
-def _semi_step_forward(graph: Graph, v: str) -> frozenset[str]:
-    return graph.children_of(v) | graph.undirected_neighbors_of(v)
+def _steps(graph: Graph, v: str, backward: bool) -> frozenset[str]:
+    """Neighbours one edge further along (forward) or against (backward)
+    a possibly directed path: over ``->`` or ``--`` edges."""
+    along = graph.parents_of(v) if backward else graph.children_of(v)
+    return along | graph.undirected_neighbors_of(v)
 
 
-def _semi_step_backward(graph: Graph, v: str) -> frozenset[str]:
-    return graph.parents_of(v) | graph.undirected_neighbors_of(v)
+def _state_search(graph: Graph, sources: frozenset[str], backward: bool,
+                  blocked: frozenset[str], targets: frozenset[str],
+                  start_undirected: bool
+                  ) -> tuple[frozenset[str], tuple[str, ...] | None]:
+    """Breadth-first search over edge states ``(prev, cur)``; DAG/MPDAG only.
+
+    From ``cur`` it steps to a neighbour ``w`` not in ``blocked`` and not
+    adjacent to ``prev``.  With ``start_undirected`` the first step takes
+    undirected edges only, and a source ``prev`` may then have the directed
+    chord ``prev -> w``: the shorter path over that chord would start with a
+    directed edge.  Sources are queued in node order and neighbours expanded
+    in node order, so the parent pointers of the first state that enters a
+    target spell the lexicographically least shortest path.  Returns the
+    nodes reached and that path; when no target is reached the path is None
+    and the reached set is complete.
+    """
+    order: dict[str, tuple[str, ...]] = {}
+    parent: dict[tuple[str | None, str], tuple[str | None, str] | None] = {}
+    queue: deque[tuple[str | None, str]] = deque()
+    for s in graph.sorted_nodes(sources):
+        parent[None, s] = None
+        queue.append((None, s))
+    reached = set(sources)
+    while queue:
+        state = queue.popleft()
+        prev, cur = state
+        if prev is None and start_undirected:
+            steps = graph.sorted_nodes(graph.undirected_neighbors_of(cur))
+        else:
+            steps = order.get(cur)
+            if steps is None:
+                steps = order[cur] = graph.sorted_nodes(
+                    _steps(graph, cur, backward))
+        shield = graph.neighbors_of(prev) if prev is not None else ()
+        for w in steps:
+            if w in blocked or w == prev or (cur, w) in parent:
+                continue
+            if w in shield and not (
+                    start_undirected and prev in sources and (
+                        graph.has_directed(w, prev) if backward
+                        else graph.has_directed(prev, w))):
+                continue
+            parent[cur, w] = state
+            if w in targets:
+                path = [w]
+                at: tuple[str | None, str] | None = state
+                while at is not None:
+                    path.append(at[1])
+                    at = parent[at]
+                return frozenset(reached), tuple(reversed(path))
+            reached.add(w)
+            queue.append((cur, w))
+    return frozenset(reached), None
+
+
+def _walk_paths(graph: Graph, sources: frozenset[str], backward: bool,
+                blocked: frozenset[str], targets: frozenset[str],
+                start_undirected: bool
+                ) -> tuple[frozenset[str], tuple[str, ...] | None]:
+    """Exhaustive reference for :func:`_state_search`, valid on any graph.
+
+    Extends simple paths level by level, in node order, and re-checks each
+    new node against every node already on the path.  Same arguments and
+    result as :func:`_state_search`; worst case exponential.
+    """
+    reached = set(sources)
+    level = [(s,) for s in graph.sorted_nodes(sources)]
+    while level:
+        nxt: list[tuple[str, ...]] = []
+        for path in level:
+            last = path[-1]
+            if len(path) == 1 and start_undirected:
+                steps = graph.undirected_neighbors_of(last)
+            else:
+                steps = _steps(graph, last, backward)
+            for w in graph.sorted_nodes(steps):
+                if w in path or w in blocked:
+                    continue
+                # pairwise condition: a forward path grows at its end, so no
+                # edge may run from w back into it; a backward one grows at
+                # its start, so no edge may run from the path into w
+                if any(graph.has_directed(p, w) if backward
+                       else graph.has_directed(w, p) for p in path):
+                    continue
+                if w in targets:
+                    return frozenset(reached), path + (w,)
+                reached.add(w)
+                nxt.append(path + (w,))
+        level = nxt
+    return frozenset(reached), None
+
+
+def _search(graph: Graph, sources: frozenset[str], *, backward: bool = False,
+            blocked: frozenset[str], targets: frozenset[str] = frozenset(),
+            start_undirected: bool = False
+            ) -> tuple[frozenset[str], tuple[str, ...] | None]:
+    """The state search, or the reference walk where it is not exact."""
+    search = _walk_paths if graph.classify() is GraphClass.PDAG \
+        else _state_search
+    return search(graph, sources, backward, blocked, targets, start_undirected)
 
 
 def possible_descendants(graph: Graph, nodes: Iterable[str]) -> frozenset[str]:
-    """Endpoints of possibly directed paths out of ``nodes`` (reflexive)."""
+    """Endpoints of possibly directed paths out of ``nodes`` (reflexive).
+
+    Polynomial on DAGs and MPDAGs; exhaustive on other graphs with
+    undirected edges.  Without undirected edges this is :func:`descendants`.
+    """
     start = frozenset(nodes)
     for v in start:
         graph.index(v)
     if not graph.undirected_edges:
         return descendants(graph, start)
-    reached = set(start)
-
-    def extend(path: list[str], on_path: set[str]) -> None:
-        last = path[-1]
-        for w in graph.sorted_nodes(_semi_step_forward(graph, last)):
-            if w in on_path or w in start:
-                continue
-            # pairwise condition: no edge from w back into the path so far
-            if any(graph.has_directed(w, p) for p in path):
-                continue
-            reached.add(w)
-            path.append(w)
-            on_path.add(w)
-            extend(path, on_path)
-            path.pop()
-            on_path.discard(w)
-
-    for s in graph.sorted_nodes(start):
-        extend([s], {s})
-    return frozenset(reached)
+    return _search(graph, start, blocked=start)[0]
 
 
 def possible_ancestors(graph: Graph, nodes: Iterable[str]) -> frozenset[str]:
-    """Sources of possibly directed paths into ``nodes`` (reflexive)."""
+    """Sources of possibly directed paths into ``nodes`` (reflexive).
+
+    Polynomial on DAGs and MPDAGs; exhaustive on other graphs with
+    undirected edges.  Without undirected edges this is :func:`ancestors`.
+    """
     start = frozenset(nodes)
     for v in start:
         graph.index(v)
     if not graph.undirected_edges:
         return ancestors(graph, start)
-    reached = set(start)
-
-    def extend(path: list[str], on_path: set[str]) -> None:
-        # path grows from the target end outward, so a newly added node w
-        # sits earliest on the possibly directed path; the pairwise
-        # condition then forbids any directed edge p -> w from a node p
-        # already on the path.
-        first = path[-1]
-        for w in graph.sorted_nodes(_semi_step_backward(graph, first)):
-            if w in on_path or w in start:
-                continue
-            if any(graph.has_directed(p, w) for p in path):
-                continue
-            reached.add(w)
-            path.append(w)
-            on_path.add(w)
-            extend(path, on_path)
-            path.pop()
-            on_path.discard(w)
-
-    for s in graph.sorted_nodes(start):
-        extend([s], {s})
-    return frozenset(reached)
+    return _search(graph, start, backward=True, blocked=start)[0]
 
 
 def find_proper_pc_path(graph: Graph, sources: Iterable[str],
@@ -125,9 +208,10 @@ def find_proper_pc_path(graph: Graph, sources: Iterable[str],
     """Shortest proper possibly directed path from ``sources`` to ``targets``.
 
     Proper means only the first node lies in ``sources``.  With
-    ``start_undirected`` the first edge must be undirected.  Ties among
-    shortest paths break lexicographically by node index.  Returns None if
-    no such path exists.
+    ``start_undirected`` the first edge must be undirected.  No node of the
+    path lies in ``forbidden``.  Ties among shortest paths break
+    lexicographically by node index.  Returns None if no such path exists.
+    Polynomial on DAGs and MPDAGs; exhaustive on other graphs.
     """
     src = frozenset(sources)
     tgt = frozenset(targets)
@@ -136,27 +220,8 @@ def find_proper_pc_path(graph: Graph, sources: Iterable[str],
         graph.index(v)
     if src & tgt:
         raise ValueError("sources and targets must be disjoint")
-
-    # breadth-first over partial paths, one level per length, kept in
-    # lexicographic order so the first completion wins deterministically
-    level: list[tuple[str, ...]] = [(s,) for s in graph.sorted_nodes(src - bad)]
-    while level:
-        nxt: list[tuple[str, ...]] = []
-        for path in level:
-            last = path[-1]
-            steps = _semi_step_forward(graph, last)
-            if len(path) == 1 and start_undirected:
-                steps = graph.undirected_neighbors_of(last)
-            for w in graph.sorted_nodes(steps):
-                if w in path or w in src or w in bad:
-                    continue
-                if any(graph.has_directed(w, p) for p in path):
-                    continue
-                if w in tgt:
-                    return path + (w,)
-                nxt.append(path + (w,))
-        level = nxt
-    return None
+    return _search(graph, src - bad, blocked=src | bad, targets=tgt,
+                   start_undirected=start_undirected)[1]
 
 
 def is_possibly_directed_path(graph: Graph, path: Sequence[str]) -> bool:

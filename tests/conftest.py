@@ -29,11 +29,10 @@ _STATES = ("none", "ab", "ba", "und")
 
 
 @pytest.fixture(scope="session")
-def battery():
-    """Every MPDAG (including DAGs) on four nodes, with its DAG class.
+def four_node_graphs():
+    """Every partially directed graph on four nodes.
 
-    All 4^6 assignments of {absent, ->, <-, --} to the six node pairs are
-    generated and the ones that are not maximally oriented are dropped.
+    All 4^6 assignments of {absent, ->, <-, --} to the six node pairs.
     """
     nodes = ["N0", "N1", "N2", "N3"]
     pairs = list(itertools.combinations(nodes, 2))
@@ -47,7 +46,16 @@ def battery():
                 directed.append((b, a))
             elif _STATES[s] == "und":
                 undirected.append((a, b))
-        g = Graph(nodes, directed, undirected)
-        if g.classify() is not GraphClass.PDAG:
-            graphs.append(g)
-    return [(g, enumerate_dags(g)) for g in graphs]
+        graphs.append(Graph(nodes, directed, undirected))
+    return graphs
+
+
+@pytest.fixture(scope="session")
+def battery(four_node_graphs):
+    """Every MPDAG (including DAGs) on four nodes, with its DAG class.
+
+    The graphs of :func:`four_node_graphs` that are not maximally oriented
+    are dropped.
+    """
+    return [(g, enumerate_dags(g)) for g in four_node_graphs
+            if g.classify() is not GraphClass.PDAG]

@@ -174,6 +174,15 @@ class TestStdin:
         assert code == 0
         assert out.strip() == "A,B"
 
+    def test_reach_on_cyclic_input(self, capsys, monkeypatch):
+        # not an MPDAG; without undirected edges reach follows directed edges
+        import io
+        monkeypatch.setattr("sys.stdin",
+                            io.StringIO("A -> B\nB -> C\nC -> A\n"))
+        code, out, _ = run(capsys, "reach", "-", "--nodes", "A")
+        assert code == 0
+        assert out.strip() == "A,B,C"
+
     def test_json_input_detected(self, capsys, monkeypatch):
         import io
         blob = json.dumps({"nodes": ["A", "B"],
@@ -217,3 +226,19 @@ class TestVerify:
                            "--trials", "1", "--json")
         assert code == 0
         assert json.loads(out)["verified"] is True
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("blob", [
+        {"nodes": 5},
+        {"nodes": [["a"]]},
+        {"nodes": ["a", "b"], "edges": [{"a": ["a"], "b": "b", "kind": "->"}]},
+        {"nodes": ["a"], "edges": 5},
+    ])
+    def test_exit_two_with_one_line_error(self, blob, capsys, monkeypatch):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(blob)))
+        code, out, err = run(capsys, "dags", "-")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1

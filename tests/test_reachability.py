@@ -1,11 +1,15 @@
+import itertools
 import random
+import time
 
 import pytest
 
-from mpdagid import (ancestors, descendants, enumerate_dags,
-                     find_proper_pc_path, is_possibly_directed_path, parents,
-                     parse_graph_text, possible_ancestors,
-                     possible_descendants, random_dag, random_mpdag)
+from mpdagid import (Graph, GraphClass, ancestors, descendants,
+                     enumerate_dags, find_proper_pc_path,
+                     is_possibly_directed_path, parents, parse_graph_text,
+                     possible_ancestors, possible_descendants, random_dag,
+                     random_mpdag)
+from mpdagid.reachability import _walk_paths
 
 from cases import shortcut_graph
 
@@ -108,3 +112,117 @@ class TestProperPath:
             if path is not None:
                 assert is_possibly_directed_path(g, path)
                 assert path[0] == vs[0] and path[-1] == vs[1]
+
+
+# -- the state search against exhaustive references ----------------------------
+
+
+def walk(g, sources, targets=(), *, backward=False, start_undirected=False,
+         forbidden=()):
+    """The reference walker, called the way the public functions call a
+    search: (reached nodes, first path into ``targets``)."""
+    src, bad = frozenset(sources), frozenset(forbidden)
+    return _walk_paths(g, src - bad, backward, src | bad, frozenset(targets),
+                       start_undirected)
+
+
+def brute_force_paths(g):
+    """Every possibly directed path of ``g``, by length, then node index."""
+    return [p for k in range(1, len(g.nodes) + 1)
+            for p in itertools.permutations(g.nodes, k)
+            if is_possibly_directed_path(g, p)]
+
+
+class TestEquivalence:
+    def test_every_four_node_graph(self, four_node_graphs):
+        # all 4^6 graphs: the state search answers DAGs and MPDAGs, the
+        # reference walker PDAGs; both must give the brute-force answers
+        seen = dict.fromkeys(GraphClass, 0)
+        for g in four_node_graphs:
+            seen[g.classify()] += 1
+            paths = brute_force_paths(g)
+            for v in g.nodes:
+                pd = {p[-1] for p in paths if p[0] == v}
+                pa = {p[0] for p in paths if p[-1] == v}
+                assert walk(g, {v}) == (pd, None), (g, v)
+                assert walk(g, {v}, backward=True) == (pa, None), (g, v)
+                if not g.undirected_edges:
+                    # today's answer: plain closure, even on cyclic inputs
+                    pd, pa = descendants(g, {v}), ancestors(g, {v})
+                assert possible_descendants(g, {v}) == pd, (g, v)
+                assert possible_ancestors(g, {v}) == pa, (g, v)
+            for s, t in itertools.permutations(g.nodes, 2):
+                for start_undirected in (False, True):
+                    want = next((p for p in paths if p[0] == s and p[-1] == t
+                                 and (not start_undirected
+                                      or g.has_undirected(p[0], p[1]))), None)
+                    got = find_proper_pc_path(
+                        g, {s}, {t}, start_undirected=start_undirected)
+                    assert got == want, (g, s, t, start_undirected)
+        assert seen == {GraphClass.DAG: 543, GraphClass.MPDAG: 1058,
+                        GraphClass.PDAG: 2495}
+
+    def test_random_mpdags_and_induced_subgraphs(self):
+        # induced subgraphs are what rule3_holds searches (G minus X)
+        rng = random.Random(47)
+        checked = 0
+        for _ in range(150):
+            nodes = [f"V{i}" for i in range(rng.randint(5, 9))]
+            g = random_mpdag(rng, nodes, rng.choice([0.3, 0.5, 0.7]))
+            sub = g.induced_subgraph(rng.sample(nodes, len(nodes) - 2))
+            for h in (g, sub):
+                assert h.classify() is not GraphClass.PDAG
+                vs = list(h.nodes)
+                for _ in range(3):
+                    src = set(rng.sample(vs, rng.randint(1, 2)))
+                    rest = [v for v in vs if v not in src]
+                    tgt = set(rng.sample(rest, min(len(rest),
+                                                   rng.randint(1, 2))))
+                    bad = set(rng.sample(rest, 1)) - tgt
+                    assert possible_descendants(h, src) == walk(h, src)[0]
+                    assert possible_ancestors(h, src) == \
+                        walk(h, src, backward=True)[0]
+                    for start_undirected in (False, True):
+                        for forbidden in ((), bad):
+                            assert find_proper_pc_path(
+                                h, src, tgt, start_undirected=start_undirected,
+                                forbidden=forbidden) == walk(
+                                h, src, tgt, start_undirected=start_undirected,
+                                forbidden=forbidden)[1], (h, src, tgt)
+                    checked += 1
+        assert checked == 900
+
+    def test_reference_walker_matches_class_union(self, battery):
+        # the brute-force oracle judges the reference walker on MPDAGs
+        for g, dags in battery:
+            for v in g.nodes:
+                assert walk(g, {v})[0] == \
+                    set().union(*[descendants(d, {v}) for d in dags])
+                assert walk(g, {v}, backward=True)[0] == \
+                    set().union(*[ancestors(d, {v}) for d in dags])
+
+    def test_directed_chord_from_undirected_start(self):
+        # N1 -- N3 -> N2 is shielded by N1 -> N2, but the shortcut over that
+        # chord starts with a directed edge, so the shielded path is the
+        # answer when the first edge must be undirected
+        g = parse_graph_text("N1 -> N2\nN3 -> N2\nN1 -- N3\n")
+        assert g.classify() is GraphClass.MPDAG
+        assert find_proper_pc_path(g, {"N1"}, {"N2"},
+                                   start_undirected=True) == ("N1", "N3", "N2")
+        assert find_proper_pc_path(g, {"N1"}, {"N2"}) == ("N1", "N2")
+
+
+def test_long_ladder_is_fast():
+    # a chordal strip of triangles, i -- i+1 and i -- i+2: exponentially many
+    # simple paths, which a walk over paths (or Python recursion) cannot finish
+    nodes = [f"L{i}" for i in range(200)]
+    g = Graph(nodes, (), [(nodes[i], nodes[j]) for i in range(200)
+                          for j in (i + 1, i + 2) if j < 200])
+    assert g.classify() is GraphClass.MPDAG
+    start = time.perf_counter()
+    assert possible_descendants(g, {"L0"}) == set(nodes)
+    assert possible_ancestors(g, {"L199"}) == set(nodes)
+    path = find_proper_pc_path(g, {"L0"}, {"L199"}, start_undirected=True)
+    assert path is not None and len(path) == 101
+    assert is_possibly_directed_path(g, path)
+    assert time.perf_counter() - start < 2.0
