@@ -18,12 +18,12 @@ from .ident import (CidmeLeaf, DensityExpression, DsepFailure, Factor,
                     FailCertificate, Fraction, IdentificationError,
                     MarginalOver, NotIdentifiable, PreconditionViolated,
                     Product, cidm, cidme, cidme_tree, expression_to_json,
-                    id_formula, normal_form, render_latex, render_text,
+                    fold, id_formula, normal_form, render_latex, render_text,
                     rule1_holds, rule2_holds, rule3_holds, rule3_shortcut)
 from .oracle import (CounterexampleReport, DagNotInClass, DiscreteModel,
                      LinearGaussianSem, dag_d_separated, enumerate_dags,
                      evaluate_expression, interventional_conditional,
-                     random_dag, random_mpdag, table_conditional,
+                     numeric_gap, random_dag, random_mpdag, table_conditional,
                      table_probability, verify_counterexample,
                      wright_covariance)
 
@@ -44,12 +44,13 @@ __all__ = [
     "CidmeLeaf", "DensityExpression", "DsepFailure", "Factor",
     "FailCertificate", "Fraction", "IdentificationError", "MarginalOver",
     "NotIdentifiable", "PreconditionViolated", "Product", "cidm", "cidme",
-    "cidme_tree", "expression_to_json", "id_formula", "normal_form",
+    "cidme_tree", "expression_to_json", "fold", "id_formula", "normal_form",
     "render_latex", "render_text", "rule1_holds", "rule2_holds",
     "rule3_holds", "rule3_shortcut",
     "CounterexampleReport", "DagNotInClass", "DiscreteModel",
     "LinearGaussianSem", "dag_d_separated", "enumerate_dags",
-    "evaluate_expression", "interventional_conditional", "random_dag",
+    "evaluate_expression", "interventional_conditional", "numeric_gap",
+    "random_dag",
     "random_mpdag", "table_conditional", "table_probability",
     "verify_counterexample", "wright_covariance",
     "__version__",

@@ -161,13 +161,7 @@ def find_open_path(graph: Graph, xs: Iterable[str], ys: Iterable[str],
 def d_separated(graph: Graph, xs: Iterable[str], ys: Iterable[str],
                 zs: Iterable[str] = ()) -> bool:
     """True iff every definite-status path from X to Y is blocked by Z."""
-    x, y, z = _check_sets(graph, xs, ys, zs)
-    if not x or not y:
-        return True
-    an_z = ancestors(graph, z)
-    if not _walk_connected(graph, x, y, z, an_z):
-        return True
-    return find_open_path(graph, x, y, z) is None
+    return find_open_path(graph, xs, ys, zs) is None
 
 
 def is_open_definite_status_path(graph: Graph, path: Sequence[str],

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Callable, TypeVar, Union
 
 from .dsep import OpenPathWitness, d_separated, find_open_path
 from .graph import Graph, GraphClass
@@ -65,6 +65,29 @@ class Fraction:
 
 
 DensityExpression = Union[Factor, Product, MarginalOver, Fraction]
+T = TypeVar("T")
+
+
+def fold(expr: DensityExpression, factor: Callable[[Factor], T],
+         product: Callable[[list[T]], T],
+         marginal: Callable[[tuple[str, ...], T], T],
+         fraction: Callable[[T, T], T]) -> T:
+    """Bottom-up fold: ``factor(f)`` at every leaf, then ``product(parts)``,
+    ``marginal(variables, body)`` and ``fraction(numerator, denominator)``
+    on the already folded children.  The only dispatch on node type."""
+
+    def go(e: DensityExpression) -> T:
+        if isinstance(e, Factor):
+            return factor(e)
+        if isinstance(e, Product):
+            return product([go(f) for f in e.factors])
+        if isinstance(e, MarginalOver):
+            return marginal(e.variables, go(e.body))
+        if isinstance(e, Fraction):
+            return fraction(go(e.numerator), go(e.denominator))
+        raise TypeError(f"not a density expression: {e!r}")
+
+    return go(expr)
 
 
 def normal_form(expr: DensityExpression, graph: Graph) -> DensityExpression:
@@ -72,46 +95,35 @@ def normal_form(expr: DensityExpression, graph: Graph) -> DensityExpression:
     nested products flattened, factors sorted by target then given indices,
     single-entry products unwrapped, empty marginals dropped.  No algebraic
     rewriting (identical numerator/denominator factors are not cancelled)."""
+    # each subtree folds to the list of (sort key, term) whose product it
+    # is; a parent product concatenates and re-sorts its children's lists,
+    # and non-factor terms keep their order after the factors
+    other = (1, (), ())
 
-    def nodes_key(nodes: Iterable[str]) -> tuple[str, ...]:
-        return graph.sorted_nodes(nodes)
+    def whole(terms):
+        if len(terms) == 1:
+            return terms[0][1]
+        return Product(tuple(term for _, term in terms))
 
-    def factor_key(f: DensityExpression):
-        if isinstance(f, Factor):
-            return (0, tuple(map(graph.index, f.targets)),
-                    tuple(map(graph.index, f.given)))
-        return (1, (), ())
+    def factor(f: Factor):
+        f = Factor(graph.sorted_nodes(f.targets), graph.sorted_nodes(f.given),
+                   graph.sorted_nodes(f.fixed))
+        return [((0, tuple(map(graph.index, f.targets)),
+                  tuple(map(graph.index, f.given))), f)]
 
-    def go(e: DensityExpression) -> DensityExpression:
-        if isinstance(e, Factor):
-            return Factor(nodes_key(e.targets), nodes_key(e.given),
-                          nodes_key(e.fixed))
-        if isinstance(e, Product):
-            parts: list[DensityExpression] = []
-            for f in e.factors:
-                f = go(f)
-                if isinstance(f, Product):
-                    parts.extend(f.factors)
-                else:
-                    parts.append(f)
-            parts.sort(key=factor_key)
-            if len(parts) == 1:
-                return parts[0]
-            return Product(tuple(parts))
-        if isinstance(e, MarginalOver):
-            body = go(e.body)
-            if not e.variables:
-                return body
-            return MarginalOver(nodes_key(e.variables), body)
-        if isinstance(e, Fraction):
-            return Fraction(go(e.numerator), go(e.denominator))
-        raise TypeError(f"not a density expression: {e!r}")
+    def product(parts):
+        return sorted((t for terms in parts for t in terms), key=lambda t: t[0])
 
-    return go(expr)
+    def marginal(variables, body):
+        if not variables:
+            return body
+        return [(other,
+                 MarginalOver(graph.sorted_nodes(variables), whole(body)))]
 
+    def fraction(numerator, denominator):
+        return [(other, Fraction(whole(numerator), whole(denominator)))]
 
-def _sym(label: str) -> str:
-    return label.lower()
+    return whole(fold(expr, factor, product, marginal, fraction))
 
 
 def _sym_latex(label: str) -> str:
@@ -121,61 +133,48 @@ def _sym_latex(label: str) -> str:
     return label.lower()
 
 
+def _render(expr: DensityExpression, sym: Callable[[str], str], sep: str,
+            conditional: str, integral: str, differential: str,
+            ratio: str) -> str:
+    def names(nodes: tuple[str, ...]) -> str:
+        return sep.join(map(sym, nodes))
+
+    def factor(f: Factor) -> str:
+        if f.given:
+            return conditional.format(names(f.targets), names(f.given))
+        return f"f({names(f.targets)})"
+
+    def marginal(variables, body):
+        vs = [sym(v) for v in variables]
+        tail = " ".join(differential.format(v) for v in vs)
+        return integral.format(vars=",".join(vs), body=body, tail=tail)
+
+    return fold(expr, factor, lambda parts: " ".join(parts) if parts else "1",
+                marginal, ratio.format)
+
+
 def render_text(expr: DensityExpression) -> str:
     """Plain-text rendering, e.g. ``INT_{v2} f(y|x,v1,v2) f(v2|v1) dv2``."""
-    if isinstance(expr, Factor):
-        head = ",".join(_sym(v) for v in expr.targets)
-        if expr.given:
-            return f"f({head}|{','.join(_sym(v) for v in expr.given)})"
-        return f"f({head})"
-    if isinstance(expr, Product):
-        if not expr.factors:
-            return "1"
-        return " ".join(render_text(f) for f in expr.factors)
-    if isinstance(expr, MarginalOver):
-        vs = [_sym(v) for v in expr.variables]
-        tail = " ".join(f"d{v}" for v in vs)
-        return f"INT_{{{','.join(vs)}}} {render_text(expr.body)} {tail}"
-    if isinstance(expr, Fraction):
-        return f"({render_text(expr.numerator)}) / ({render_text(expr.denominator)})"
-    raise TypeError(f"not a density expression: {expr!r}")
-
-
-def expression_to_json(expr: DensityExpression) -> dict:
-    if isinstance(expr, Factor):
-        return {"kind": "factor", "targets": list(expr.targets),
-                "given": list(expr.given), "fixed": list(expr.fixed)}
-    if isinstance(expr, Product):
-        return {"kind": "product",
-                "factors": [expression_to_json(f) for f in expr.factors]}
-    if isinstance(expr, MarginalOver):
-        return {"kind": "marginal", "variables": list(expr.variables),
-                "body": expression_to_json(expr.body)}
-    if isinstance(expr, Fraction):
-        return {"kind": "fraction",
-                "numerator": expression_to_json(expr.numerator),
-                "denominator": expression_to_json(expr.denominator)}
-    raise TypeError(f"not a density expression: {expr!r}")
+    return _render(expr, str.lower, ",", "f({}|{})",
+                   "INT_{{{vars}}} {body} {tail}", "d{}", "({}) / ({})")
 
 
 def render_latex(expr: DensityExpression) -> str:
-    if isinstance(expr, Factor):
-        head = ", ".join(_sym_latex(v) for v in expr.targets)
-        if expr.given:
-            return f"f({head} \\mid {', '.join(_sym_latex(v) for v in expr.given)})"
-        return f"f({head})"
-    if isinstance(expr, Product):
-        if not expr.factors:
-            return "1"
-        return " ".join(render_latex(f) for f in expr.factors)
-    if isinstance(expr, MarginalOver):
-        vs = [_sym_latex(v) for v in expr.variables]
-        tail = " ".join(f"\\, d{v}" for v in vs)
-        return f"\\int {render_latex(expr.body)} {tail}"
-    if isinstance(expr, Fraction):
-        return (f"\\frac{{{render_latex(expr.numerator)}}}"
-                f"{{{render_latex(expr.denominator)}}}")
-    raise TypeError(f"not a density expression: {expr!r}")
+    return _render(expr, _sym_latex, ", ", "f({} \\mid {})",
+                   "\\int {body} {tail}", "\\, d{}", "\\frac{{{}}}{{{}}}")
+
+
+def expression_to_json(expr: DensityExpression) -> dict:
+    return fold(
+        expr,
+        lambda f: {"kind": "factor", "targets": list(f.targets),
+                   "given": list(f.given), "fixed": list(f.fixed)},
+        lambda parts: {"kind": "product", "factors": parts},
+        lambda variables, body: {"kind": "marginal",
+                                 "variables": list(variables), "body": body},
+        lambda numerator, denominator: {"kind": "fraction",
+                                        "numerator": numerator,
+                                        "denominator": denominator})
 
 
 # -- errors and certificates -------------------------------------------------

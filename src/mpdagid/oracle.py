@@ -13,13 +13,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Collection, Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
 from .graph import Graph, GraphError
-from .ident import (DensityExpression, Factor, Fraction, MarginalOver,
-                    Product)
+from .ident import DensityExpression, Factor, fold
 from .meek import apply_background, pattern_of
 from .reachability import ancestors
 
@@ -209,28 +208,33 @@ def evaluate_expression(expr: DensityExpression, joint: np.ndarray,
     """Value of a density expression under an observational joint table,
     at a (binary) assignment of every free variable of the expression."""
 
-    def ev(e: DensityExpression, env: Dict[str, int]) -> float:
-        if isinstance(e, Factor):
-            return table_conditional(joint, nodes,
-                                     {v: env[v] for v in e.targets},
-                                     {v: env[v] for v in e.given})
-        if isinstance(e, Product):
-            out = 1.0
-            for f in e.factors:
-                out *= ev(f, env)
-            return out
-        if isinstance(e, MarginalOver):
-            total = 0.0
-            for values in itertools.product((0, 1), repeat=len(e.variables)):
-                inner = dict(env)
-                inner.update(zip(e.variables, values))
-                total += ev(e.body, inner)
-            return total
-        if isinstance(e, Fraction):
-            return ev(e.numerator, env) / ev(e.denominator, env)
-        raise TypeError(f"not a density expression: {e!r}")
+    def factor(f: Factor):
+        return lambda env: table_conditional(joint, nodes,
+                                             {v: env[v] for v in f.targets},
+                                             {v: env[v] for v in f.given})
 
-    return ev(expr, dict(assignment))
+    def product(parts):
+        def ev(env: Dict[str, int]) -> float:
+            out = 1.0
+            for part in parts:
+                out *= part(env)
+            return out
+        return ev
+
+    def marginal(variables, body):
+        def ev(env: Dict[str, int]) -> float:
+            total = 0.0
+            for values in itertools.product((0, 1), repeat=len(variables)):
+                inner = dict(env)
+                inner.update(zip(variables, values))
+                total += body(inner)
+            return total
+        return ev
+
+    def fraction(numerator, denominator):
+        return lambda env: numerator(env) / denominator(env)
+
+    return fold(expr, factor, product, marginal, fraction)(dict(assignment))
 
 
 def interventional_conditional(model: DiscreteModel, do: Mapping[str, int],
@@ -239,6 +243,36 @@ def interventional_conditional(model: DiscreteModel, do: Mapping[str, int],
     """Ground truth f(targets | do, given) from the truncated factorization."""
     table = model.interventional(do)
     return table_conditional(table, model.dag.nodes, targets, given)
+
+
+def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
+                y: Collection[str], z: Collection[str], rng: random.Random,
+                trials: int = 1) -> tuple[float, int, int]:
+    """Check ``expr`` as f(y | do(x), z) against truncated factorization:
+    on every DAG in ``graph``'s class, draw ``trials`` random binary models
+    from ``rng`` and compare at every binary assignment of X, Y and Z.
+
+    Returns the worst absolute gap, the number of DAGs and the number of
+    comparisons."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    free = graph.sorted_nodes(set(x) | set(y) | set(z))
+    dags = enumerate_dags(graph)
+    worst = 0.0
+    checks = 0
+    for dag in dags:
+        for _ in range(trials):
+            model = DiscreteModel.random(dag, rng)
+            joint = model.joint()
+            for values in itertools.product((0, 1), repeat=len(free)):
+                env = dict(zip(free, values))
+                truth = interventional_conditional(
+                    model, {v: env[v] for v in x},
+                    {v: env[v] for v in y}, {v: env[v] for v in z})
+                got = evaluate_expression(expr, joint, graph.nodes, env)
+                worst = max(worst, abs(got - truth))
+                checks += 1
+    return worst, len(dags), checks
 
 
 # -- linear Gaussian structural equation models ---------------------------------

@@ -13,40 +13,18 @@ import time
 
 import pytest
 
-from mpdagid import (DiscreteModel, Factor, Graph, NotIdentifiable, cidm,
-                     cidme_tree, d_separated, dag_d_separated, descendants,
-                     enumerate_dags, evaluate_expression, find_proper_pc_path,
-                     id_formula, interventional_conditional, normal_form,
-                     parse_graph_text, possible_descendants, random_mpdag,
-                     rule1_holds, rule2_holds, rule3_holds,
-                     verify_counterexample)
+from mpdagid import (Factor, Graph, NotIdentifiable, cidm, cidme_tree,
+                     d_separated, dag_d_separated, descendants,
+                     enumerate_dags, find_proper_pc_path, id_formula,
+                     normal_form, numeric_gap, parse_graph_text,
+                     possible_descendants, random_mpdag, rule1_holds,
+                     rule2_holds, rule3_holds, verify_counterexample)
 
 from cases import (chain_graph, counterexample_one, counterexample_two,
                    identification_cases, marginal_graph)
 from conftest import note
 
 TOL = 1e-9
-
-
-def _numeric_gap(graph, expr, x, y, z, rng, trials=1):
-    """Worst |expression - truncated factorization| over every DAG in the
-    class, ``trials`` random binary models each, all value assignments."""
-    free = graph.sorted_nodes(set(x) | set(y) | set(z))
-    worst = 0.0
-    checks = 0
-    for dag in enumerate_dags(graph):
-        for _ in range(trials):
-            model = DiscreteModel.random(dag, rng)
-            joint = model.joint()
-            for values in itertools.product((0, 1), repeat=len(free)):
-                env = dict(zip(free, values))
-                truth = interventional_conditional(
-                    model, {v: env[v] for v in x},
-                    {v: env[v] for v in y}, {v: env[v] for v in z})
-                got = evaluate_expression(expr, joint, graph.nodes, env)
-                worst = max(worst, abs(got - truth))
-                checks += 1
-    return worst, checks
 
 
 def test_criterion_01_class_enumeration():
@@ -79,8 +57,8 @@ def test_criterion_02_worked_examples():
         else:
             expr = cidm(case.graph, case.x, case.y, case.z)
             assert expr == case.expected, case.label
-            gap, _ = _numeric_gap(case.graph, expr, case.x, case.y, case.z,
-                                  rng)
+            gap, _, _ = numeric_gap(case.graph, expr, case.x, case.y,
+                                    case.z, rng)
             assert gap <= TOL, case.label
             validated += 1
         slowest = max(slowest, time.perf_counter() - start)
@@ -90,7 +68,7 @@ def test_criterion_02_worked_examples():
     gc = chain_graph()
     assert rule3_holds(gc, (), ("Y",), ("X",), ("Z",))
     short = normal_form(Factor(("Y",), ("Z",)), gc)
-    gap, _ = _numeric_gap(gc, short, ("X",), ("Y",), ("Z",), rng)
+    gap, _, _ = numeric_gap(gc, short, ("X",), ("Y",), ("Z",), rng)
     assert gap <= TOL
     ok = slowest < 1.0
     note(f"criterion 2 {'PASS' if ok else 'FAIL'}: 8 worked queries, "
@@ -170,7 +148,7 @@ def test_criterion_05_random_soundness():
         except NotIdentifiable:
             continue
         identified += 1
-        gap, n = _numeric_gap(g, expr, x, y, z, rng)
+        gap, _, n = numeric_gap(g, expr, x, y, z, rng)
         worst = max(worst, gap)
         checks += n
     elapsed = time.perf_counter() - start
@@ -272,7 +250,7 @@ def test_criterion_08_unconditional_characterization():
             continue
         succeeded += 1
         assert path is None, (g, x, y, z)
-        gap, _ = _numeric_gap(g, expr, x, y, z, rng)
+        gap, _, _ = numeric_gap(g, expr, x, y, z, rng)
         worst = max(worst, gap)
     elapsed = time.perf_counter() - start
     ok = worst <= TOL and succeeded and failed

@@ -227,6 +227,16 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["verified"] is True
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_no_trials_is_input_error(self, graph_file, capsys, trials):
+        path = graph_file(CHAIN_TEXT)
+        code, out, err = run(capsys, "verify", path, "-x", "X", "-y", "Y",
+                             "-z", "Z", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "trials" in err
+
 
 class TestMalformedJson:
     @pytest.mark.parametrize("blob", [

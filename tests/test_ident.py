@@ -1,20 +1,20 @@
-import itertools
+import json
 import random
 
 import pytest
 
-from mpdagid import (DiscreteModel, Factor, Fraction, GraphError,
-                     MarginalOver, NotIdentifiable, PreconditionViolated,
-                     Product, cidm,
+from mpdagid import (Factor, Fraction, GraphError, MarginalOver,
+                     NotIdentifiable, PreconditionViolated, Product, cidm,
                      cidme, cidme_tree, enumerate_dags, evaluate_expression,
-                     expression_to_json, id_formula,
-                     interventional_conditional, is_open_definite_status_path,
-                     is_possibly_directed_path, normal_form, parse_graph_text,
-                     random_mpdag, render_latex, render_text, rule1_holds,
-                     rule2_holds, rule3_holds, rule3_shortcut)
+                     expression_to_json, fold, id_formula,
+                     is_open_definite_status_path, is_possibly_directed_path,
+                     normal_form, numeric_gap, parse_graph_text, random_mpdag,
+                     render_latex, render_text, rule1_holds, rule2_holds,
+                     rule3_holds, rule3_shortcut)
 
-from cases import (absorb_graph, chain_graph, identification_cases,
-                   marginal_graph, shortcut_graph, unidentifiable_graph)
+from cases import (absorb_graph, chain_graph, fraction_graph,
+                   identification_cases, marginal_graph, shortcut_graph,
+                   unidentifiable_graph)
 
 
 class TestNormalForm:
@@ -67,6 +67,59 @@ class TestRendering:
         assert blob["kind"] == "fraction"
         assert blob["numerator"] == {"kind": "factor", "targets": ["Y"],
                                      "given": ["Z"], "fixed": []}
+
+
+class TestFold:
+    # every node kind: a fraction over a marginal of a nested product
+    EXPR = Fraction(
+        MarginalOver(("V1",), Product((
+            Factor(("Y", "Z"), ("V1", "X"), fixed=("X",)),
+            Product((Factor(("V1",)), Factor(("Z",), ("V1",))))))),
+        Factor(("Z",), ("X",)))
+
+    def test_golden_renderings(self):
+        assert render_text(self.EXPR) == \
+            "(INT_{v1} f(y,z|v1,x) f(v1) f(z|v1) dv1) / (f(z|x))"
+        assert render_latex(self.EXPR) == (
+            "\\frac{\\int f(y, z \\mid v_{1}, x) f(v_{1}) "
+            "f(z \\mid v_{1}) \\, dv_{1}}{f(z \\mid x)}")
+        assert json.dumps(expression_to_json(self.EXPR)) == (
+            '{"kind": "fraction", "numerator": {"kind": "marginal", '
+            '"variables": ["V1"], "body": {"kind": "product", "factors": '
+            '[{"kind": "factor", "targets": ["Y", "Z"], "given": ["V1", "X"], '
+            '"fixed": ["X"]}, {"kind": "product", "factors": [{"kind": '
+            '"factor", "targets": ["V1"], "given": [], "fixed": []}, {"kind": '
+            '"factor", "targets": ["Z"], "given": ["V1"], "fixed": []}]}]}}, '
+            '"denominator": {"kind": "factor", "targets": ["Z"], "given": '
+            '["X"], "fixed": []}}')
+
+    def test_golden_normal_form(self):
+        g = fraction_graph()  # node order X, Z, Y, V1
+        norm = normal_form(self.EXPR, g)
+        assert norm == Fraction(
+            MarginalOver(("V1",), Product((
+                Factor(("Z",), ("V1",)), Factor(("Z", "Y"), ("X", "V1")),
+                Factor(("V1",))))),
+            Factor(("Z",), ("X",)))
+        assert norm.numerator.body.factors[1].fixed == ("X",)
+        assert render_text(norm) == \
+            "(INT_{v1} f(z|v1) f(z,y|x,v1) f(v1) dv1) / (f(z|x))"
+
+    def test_fold_counts_nodes(self):
+        counts = fold(self.EXPR, lambda f: 1, lambda parts: 1 + sum(parts),
+                      lambda variables, body: 1 + body, lambda n, d: 1 + n + d)
+        assert counts == 8
+
+    @pytest.mark.parametrize("walk", [
+        lambda e: fold(e, id, id, id, id),
+        lambda e: normal_form(e, parse_graph_text("node A\n")),
+        render_text, render_latex, expression_to_json,
+        lambda e: evaluate_expression(e, None, (), {}),
+    ], ids=["fold", "normal_form", "render_text", "render_latex",
+            "expression_to_json", "evaluate_expression"])
+    def test_non_expression_raises(self, walk):
+        with pytest.raises(TypeError, match="not a density expression"):
+            walk(Product((Factor(("A",)), "A")))
 
 
 class TestValidation:
@@ -240,14 +293,6 @@ class TestCidme:
         g = unidentifiable_graph()
         rng = random.Random(55)
         for leaf in cidme_tree(g, {"X"}, {"Y"}, {"Z"}):
-            for dag in enumerate_dags(leaf.graph):
-                model = DiscreteModel.random(dag, rng)
-                joint = model.joint()
-                for values in itertools.product((0, 1), repeat=3):
-                    env = dict(zip(("X", "Y", "Z"), values))
-                    truth = interventional_conditional(
-                        model, {"X": env["X"]}, {"Y": env["Y"]},
-                        {"Z": env["Z"]})
-                    got = evaluate_expression(leaf.expression, joint,
-                                              g.nodes, env)
-                    assert abs(got - truth) < 1e-9
+            gap, _, _ = numeric_gap(leaf.graph, leaf.expression, ("X",),
+                                    ("Y",), ("Z",), rng)
+            assert gap < 1e-9

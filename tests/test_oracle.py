@@ -8,11 +8,12 @@ from mpdagid import (CounterexampleReport, DagNotInClass, DiscreteModel,
                      Factor, Graph, GraphError, LinearGaussianSem,
                      MarginalOver, Product, dag_d_separated, enumerate_dags,
                      evaluate_expression, interventional_conditional,
-                     parse_graph_text, random_dag, random_mpdag,
+                     numeric_gap, parse_graph_text, random_dag, random_mpdag,
                      table_conditional, table_probability,
                      verify_counterexample, wright_covariance)
 
-from cases import counterexample_one, counterexample_two
+from cases import (counterexample_one, counterexample_two,
+                   identification_cases)
 
 
 class TestEnumeration:
@@ -115,6 +116,27 @@ class TestEvaluateExpression:
             got = evaluate_expression(expr, joint, g.nodes, {"A": a, "C": c})
             assert abs(got - want) < 1e-12
 
+    def test_float_order_is_fixed(self):
+        # products multiply left to right from 1.0 and marginals sum in
+        # itertools.product order, so verify gaps repeat to the last bit
+        g = parse_graph_text("A -> B\nB -> C\nC -> D\n")
+        model = DiscreteModel.random(g, random.Random(8))
+        joint = model.joint()
+        chain = [Factor(("A",)), Factor(("B",), ("A",)),
+                 Factor(("C",), ("B",)), Factor(("D",), ("C",))]
+        expr = MarginalOver(("A", "B", "C"), Product(tuple(chain)))
+        for d in (0, 1):
+            want = 0.0
+            for a, b, c in itertools.product((0, 1), repeat=3):
+                env = {"A": a, "B": b, "C": c, "D": d}
+                term = 1.0
+                for f in chain:
+                    term *= table_conditional(
+                        joint, g.nodes, {v: env[v] for v in f.targets},
+                        {v: env[v] for v in f.given})
+                want += term
+            assert evaluate_expression(expr, joint, g.nodes, {"D": d}) == want
+
     def test_matches_interventional_backdoor(self):
         g = parse_graph_text("V -> X\nV -> Y\nX -> Y\n")
         rng = random.Random(4)
@@ -127,6 +149,37 @@ class TestEvaluateExpression:
             got = evaluate_expression(expr, joint, g.nodes,
                                       {"X": x, "Y": y})
             assert abs(got - truth) < 1e-12
+
+
+class TestNumericGap:
+    @pytest.mark.parametrize("label", ["marginal", "fraction"])
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_counts_and_seeded_gaps(self, label, trials):
+        case, = [c for c in identification_cases() if c.label == label]
+        free = set(case.x) | set(case.y) | set(case.z)
+        gap, dags, checks = numeric_gap(case.graph, case.expected, case.x,
+                                        case.y, case.z, random.Random(31),
+                                        trials)
+        assert dags == len(enumerate_dags(case.graph))
+        assert checks == dags * trials * 2 ** len(free)
+        assert gap <= 1e-9
+        # a wrong expression gives a gap that depends on every model drawn;
+        # these values were recorded from the loop numeric_gap replaced
+        # (one model per DAG and trial, in class order, from the same rng)
+        wrong, _, _ = numeric_gap(case.graph, Factor(("Y",), ("X",)),
+                                  case.x, case.y, case.z, random.Random(31),
+                                  trials)
+        assert wrong == {("marginal", 1): 0.22350103484702988,
+                         ("marginal", 3): 0.266969288396643,
+                         ("fraction", 1): 0.24180396356675038,
+                         ("fraction", 3): 0.3369895070227279}[label, trials]
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_no_trials(self, trials):
+        g = parse_graph_text("X -> Y\n")
+        with pytest.raises(ValueError, match="trials"):
+            numeric_gap(g, Factor(("Y",), ("X",)), ("X",), ("Y",), (),
+                        random.Random(0), trials)
 
 
 class TestLinearGaussian:
