@@ -22,7 +22,7 @@ from .graph import (Graph, GraphError, graph_to_json, graph_to_text,
                     parse_graph_json, parse_graph_text)
 from .ident import (IdentificationError, NotIdentifiable, cidm, cidme_tree,
                     expression_to_json, render_latex, render_text)
-from .meek import apply_background, meek_closure
+from .meek import apply_background
 from .oracle import enumerate_dags, numeric_gap
 from .pco import pco
 from .reachability import (ancestors, descendants, parents,
@@ -91,7 +91,7 @@ def cmd_complete(graph: Graph, args) -> int:
                                  "form A>B")
             a, b = token.split(">", 1)
             pairs.append((a.strip(), b.strip()))
-    closed = apply_background(graph, pairs) if pairs else meek_closure(graph)
+    closed = apply_background(graph, pairs)
     _emit(args, _graph_obj(closed), [graph_to_text(closed)])
     return 0
 
@@ -187,6 +187,8 @@ def cmd_enumerate(graph: Graph, args) -> int:
 
 def cmd_verify(graph: Graph, args) -> int:
     x, y, z = _split(args.x), _split(args.y), _split(args.z)
+    if args.trials < 1:
+        raise ValueError(f"trials must be at least 1, got {args.trials}")
     try:
         expr = cidm(graph, x, y, z)
     except NotIdentifiable as exc:

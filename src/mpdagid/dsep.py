@@ -6,13 +6,17 @@ counts only when it is a collider or a definite non-collider *in this
 graph*, and a collider is open only when it has a descendant (here, along
 this graph's directed edges) in the conditioning set.
 
-Two searches cooperate.  A pair-state walk search is polynomial and finds
-every definite-status walk; since every path is a walk, its SEPARATED
-verdict is final.  Its CONNECTED verdict is confirmed by an exact
-breadth-first search over simple paths, because on mutilated graphs an open
-definite-status walk can exist with no open definite-status path (the walk
-can reuse a node under two triples whose merged triple has no definite
-status).  The exact search also produces the witness path.
+Two searches cooperate, both the shared ones of
+:mod:`mpdagid.reachability` under one open-triple rule.
+:func:`~mpdagid.reachability.edge_state_search` finds every open
+definite-status walk in polynomial time; since every path is a walk, its
+SEPARATED verdict is final.  Its CONNECTED verdict is confirmed by
+:func:`~mpdagid.reachability.simple_path_search`, which is exact, because on
+mutilated graphs an open definite-status walk can exist with no open
+definite-status path (the walk can reuse a node under two triples whose
+merged triple has no definite status).  The exact search also produces the
+witness path, and the edge-state search along children gives each
+collider's descent into the conditioning set.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import Graph
-from .reachability import ancestors
+from .reachability import ancestors, edge_state_search, simple_path_search
 
 COLLIDER = "collider"
 NONCOLLIDER = "noncollider"
@@ -61,65 +65,23 @@ def _check_sets(graph: Graph, xs, ys, zs) -> tuple[frozenset, frozenset, frozens
     return x, y, z
 
 
-def _interior_open(graph: Graph, status: str, b: str,
-                   zset: frozenset[str], an_z: frozenset[str]) -> bool:
-    if status == COLLIDER:
-        return b in an_z
-    return b not in zset
-
-
-def _walk_connected(graph: Graph, x: frozenset[str], y: frozenset[str],
-                    z: frozenset[str], an_z: frozenset[str]) -> bool:
-    """Pair-state search over definite-status open walks (interiors outside
-    X and Y).  False is conclusive; True may still be a walk-only artifact."""
-    seen: set[tuple[str, str]] = set()
-    stack: list[tuple[str, str]] = []
-    for s in x:
-        for w in graph.neighbors_of(s):
-            if w in y:
-                return True
-            if w in x:
-                continue
-            if (s, w) not in seen:
-                seen.add((s, w))
-                stack.append((s, w))
-    while stack:
-        p, c = stack.pop()
-        for n in graph.neighbors_of(c):
-            if n == p or n in x:
-                continue
-            status = triple_status(graph, p, c, n)
-            if status is None or not _interior_open(graph, status, c, z, an_z):
-                continue
-            if n in y:
-                return True
-            if (c, n) not in seen:
-                seen.add((c, n))
-                stack.append((c, n))
-    return False
+def _open_at(graph: Graph, zset: frozenset[str]) -> dict[str, frozenset[str]]:
+    """The interior nodes open given Z, by triple status: colliders with a
+    descendant in Z, definite non-colliders outside Z."""
+    return {COLLIDER: ancestors(graph, zset),
+            NONCOLLIDER: frozenset(graph.nodes) - zset}
 
 
 def _directed_descent(graph: Graph, start: str, zset: frozenset[str]) -> tuple[str, ...]:
     """Shortest directed path from ``start`` into ``zset`` (start included)."""
     if start in zset:
         return (start,)
-    prev: dict[str, str] = {start: start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for c in graph.sorted_nodes(graph.children_of(v)):
-                if c in prev:
-                    continue
-                prev[c] = v
-                if c in zset:
-                    out = [c]
-                    while out[-1] != start:
-                        out.append(prev[out[-1]])
-                    return tuple(reversed(out))
-                nxt.append(c)
-        frontier = nxt
-    raise AssertionError(f"no directed path from {start!r} into the conditioning set")
+    descent = edge_state_search(
+        (start,), lambda _, v: graph.sorted_nodes(graph.children_of(v)), zset)[1]
+    if descent is None:
+        raise AssertionError(
+            f"no directed path from {start!r} into the conditioning set")
+    return descent
 
 
 def find_open_path(graph: Graph, xs: Iterable[str], ys: Iterable[str],
@@ -127,35 +89,30 @@ def find_open_path(graph: Graph, xs: Iterable[str], ys: Iterable[str],
     """Lexicographically first shortest open definite-status path X to Y
     given Z, or None if X and Y are d-separated given Z."""
     x, y, z = _check_sets(graph, xs, ys, zs)
-    an_z = ancestors(graph, z)
-    if not _walk_connected(graph, x, y, z, an_z):
+    open_at = _open_at(graph, z)
+    order: dict[str, tuple[str, ...]] = {}
+
+    def expand(prev: str | None, cur: str) -> Iterable[str]:
+        steps = order.get(cur)
+        if steps is None:
+            steps = order[cur] = graph.sorted_nodes(graph.neighbors_of(cur) - x)
+        if prev is None:
+            return steps
+        return [w for w in steps if w != prev and cur
+                in open_at.get(triple_status(graph, prev, cur, w), ())]
+
+    sources = graph.sorted_nodes(x)
+    # no open walk means no open path; an open walk needs the exact search
+    if edge_state_search(sources, expand, y)[1] is None:
         return None
-
-    def witness(path: tuple[str, ...]) -> OpenPathWitness:
-        descents = tuple(
-            _directed_descent(graph, path[i], z)
-            for i in range(1, len(path) - 1)
-            if triple_status(graph, path[i - 1], path[i], path[i + 1]) == COLLIDER)
-        return OpenPathWitness(path, descents)
-
-    level: list[tuple[str, ...]] = [(s,) for s in graph.sorted_nodes(x)]
-    while level:
-        nxt: list[tuple[str, ...]] = []
-        for path in level:
-            last = path[-1]
-            for w in graph.sorted_nodes(graph.neighbors_of(last)):
-                if w in path or w in x:
-                    continue
-                if len(path) >= 2:
-                    status = triple_status(graph, path[-2], last, w)
-                    if status is None or not _interior_open(graph, status, last,
-                                                            z, an_z):
-                        continue
-                if w in y:
-                    return witness(path + (w,))
-                nxt.append(path + (w,))
-        level = nxt
-    return None
+    path = simple_path_search(
+        sources, lambda p: expand(p[-2] if len(p) > 1 else None, p[-1]), y)[1]
+    if path is None:
+        return None
+    return OpenPathWitness(path, tuple(
+        _directed_descent(graph, path[i], z)
+        for i in range(1, len(path) - 1)
+        if triple_status(graph, path[i - 1], path[i], path[i + 1]) == COLLIDER))
 
 
 def d_separated(graph: Graph, xs: Iterable[str], ys: Iterable[str],
@@ -174,9 +131,6 @@ def is_open_definite_status_path(graph: Graph, path: Sequence[str],
     if any(graph.edge_between(path[i], path[i + 1]) is None
            for i in range(len(path) - 1)):
         return False
-    an_z = ancestors(graph, z)
-    for i in range(1, len(path) - 1):
-        status = triple_status(graph, path[i - 1], path[i], path[i + 1])
-        if status is None or not _interior_open(graph, status, path[i], z, an_z):
-            return False
-    return True
+    open_at = _open_at(graph, z)
+    return all(path[i] in open_at.get(triple_status(graph, *path[i - 1:i + 2]), ())
+               for i in range(1, len(path) - 1))

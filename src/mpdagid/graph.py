@@ -186,7 +186,10 @@ class Graph:
 
     def sorted_nodes(self, subset: Iterable[str]) -> tuple[str, ...]:
         """The given nodes in this graph's node order."""
-        return tuple(sorted(subset, key=self.index))
+        try:
+            return tuple(sorted(subset, key=self._index.__getitem__))
+        except KeyError as exc:
+            raise GraphError(f"unknown node {exc.args[0]!r}") from None
 
     # -- derived graphs --------------------------------------------------
 

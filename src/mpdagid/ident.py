@@ -223,7 +223,7 @@ class NotIdentifiable(IdentificationError):
 # -- query plumbing -----------------------------------------------------------
 
 
-def _validate_query(graph: Graph, xs, ys, zs, require_mpdag: bool = True
+def _validate_query(graph: Graph, xs, ys, zs
                     ) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
     x, y, z = frozenset(xs), frozenset(ys), frozenset(zs)
     for v in x | y | z:
@@ -232,7 +232,7 @@ def _validate_query(graph: Graph, xs, ys, zs, require_mpdag: bool = True
         raise PreconditionViolated("treatment and outcome sets must be nonempty")
     if x & y or x & z or y & z:
         raise PreconditionViolated("treatment, outcome and conditioning sets overlap")
-    if require_mpdag and graph.classify() is GraphClass.PDAG:
+    if graph.classify() is GraphClass.PDAG:
         raise PreconditionViolated("graph is not a maximally oriented PDAG or DAG")
     return x, y, z
 
@@ -338,7 +338,8 @@ def id_formula(graph: Graph, xs, ys, zs=()) -> DensityExpression:
 
 def _absorb(graph: Graph, x1: set[str], y: frozenset[str], z1: set[str]):
     """Run the absorption loop in place.  Returns None when it exits
-    cleanly, else the (offending path, mutilated graph) of the failure."""
+    cleanly, else the offending path of the failure and the open path that
+    breaks the premise in the mutilated graph."""
     while True:
         path = find_proper_pc_path(graph, x1, y | z1, start_undirected=True)
         if path is None:
@@ -346,11 +347,12 @@ def _absorb(graph: Graph, x1: set[str], y: frozenset[str], z1: set[str]):
         picked = path[0]
         rest = x1 - {picked}
         mut = graph.remove_edges_into(rest).remove_edges_out_of({picked})
-        if d_separated(mut, y, {picked}, rest | z1):
+        witness = find_open_path(mut, y, {picked}, rest | z1)
+        if witness is None:
             x1.remove(picked)
             z1.add(picked)
             continue
-        return path, mut
+        return path, witness
 
 
 def _finish(graph: Graph, x1: set[str], y: frozenset[str],
@@ -385,11 +387,9 @@ def cidm(graph: Graph, xs, ys, zs=()) -> DensityExpression:
     x1, z1 = set(x), set(z)
     failure = _absorb(graph, x1, y, z1)
     if failure is not None:
-        path, mut = failure
+        path, witness = failure
         picked = path[0]
         cond = (x1 - {picked}) | z1
-        witness = find_open_path(mut, y, {picked}, cond)
-        assert witness is not None
         raise NotIdentifiable(
             f"cannot absorb {picked!r}: the premise d-separation fails",
             FailCertificate(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphClass, GraphError
 
 
 class InconsistentOrientation(GraphError):
@@ -83,7 +83,8 @@ def meek_closure(graph: Graph) -> Graph:
         raise InconsistentOrientation("closure created a directed cycle")
     if not g.unshielded_colliders() <= graph.unshielded_colliders():
         raise InconsistentOrientation("closure created a new unshielded collider")
-    if not has_consistent_extension(g):
+    # classify() finds the consistent extension and keeps the class on g
+    if g.classify() is GraphClass.PDAG:
         raise InconsistentOrientation("no consistent extension exists")
     return g
 

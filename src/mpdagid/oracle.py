@@ -17,7 +17,7 @@ from typing import Collection, Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphClass, GraphError
 from .ident import DensityExpression, Factor, fold
 from .meek import apply_background, pattern_of
 from .reachability import ancestors
@@ -64,7 +64,7 @@ def dag_d_separated(dag: Graph, xs, ys, zs=()) -> bool:
         raise ValueError("d-separation needs nonempty endpoint sets")
     if x & y or x & z or y & z:
         raise ValueError("d-separation sets must be pairwise disjoint")
-    if dag.undirected_edges or not dag.directed_part_acyclic():
+    if dag.classify() is not GraphClass.DAG:
         raise GraphError("moralization test requires a DAG")
 
     rel = ancestors(dag, x | y | z)
@@ -128,7 +128,7 @@ class DiscreteModel:
     stores P(v = 1 | parent values)."""
 
     def __init__(self, dag: Graph, cpts: Mapping[str, np.ndarray]):
-        if dag.undirected_edges or not dag.directed_part_acyclic():
+        if dag.classify() is not GraphClass.DAG:
             raise GraphError("a discrete model needs a DAG")
         self.dag = dag
         self.parent_order = {v: dag.sorted_nodes(dag.parents_of(v))
@@ -287,7 +287,7 @@ class LinearGaussianSem:
                  coefficients: Mapping[Tuple[str, str], float],
                  noise_variances: Mapping[str, float],
                  intercepts: Mapping[str, float] | None = None):
-        if dag.undirected_edges or not dag.directed_part_acyclic():
+        if dag.classify() is not GraphClass.DAG:
             raise GraphError("a linear SEM needs a DAG")
         edges = set(dag.directed_edges)
         if set(coefficients) != edges:

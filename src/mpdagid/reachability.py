@@ -13,20 +13,24 @@ possibly directed path reaches (Perkovic, Kalisch & Maathuis, UAI 2017).
 The one exception is a path whose first edge must be undirected: its
 source may have a directed chord to the third node, because the shortcut
 over that chord would start with a directed edge.
-:func:`_state_search` is that breadth-first search over edge states
-``(prev, cur)``: each ordered adjacent pair is entered at most once and
-expanded over the neighbours of ``cur``, so a query costs O(sum of deg^2)
-time without recursion.  Graphs that ``classify()`` as PDAG (cyclic, not
-closed, or without a consistent extension) give no such guarantee; there the
-searches fall back on :func:`_walk_paths`, which lists every simple path and
-checks the pairwise condition itself, in exponential worst-case time.
+
+The two searches here serve this module and :mod:`mpdagid.dsep`; each
+caller passes its admissibility rule.  :func:`edge_state_search` enters
+each state ``(prev, cur)`` at most once, so a query costs O(sum of deg^2)
+time without recursion; :func:`simple_path_search` extends simple paths
+and is exponential in the worst case.  :func:`_search` runs the first
+through unshielded triples.  Graphs that ``classify()`` as PDAG (cyclic,
+not closed, or without a consistent extension) give no such guarantee;
+there it falls back on :func:`_walk_paths`, the second with the pairwise
+condition.
 All set relations (ancestors, descendants, possible variants) are reflexive.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence
+from itertools import filterfalse
+from typing import Callable, Iterable, Sequence
 
 from .graph import Graph, GraphClass
 
@@ -71,89 +75,58 @@ def _steps(graph: Graph, v: str, backward: bool) -> frozenset[str]:
     return along | graph.undirected_neighbors_of(v)
 
 
-def _state_search(graph: Graph, sources: frozenset[str], backward: bool,
-                  blocked: frozenset[str], targets: frozenset[str],
-                  start_undirected: bool
-                  ) -> tuple[frozenset[str], tuple[str, ...] | None]:
-    """Breadth-first search over edge states ``(prev, cur)``; DAG/MPDAG only.
+def edge_state_search(sources: Sequence[str],
+                      expand: Callable[[str | None, str], Iterable[str]],
+                      targets: frozenset[str]
+                      ) -> tuple[frozenset[str], tuple[str, ...] | None]:
+    """Breadth-first search over edge states ``(prev, cur)``.
 
-    From ``cur`` it steps to a neighbour ``w`` not in ``blocked`` and not
-    adjacent to ``prev``.  With ``start_undirected`` the first step takes
-    undirected edges only, and a source ``prev`` may then have the directed
-    chord ``prev -> w``: the shorter path over that chord would start with a
-    directed edge.  Sources are queued in node order and neighbours expanded
-    in node order, so the parent pointers of the first state that enters a
-    target spell the lexicographically least shortest path.  Returns the
-    nodes reached and that path; when no target is reached the path is None
-    and the reached set is complete.
+    Starts from the states ``(None, s)`` in the order of ``sources``, steps
+    to ``(cur, w)`` for each ``w`` that ``expand(prev, cur)`` yields, and
+    enters each state at most once.  With sources and expansions in node
+    order, the first walk into ``targets`` is the lexicographically least
+    shortest one.  Returns the nodes reached and that walk; when no target
+    is reached the walk is None and the reached set is complete.
     """
-    order: dict[str, tuple[str, ...]] = {}
-    parent: dict[tuple[str | None, str], tuple[str | None, str] | None] = {}
-    queue: deque[tuple[str | None, str]] = deque()
-    for s in graph.sorted_nodes(sources):
-        parent[None, s] = None
-        queue.append((None, s))
+    parent: dict[tuple[str | None, str], tuple[str | None, str] | None] = \
+        {(None, s): None for s in sources}
+    queue = deque(parent)
     reached = set(sources)
     while queue:
         state = queue.popleft()
         prev, cur = state
-        if prev is None and start_undirected:
-            steps = graph.sorted_nodes(graph.undirected_neighbors_of(cur))
-        else:
-            steps = order.get(cur)
-            if steps is None:
-                steps = order[cur] = graph.sorted_nodes(
-                    _steps(graph, cur, backward))
-        shield = graph.neighbors_of(prev) if prev is not None else ()
-        for w in steps:
-            if w in blocked or w == prev or (cur, w) in parent:
+        for w in expand(prev, cur):
+            step = (cur, w)
+            if step in parent:
                 continue
-            if w in shield and not (
-                    start_undirected and prev in sources and (
-                        graph.has_directed(w, prev) if backward
-                        else graph.has_directed(prev, w))):
-                continue
-            parent[cur, w] = state
+            parent[step] = state
             if w in targets:
-                path = [w]
-                at: tuple[str | None, str] | None = state
+                walk = []
+                at: tuple[str | None, str] | None = step
                 while at is not None:
-                    path.append(at[1])
+                    walk.append(at[1])
                     at = parent[at]
-                return frozenset(reached), tuple(reversed(path))
+                return frozenset(reached), tuple(reversed(walk))
             reached.add(w)
-            queue.append((cur, w))
+            queue.append(step)
     return frozenset(reached), None
 
 
-def _walk_paths(graph: Graph, sources: frozenset[str], backward: bool,
-                blocked: frozenset[str], targets: frozenset[str],
-                start_undirected: bool
-                ) -> tuple[frozenset[str], tuple[str, ...] | None]:
-    """Exhaustive reference for :func:`_state_search`, valid on any graph.
-
-    Extends simple paths level by level, in node order, and re-checks each
-    new node against every node already on the path.  Same arguments and
-    result as :func:`_state_search`; worst case exponential.
-    """
+def simple_path_search(sources: Sequence[str],
+                       extend: Callable[[tuple[str, ...]], Iterable[str]],
+                       targets: frozenset[str]
+                       ) -> tuple[frozenset[str], tuple[str, ...] | None]:
+    """Breadth-first search over simple paths, one length at a time: each
+    path grows by every node ``extend(path)`` yields that is not on it yet.
+    Same result as :func:`edge_state_search`, a simple path in place of the
+    walk; worst case exponential."""
     reached = set(sources)
-    level = [(s,) for s in graph.sorted_nodes(sources)]
+    level = [(s,) for s in sources]
     while level:
         nxt: list[tuple[str, ...]] = []
         for path in level:
-            last = path[-1]
-            if len(path) == 1 and start_undirected:
-                steps = graph.undirected_neighbors_of(last)
-            else:
-                steps = _steps(graph, last, backward)
-            for w in graph.sorted_nodes(steps):
-                if w in path or w in blocked:
-                    continue
-                # pairwise condition: a forward path grows at its end, so no
-                # edge may run from w back into it; a backward one grows at
-                # its start, so no edge may run from the path into w
-                if any(graph.has_directed(p, w) if backward
-                       else graph.has_directed(w, p) for p in path):
+            for w in extend(path):
+                if w in path:
                     continue
                 if w in targets:
                     return frozenset(reached), path + (w,)
@@ -163,14 +136,68 @@ def _walk_paths(graph: Graph, sources: frozenset[str], backward: bool,
     return frozenset(reached), None
 
 
+def _walk_paths(graph: Graph, sources: frozenset[str], backward: bool,
+                blocked: frozenset[str], targets: frozenset[str],
+                start_undirected: bool
+                ) -> tuple[frozenset[str], tuple[str, ...] | None]:
+    """Exhaustive reference, valid on any graph: :func:`simple_path_search`
+    that re-checks each new node against every node already on the path.
+    Same arguments and result as :func:`_search`."""
+    def extend(path: tuple[str, ...]) -> Iterable[str]:
+        if len(path) == 1 and start_undirected:
+            steps = graph.undirected_neighbors_of(path[0])
+        else:
+            steps = _steps(graph, path[-1], backward)
+        # pairwise condition: a forward path grows at its end, so no edge
+        # may run from w back into it; a backward one grows at its start,
+        # so no edge may run from the path into w
+        return [w for w in graph.sorted_nodes(steps - blocked)
+                if w not in path and not any(
+                    graph.has_directed(p, w) if backward
+                    else graph.has_directed(w, p) for p in path)]
+
+    return simple_path_search(graph.sorted_nodes(sources), extend, targets)
+
+
 def _search(graph: Graph, sources: frozenset[str], *, backward: bool = False,
             blocked: frozenset[str], targets: frozenset[str] = frozenset(),
             start_undirected: bool = False
             ) -> tuple[frozenset[str], tuple[str, ...] | None]:
-    """The state search, or the reference walk where it is not exact."""
-    search = _walk_paths if graph.classify() is GraphClass.PDAG \
-        else _state_search
-    return search(graph, sources, backward, blocked, targets, start_undirected)
+    """Possibly directed paths by :func:`edge_state_search` on DAGs and
+    MPDAGs, by :func:`_walk_paths` on other graphs.
+
+    From ``cur`` the edge-state search steps to a neighbour ``w`` not in
+    ``blocked`` and not adjacent to ``prev``.  With ``start_undirected`` the
+    first step takes undirected edges only, and a source ``prev`` may then
+    have the directed chord ``prev -> w``: the shorter path over that chord
+    would start with a directed edge.
+    """
+    if graph.classify() is GraphClass.PDAG:
+        return _walk_paths(graph, sources, backward, blocked, targets,
+                           start_undirected)
+    order: dict[str, tuple[str, ...]] = {}
+    shields: dict[str, frozenset[str]] = {}  # a node and its neighbours
+
+    def expand(prev: str | None, cur: str) -> Iterable[str]:
+        if prev is None and start_undirected:
+            return graph.sorted_nodes(graph.undirected_neighbors_of(cur)
+                                      - blocked)
+        steps = order.get(cur)
+        if steps is None:
+            steps = order[cur] = graph.sorted_nodes(
+                _steps(graph, cur, backward) - blocked)
+        if prev is None:
+            return steps
+        shield = shields.get(prev)
+        if shield is None:
+            shield = shields[prev] = graph.neighbors_of(prev) | {prev}
+        if start_undirected and prev in sources:
+            return [w for w in steps if w not in shield or (
+                graph.has_directed(w, prev) if backward
+                else graph.has_directed(prev, w))]
+        return filterfalse(shield.__contains__, steps)
+
+    return edge_state_search(graph.sorted_nodes(sources), expand, targets)
 
 
 def possible_descendants(graph: Graph, nodes: Iterable[str]) -> frozenset[str]:

@@ -229,13 +229,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_no_trials_is_input_error(self, graph_file, capsys, trials):
-        path = graph_file(CHAIN_TEXT)
-        code, out, err = run(capsys, "verify", path, "-x", "X", "-y", "Y",
-                             "-z", "Z", "--trials", trials)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "trials" in err
+        # the count is checked before identification, so a query that is
+        # not identifiable is refused for it too
+        for text in (CHAIN_TEXT, UNIDENTIFIABLE_TEXT):
+            path = graph_file(text)
+            code, out, err = run(capsys, "verify", path, "-x", "X", "-y", "Y",
+                                 "-z", "Z", "--trials", trials)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "trials" in err
 
 
 class TestMalformedJson:

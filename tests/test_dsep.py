@@ -141,3 +141,45 @@ def test_exhaustive_three_node_dags_match_oracle():
             for z in ([], rest):
                 assert d_separated(dag, {x}, {y}, z) == \
                     dag_d_separated(dag, {x}, {y}, z)
+
+
+# -- the searches against a brute force over simple paths ---------------------
+
+
+def test_every_four_node_graph_matches_brute_force(four_node_graphs):
+    # all 4^6 graphs, every x, y and z: the witness is the shortest simple
+    # path the validator accepts, ties by node order, and each collider's
+    # descent is the shortest directed path into Z, ties by node order
+    checked = 0
+    for g in four_node_graphs:
+        paths: dict[tuple[str, str], list[tuple[str, ...]]] = {}
+        descents: dict[str, list[tuple[str, ...]]] = {}
+        arcs = set(g.directed_edges)
+        links = arcs | {(b, a) for a, b in arcs} | set(g.undirected_edges) \
+            | {(b, a) for a, b in g.undirected_edges}
+        # permutations come shortest first, then in node order
+        for k in range(1, 5):
+            for p in itertools.permutations(g.nodes, k):
+                steps = set(zip(p, p[1:]))
+                if steps <= links:
+                    paths.setdefault((p[0], p[-1]), []).append(p)
+                if steps <= arcs:
+                    descents.setdefault(p[0], []).append(p)
+        for x, y in itertools.permutations(g.nodes, 2):
+            rest = [v for v in g.nodes if v not in (x, y)]
+            for z in itertools.chain.from_iterable(
+                    itertools.combinations(rest, k) for k in range(3)):
+                want = next((p for p in paths.get((x, y), ())
+                             if is_open_definite_status_path(g, p, z)), None)
+                got = find_open_path(g, {x}, {y}, z)
+                checked += 1
+                if want is None:
+                    assert got is None, (g, x, y, z)
+                    continue
+                assert got is not None and got.path == want, (g, x, y, z)
+                colliders = [want[i] for i in range(1, len(want) - 1)
+                             if triple_status(g, *want[i - 1:i + 2]) == COLLIDER]
+                assert got.collider_descents == tuple(
+                    next(p for p in descents[c] if p[-1] in z)
+                    for c in colliders), (g, x, y, z)
+    assert checked == 4096 * 12 * 4
