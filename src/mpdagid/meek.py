@@ -83,8 +83,13 @@ def meek_closure(graph: Graph) -> Graph:
         raise InconsistentOrientation("closure created a directed cycle")
     if not g.unshielded_colliders() <= graph.unshielded_colliders():
         raise InconsistentOrientation("closure created a new unshielded collider")
-    # classify() finds the consistent extension and keeps the class on g
-    if g.classify() is GraphClass.PDAG:
+    # the loop's last sweep oriented nothing, so g is closed: record its
+    # class here instead of letting classify() repeat that sweep
+    if g._class is None:
+        g._class = (GraphClass.DAG if not g._undirected
+                    else GraphClass.MPDAG if has_consistent_extension(g)
+                    else GraphClass.PDAG)
+    if g._class is GraphClass.PDAG:
         raise InconsistentOrientation("no consistent extension exists")
     return g
 

@@ -125,7 +125,11 @@ def random_mpdag(rng: random.Random, nodes: Iterable[str],
 class DiscreteModel:
     """All variables binary; one CPT per node, indexed by the node's
     parents in graph node order.  ``cpts[v]`` has shape ``(2,) * k`` and
-    stores P(v = 1 | parent values)."""
+    stores P(v = 1 | parent values).
+
+    The model keeps read-only copies of the CPTs and builds each
+    do-assignment's joint table once, so a table it has handed out can
+    never go stale."""
 
     def __init__(self, dag: Graph, cpts: Mapping[str, np.ndarray]):
         if dag.classify() is not GraphClass.DAG:
@@ -135,15 +139,16 @@ class DiscreteModel:
                              for v in dag.nodes}
         self.cpts: Dict[str, np.ndarray] = {}
         for v in dag.nodes:
-            table = np.asarray(cpts[v], dtype=float)
+            table = np.array(cpts[v], dtype=float)
             want = (2,) * len(self.parent_order[v])
             if table.shape != want:
                 raise ValueError(f"CPT for {v!r} has shape {table.shape}, "
                                  f"expected {want}")
             if np.any(table <= 0.0) or np.any(table >= 1.0):
                 raise ValueError(f"CPT for {v!r} must lie strictly in (0, 1)")
+            table.flags.writeable = False
             self.cpts[v] = table
-        self._joint: np.ndarray | None = None
+        self._tables: Dict[tuple, np.ndarray] = {}
 
     @classmethod
     def random(cls, dag: Graph, rng: random.Random) -> "DiscreteModel":
@@ -154,35 +159,49 @@ class DiscreteModel:
             cpts[v] = np.asarray(vals).reshape((2,) * k)
         return cls(dag, cpts)
 
-    def _prob_one(self, node: str, value: int,
-                  assignment: Mapping[str, int]) -> float:
-        key = tuple(assignment[p] for p in self.parent_order[node])
-        p1 = float(self.cpts[node][key]) if key else float(self.cpts[node])
-        return p1 if value == 1 else 1.0 - p1
-
     def joint(self) -> np.ndarray:
         """Observational joint table, axes in graph node order."""
-        if self._joint is None:
-            self._joint = self.interventional({})
-        return self._joint
+        return self.interventional({})
 
     def interventional(self, do: Mapping[str, int]) -> np.ndarray:
         """Joint under do(``do``) by truncated factorization: intervened
-        nodes become point masses, every other factor is kept."""
-        nodes = self.dag.nodes
-        table = np.zeros((2,) * len(nodes))
-        for values in itertools.product((0, 1), repeat=len(nodes)):
-            env = dict(zip(nodes, values))
-            p = 1.0
-            for v in nodes:
+        nodes become point masses, every other factor is kept.
+
+        The table is a product taken in graph node order from a tensor of
+        ones, one broadcast factor per node: the node's CPT, stacked as
+        ``(1 - p1, p1)`` on its own axis and laid onto its parents' axes,
+        or, for an intervened node, the indicator of its set value.  The
+        result is read-only and kept per do-assignment, so a repeated
+        call returns the same array.
+
+        Raises ``ValueError`` when a key of ``do`` is not a node or a
+        value is not 0 or 1.
+        """
+        for v, value in do.items():
+            self.dag.index(v)
+            if value not in (0, 1):
+                raise ValueError(f"do value for {v!r} must be 0 or 1, "
+                                 f"got {value!r}")
+        key = tuple(sorted(do.items()))
+        if key not in self._tables:
+            nodes = self.dag.nodes
+            table = np.ones((2,) * len(nodes))
+            for i, v in enumerate(nodes):
                 if v in do:
-                    if env[v] != do[v]:
-                        p = 0.0
-                        break
+                    factor = np.array([do[v] == 0, do[v] == 1], dtype=float)
+                    axes = [i]
                 else:
-                    p *= self._prob_one(v, env[v], env)
-            table[values] = p
-        return table
+                    p1 = self.cpts[v]
+                    factor = np.stack([1.0 - p1, p1])
+                    axes = [i] + [self.dag.index(p)
+                                  for p in self.parent_order[v]]
+                # move each axis of the factor to its node's place
+                factor = factor.transpose(np.argsort(axes))
+                shape = [2 if ax in axes else 1 for ax in range(len(nodes))]
+                table = table * factor.reshape(shape)
+            table.flags.writeable = False
+            self._tables[key] = table
+        return self._tables[key]
 
 
 def table_probability(table: np.ndarray, nodes: tuple[str, ...],

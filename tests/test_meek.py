@@ -44,6 +44,21 @@ class TestRules:
         assert meek_closure(g) == g
         assert is_meek_closed(g)
 
+    def test_closure_records_the_class_classify_gives(self, four_node_graphs):
+        closed = 0
+        for g in four_node_graphs:
+            # a fresh copy, so no class is already kept on the input
+            g = Graph(g.nodes, g.directed_edges, g.undirected_edges)
+            try:
+                result = meek_closure(g)
+            except InconsistentOrientation:
+                continue
+            fresh = Graph(result.nodes, result.directed_edges,
+                          result.undirected_edges)
+            assert result.classify() is fresh.classify(), result
+            closed += 1
+        assert closed > 0
+
 
 class TestFailures:
     def test_directed_cycle(self):

@@ -100,6 +100,80 @@ class TestDiscreteModel:
         assert abs(got - 0.1) < 1e-12
 
 
+def reference_interventional(model, do):
+    """The per-cell truncated factorization the broadcast product replaced:
+    one pass over the nodes per value assignment, in graph node order."""
+    nodes = model.dag.nodes
+    table = np.zeros((2,) * len(nodes))
+    for values in itertools.product((0, 1), repeat=len(nodes)):
+        env = dict(zip(nodes, values))
+        p = 1.0
+        for v in nodes:
+            if v in do:
+                if env[v] != do[v]:
+                    p = 0.0
+                    break
+            else:
+                key = tuple(env[q] for q in model.parent_order[v])
+                p1 = float(model.cpts[v][key]) if key else float(model.cpts[v])
+                p *= p1 if env[v] == 1 else 1.0 - p1
+        table[values] = p
+    return table
+
+
+class TestInterventionalTable:
+    def test_matches_reference_bytes(self):
+        # equal bytes: the same float products in the same order, signed
+        # zeros included
+        rng = random.Random(12)
+        for n in range(1, 10):
+            dag = random_dag(rng, [f"N{i}" for i in range(n)])
+            model = DiscreteModel.random(dag, rng)
+            for k in range(min(n, 3) + 1):
+                for sub in itertools.combinations(dag.nodes, k):
+                    for vals in itertools.product((0, 1), repeat=k):
+                        do = dict(zip(sub, vals))
+                        assert (model.interventional(do).tobytes()
+                                == reference_interventional(model, do)
+                                .tobytes()), (dag, do)
+
+    @pytest.mark.parametrize("do", [{"A": 5}, {"A": -1}, {"A": 2},
+                                    {"A": "1"}, {"Q": 1}, {"A": 1, "Q": 0}])
+    def test_rejects_bad_do(self, do):
+        g = parse_graph_text("A -> B\n")
+        model = DiscreteModel.random(g, random.Random(0))
+        with pytest.raises(ValueError):
+            model.interventional(do)
+        with pytest.raises(ValueError):
+            interventional_conditional(model, do, {"B": 1}, {})
+
+    def test_tables_are_kept_per_assignment(self):
+        g = parse_graph_text("A -> B\nB -> C\nA -> C\n")
+        model = DiscreteModel.random(g, random.Random(1))
+        first = model.interventional({"A": 1, "B": 0})
+        assert model.interventional({"B": 0, "A": 1}) is first
+        assert model.interventional({"A": 1, "B": 1}) is not first
+        assert model.joint() is model.interventional({})
+
+    def test_tables_are_read_only(self):
+        g = parse_graph_text("A -> B\n")
+        model = DiscreteModel.random(g, random.Random(2))
+        for table in (model.joint(), model.interventional({"A": 0})):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            model.cpts["B"][0] = 0.5
+
+    def test_caller_cpts_are_copied(self):
+        g = parse_graph_text("A -> B\n")
+        pb = np.array([0.2, 0.9])
+        model = DiscreteModel(g, {"A": np.array(0.3), "B": pb})
+        before = model.joint().copy()
+        pb[1] = 0.5
+        assert model.joint().tobytes() == before.tobytes()
+        assert model.interventional({"A": 1})[1, 1] == 0.9
+
+
 class TestEvaluateExpression:
     def test_marginal_of_chain_product(self):
         g = parse_graph_text("A -> B\nB -> C\n")
