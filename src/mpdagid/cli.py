@@ -11,6 +11,7 @@ mismatch or nothing to verify, 2 on malformed input or queries, 3 when
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -18,7 +19,7 @@ import sys
 from dataclasses import asdict
 
 from .dsep import find_open_path
-from .graph import (Graph, GraphError, graph_to_json, graph_to_text,
+from .graph import (Graph, GraphError, _graph_obj, graph_to_text,
                     parse_graph_json, parse_graph_text)
 from .ident import (IdentificationError, NotIdentifiable, cidm, cidme_tree,
                     expression_to_json, render_latex, render_text)
@@ -36,10 +37,6 @@ def _load_graph(source: str) -> Graph:
     if text.lstrip().startswith("{"):
         return parse_graph_json(text)
     return parse_graph_text(text)
-
-
-def _graph_obj(graph: Graph) -> dict:
-    return json.loads(graph_to_json(graph))
 
 
 def _split(arg: str | None) -> tuple[str, ...]:
@@ -285,8 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parse_args keeps no state
+    # between calls, so one parser serves every call in the process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         graph = _load_graph(args.graph)
         return args.func(graph, args)

@@ -326,12 +326,15 @@ def parse_graph_text(text: str) -> Graph:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "node":
+        # an arrow line is an edge whatever its first token, so a node
+        # named "node" can be an endpoint
+        is_edge = len(parts) == 3 and parts[1] in ("->", "--", "<-")
+        if parts[0] == "node" and not is_edge:
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 'node NAME'")
             note(parts[1])
             continue
-        if len(parts) != 3 or parts[1] not in ("->", "--", "<-"):
+        if not is_edge:
             raise ParseError(f"line {lineno}: expected 'A -> B', 'A <- B' or 'A -- B'")
         a, op, b = parts
         note(a)
@@ -367,6 +370,11 @@ def parse_graph_json(text: str) -> Graph:
     if not (isinstance(nodes, list)
             and all(isinstance(v, str) for v in nodes)):
         raise ParseError("JSON 'nodes' must be a list of strings")
+    for v in nodes:
+        # the text format splits on whitespace and cuts at '#'
+        if not v or "#" in v or any(c.isspace() for c in v):
+            raise ParseError(f"node label {v!r} is empty or contains "
+                             "whitespace or '#'")
     if not isinstance(edges, list):
         raise ParseError("JSON 'edges' must be a list")
     directed, undirected = [], []
@@ -389,9 +397,14 @@ def parse_graph_json(text: str) -> Graph:
         raise ParseError(str(exc)) from exc
 
 
-def graph_to_json(graph: Graph) -> str:
-    obj = {
+def _graph_obj(graph: Graph) -> dict:
+    """The JSON form as a dict, for callers that embed it in a larger
+    document."""
+    return {
         "nodes": list(graph.nodes),
         "edges": [{"a": e.a, "b": e.b, "kind": e.kind.value} for e in graph.edges],
     }
-    return json.dumps(obj, indent=2)
+
+
+def graph_to_json(graph: Graph) -> str:
+    return json.dumps(_graph_obj(graph), indent=2)

@@ -8,6 +8,8 @@ consistent extension) is maximally oriented; inconsistent inputs raise
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import Iterable
 
 from .graph import Graph, GraphClass, GraphError
@@ -17,50 +19,63 @@ class InconsistentOrientation(GraphError):
     """The requested orientations admit no consistent extension."""
 
 
-def _rule_applications(graph: Graph) -> list[tuple[str, str]]:
-    """All orientations a -> b that R1-R4 license on the current graph."""
-    out = []
-    for a, b in graph.undirected_edges:
-        for x, y in ((a, b), (b, a)):
-            if _r1(graph, x, y) or _r2(graph, x, y) or _r3(graph, x, y) \
-                    or _r4(graph, x, y):
-                out.append((x, y))
-    return out
+def _licensed(pa, ch, nb, adj, x: str, y: str) -> bool:
+    """True iff one of R1-R4 orients the undirected edge x -- y as x -> y.
 
-
-def _r1(g: Graph, b: str, c: str) -> bool:
-    # a -> b -- c with a, c nonadjacent: orient b -> c
-    return any(not g.adjacent(a, c) for a in g.parents_of(b) if a != c)
-
-
-def _r2(g: Graph, a: str, c: str) -> bool:
-    # a -> b -> c with a -- c: orient a -> c
-    return bool(g.children_of(a) & g.parents_of(c))
-
-
-def _r3(g: Graph, a: str, b: str) -> bool:
-    # a -- c -> b and a -- d -> b with c, d nonadjacent: orient a -> b
-    shared = sorted(g.undirected_neighbors_of(a) & g.parents_of(b))
-    for i, c in enumerate(shared):
-        for d in shared[i + 1:]:
-            if not g.adjacent(c, d):
-                return True
-    return False
-
-
-def _r4(g: Graph, a: str, b: str) -> bool:
-    # a -- d -> c -> b with d, b nonadjacent and a, c adjacent: orient a -> b
-    for d in g.undirected_neighbors_of(a):
-        if d == b or g.adjacent(d, b):
+    ``pa``, ``ch`` and ``nb`` map each node to its parents, children and
+    undirected neighbours; ``adj`` maps it to all its neighbours.
+    """
+    # R1: a -> x -- y with a, y nonadjacent
+    if any(a not in adj[y] for a in pa[x]):
+        return True
+    # R2: x -> b -> y with x -- y
+    if not ch[x].isdisjoint(pa[y]):
+        return True
+    # R3: x -- c -> y and x -- d -> y with c, d nonadjacent
+    shared = nb[x] & pa[y]
+    if any(d not in adj[c] for c, d in itertools.combinations(shared, 2)):
+        return True
+    # R4: x -- d -> c -> y with d, y nonadjacent and x, c adjacent
+    for d in nb[x]:
+        if d == y or d in adj[y]:
             continue
-        for c in g.children_of(d) & g.parents_of(b):
-            if g.adjacent(a, c):
-                return True
+        if not adj[x].isdisjoint(ch[d] & pa[y]):
+            return True
     return False
+
+
+def _rule_applications(pa, ch, nb, adj, edges) -> list[tuple[str, str]]:
+    """The orientations x -> y that R1-R4 license among ``edges``, each
+    undirected edge tried as a -> b and then b -> a."""
+    return [(x, y) for a, b in edges for x, y in ((a, b), (b, a))
+            if _licensed(pa, ch, nb, adj, x, y)]
+
+
+class _Adjacency(dict):
+    """All neighbours of each node of a graph, built for a node when it is
+    first asked for.  Orienting an edge keeps the adjacencies, so one map
+    serves a whole closure."""
+
+    def __init__(self, graph: Graph):
+        super().__init__()
+        self._graph = graph
+
+    def __missing__(self, v: str) -> frozenset[str]:
+        g = self._graph
+        out = self[v] = g._pa[v] | g._ch[v] | g._nb[v]
+        return out
 
 
 def meek_closure(graph: Graph) -> Graph:
     """Apply R1-R4 to a fixed point.
+
+    The rules run in rounds on a copy of the edge maps.  Each round
+    finds every orientation the rules license on the graph as the round
+    starts, in ``undirected_edges`` order, and then applies them in that
+    order.  A rule's premise for x -> y reads only the edges at x, at y and
+    at the neighbours of x, so after the first round only the undirected
+    edges with an endpoint next to an edge the last round oriented are
+    tried again; every other edge still licenses nothing.
 
     Raises
     ------
@@ -71,20 +86,42 @@ def meek_closure(graph: Graph) -> Graph:
     """
     if not graph.directed_part_acyclic():
         raise InconsistentOrientation("directed part contains a cycle")
+    index = graph._index
+    # the maps share the graph's sets; orienting replaces the four it changes
+    pa, ch, nb = dict(graph._pa), dict(graph._ch), dict(graph._nb)
+    adj = _Adjacency(graph)
+    new: list[tuple[str, str]] = []
+    edges = graph.undirected_edges
+    while edges:
+        oriented = []
+        for a, b in _rule_applications(pa, ch, nb, adj, edges):
+            if b in nb[a]:
+                nb[a] = nb[a] - {b}
+                nb[b] = nb[b] - {a}
+                ch[a] = ch[a] | {b}
+                pa[b] = pa[b] | {a}
+                oriented.append((a, b))
+        new += oriented
+        near: set[str] = set()
+        for a, b in oriented:
+            near |= adj[a] | adj[b] | {a, b}
+        edges = sorted({(u, w) if index[u] < index[w] else (w, u)
+                        for u in near for w in nb[u]},
+                       key=lambda e: (index[e[0]], index[e[1]]))
     g = graph
-    while True:
-        apps = _rule_applications(g)
-        if not apps:
-            break
-        for a, b in apps:
-            if g.has_undirected(a, b):
-                g = g.orient(a, b)
+    if new:
+        und = set(graph._undirected)
+        und.difference_update((a, b) if index[a] < index[b] else (b, a)
+                              for a, b in new)
+        g = Graph(graph.nodes, graph._directed.union(new), und)
     if not g.directed_part_acyclic():
         raise InconsistentOrientation("closure created a directed cycle")
-    if not g.unshielded_colliders() <= graph.unshielded_colliders():
+    # a new unshielded collider holds a newly oriented edge u -> v and
+    # another parent of v that is not adjacent to u
+    if any(p != u and p not in adj[u] for u, v in new for p in pa[v]):
         raise InconsistentOrientation("closure created a new unshielded collider")
-    # the loop's last sweep oriented nothing, so g is closed: record its
-    # class here instead of letting classify() repeat that sweep
+    # the rounds stopped with no rule left to apply, so g is closed:
+    # record its class here instead of letting classify() sweep again
     if g._class is None:
         g._class = (GraphClass.DAG if not g._undirected
                     else GraphClass.MPDAG if has_consistent_extension(g)
@@ -96,7 +133,8 @@ def meek_closure(graph: Graph) -> Graph:
 
 def is_meek_closed(graph: Graph) -> bool:
     """True iff none of R1-R4 can orient any undirected edge."""
-    return not _rule_applications(graph)
+    return not _rule_applications(graph._pa, graph._ch, graph._nb,
+                                  _Adjacency(graph), graph.undirected_edges)
 
 
 def refine(graph: Graph, a: str, b: str) -> Graph:
@@ -121,34 +159,50 @@ def consistent_extension(graph: Graph) -> Graph | None:
     """A DAG with the same adjacencies and directed edges and no unshielded
     collider the input lacks, or None if none exists.
 
-    Uses the sink-elimination search: repeatedly pick a node with no outgoing
-    directed edge whose undirected neighbors are adjacent to all its other
-    neighbors, orient its undirected edges inward, and remove it.  Failure to
-    find such a node at any step means no extension exists.
+    Uses the sink-elimination search: repeatedly pick the first node, in
+    node order, with no outgoing directed edge whose undirected neighbors
+    are adjacent to all its other neighbors, orient its undirected edges
+    inward, and remove it.  Failure to find such a node at any step means
+    no extension exists.
+
+    Candidates wait in a heap of node positions.  A node that fails the
+    test leaves the heap until one of its neighbours is removed, since
+    only that can change its verdict.
     """
     if not graph.directed_part_acyclic():
         return None
-    g = graph
-    remaining = set(g.nodes)
+    nodes, index = graph.nodes, graph._index
+    pa, ch, nb = graph._pa, graph._ch, graph._nb
+    adj = _Adjacency(graph)
+    remaining = set(nodes)
     oriented: list[tuple[str, str]] = []
 
     def sink_ok(v: str) -> bool:
-        if g.children_of(v) & remaining:
+        if not ch[v].isdisjoint(remaining):
             return False
-        nbs = g.undirected_neighbors_of(v) & remaining
-        others = (g.neighbors_of(v) & remaining) - {v}
-        return all(g.adjacent(u, w) for u in nbs for w in others if w != u)
+        nbs = nb[v] & remaining
+        others = (pa[v] & remaining) | nbs
+        # the others not adjacent to u can only be u itself
+        return all(others - adj[u] <= {u} for u in nbs)
 
+    heap = list(range(len(nodes)))
+    queued = [True] * len(nodes)
     while remaining:
-        v = next((v for v in g.nodes if v in remaining and sink_ok(v)), None)
-        if v is None:
+        if not heap:
             return None
-        oriented += [(u, v) for u in g.undirected_neighbors_of(v) & remaining]
+        i = heapq.heappop(heap)
+        queued[i] = False
+        v = nodes[i]
+        if not sink_ok(v):
+            continue
+        oriented += [(u, v) for u in nb[v] & remaining]
         remaining.discard(v)
-
-    directed = set(graph.directed_edges) | set(oriented)
-    dag = Graph(graph.nodes, directed)
-    return dag
+        # v has no child left, so its remaining neighbours are these
+        for u in (pa[v] | nb[v]) & remaining:
+            if not queued[index[u]]:
+                queued[index[u]] = True
+                heapq.heappush(heap, index[u])
+    return Graph(graph.nodes, graph._directed.union(oriented))
 
 
 def has_consistent_extension(graph: Graph) -> bool:

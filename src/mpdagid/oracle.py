@@ -13,14 +13,17 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Collection, Dict, Iterable, Mapping, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Collection, Dict, Iterable, Mapping, Tuple
 
 from .graph import Graph, GraphClass, GraphError
 from .ident import DensityExpression, Factor, fold
 from .meek import apply_background, pattern_of
 from .reachability import ancestors
+
+# numpy is imported inside the functions that use it, so that importing
+# the package and every CLI subcommand but ``verify`` leave it unloaded
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_ENUMERABLE_UNDIRECTED = 20
 
@@ -132,6 +135,7 @@ class DiscreteModel:
     never go stale."""
 
     def __init__(self, dag: Graph, cpts: Mapping[str, np.ndarray]):
+        import numpy as np
         if dag.classify() is not GraphClass.DAG:
             raise GraphError("a discrete model needs a DAG")
         self.dag = dag
@@ -152,6 +156,7 @@ class DiscreteModel:
 
     @classmethod
     def random(cls, dag: Graph, rng: random.Random) -> "DiscreteModel":
+        import numpy as np
         cpts = {}
         for v in dag.nodes:
             k = len(dag.parents_of(v))
@@ -184,6 +189,7 @@ class DiscreteModel:
                                  f"got {value!r}")
         key = tuple(sorted(do.items()))
         if key not in self._tables:
+            import numpy as np
             nodes = self.dag.nodes
             table = np.ones((2,) * len(nodes))
             for i, v in enumerate(nodes):
@@ -207,6 +213,7 @@ class DiscreteModel:
 def table_probability(table: np.ndarray, nodes: tuple[str, ...],
                       assignment: Mapping[str, int]) -> float:
     """Marginal probability of a partial assignment under a joint table."""
+    import numpy as np
     index = [slice(None)] * len(nodes)
     for v, val in assignment.items():
         index[nodes.index(v)] = val
@@ -322,6 +329,7 @@ class LinearGaussianSem:
         self.intercepts = dict(intercepts or {})
 
     def _system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        import numpy as np
         nodes = self.dag.nodes
         n = len(nodes)
         b = np.zeros((n, n))
@@ -332,10 +340,12 @@ class LinearGaussianSem:
         return b, d, c
 
     def mean(self) -> np.ndarray:
+        import numpy as np
         b, _, c = self._system()
         return np.linalg.solve(np.eye(len(c)) - b, c)
 
     def covariance(self) -> np.ndarray:
+        import numpy as np
         b, d, _ = self._system()
         t = np.linalg.inv(np.eye(len(d)) - b)
         return t @ np.diag(d) @ t.T
@@ -353,6 +363,7 @@ class LinearGaussianSem:
 
     def conditional_expectation(self, target: str,
                                 given: Mapping[str, float]) -> float:
+        import numpy as np
         nodes = self.dag.nodes
         mu = self.mean()
         sigma = self.covariance()
@@ -369,6 +380,7 @@ def wright_covariance(sem: LinearGaussianSem) -> np.ndarray:
     """Covariance by summing directed-path coefficient products (total
     effects) instead of inverting the system matrix:
     Cov(Xi, Xj) = sum_k Var(eps_k) * t(k -> i) * t(k -> j)."""
+    import numpy as np
     dag = sem.dag
     nodes = dag.nodes
     n = len(nodes)
@@ -420,6 +432,7 @@ def verify_counterexample(graph: Graph, first: LinearGaussianSem,
     class: both DAGs belong to the class, the observational (zero-mean
     Gaussian) laws coincide up to ``tol``, and the report carries the two
     interventional conditional expectations for comparison."""
+    import numpy as np
     members = set(enumerate_dags(graph))
     for sem in (first, second):
         if sem.dag not in members:

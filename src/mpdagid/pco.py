@@ -10,6 +10,7 @@ D-intersection, so the returned list runs from possible causes to effects.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable
 
 from .graph import Graph, GraphError
@@ -51,27 +52,35 @@ def pco(graph: Graph, nodes: Iterable[str]) -> list[tuple[str, ...]]:
     Repeatedly removes a remaining component with only incoming edges from
     the other remaining components (smallest node index first when several
     qualify) and prepends its intersection with ``nodes``.
+
+    The component graph is built once; each component keeps the number of
+    remaining components it points into, and the sinks wait in a heap keyed
+    by component position, which is the order of their smallest members.
     """
     d = frozenset(nodes)
     for v in d:
         graph.index(v)
-    remaining = undirected_components(graph)
+    comps = undirected_components(graph)
+    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+    out_degree = [0] * len(comps)
+    pred: list[list[int]] = [[] for _ in comps]
+    for ca, cb in {(comp_of[a], comp_of[b]) for a, b in graph._directed}:
+        if ca != cb:
+            out_degree[ca] += 1
+            pred[cb].append(ca)
+    sinks = [i for i, k in enumerate(out_degree) if k == 0]
+    heapq.heapify(sinks)
     ordered: list[tuple[str, ...]] = []
-    while remaining:
-        rest_nodes = set()
-        for comp in remaining:
-            rest_nodes |= comp
-        pick = None
-        for comp in remaining:
-            others = rest_nodes - comp
-            if all(b not in others
-                   for a, b in graph.directed_edges if a in comp):
-                pick = comp
-                break
-        if pick is None:
+    for _ in comps:
+        if not sinks:
             raise GraphError("no sink component; graph is not maximally oriented")
-        remaining.remove(pick)
-        bucket = pick & d
+        pick = heapq.heappop(sinks)
+        for q in pred[pick]:
+            out_degree[q] -= 1
+            if out_degree[q] == 0:
+                heapq.heappush(sinks, q)
+        bucket = comps[pick] & d
         if bucket:
-            ordered.insert(0, graph.sorted_nodes(bucket))
+            ordered.append(graph.sorted_nodes(bucket))
+    ordered.reverse()
     return ordered

@@ -7,10 +7,12 @@ frozen here; the tests also re-validate them numerically against the
 brute-force oracle, so a regression in either direction gets caught.
 """
 
+import random
 from dataclasses import dataclass
 
 from mpdagid import (DensityExpression, Factor, Fraction, Graph,
-                     MarginalOver, Product, normal_form, parse_graph_text)
+                     MarginalOver, Product, normal_form, parse_graph_text,
+                     random_mpdag)
 
 MARGINAL_TEXT = """\
 X -> Y
@@ -220,3 +222,22 @@ def counterexample_two():
          ("X", "Y"): 0.0},
         {"V1": 1.0, "X": 0.75, "Z": 0.5, "Y": 1.0})
     return g, first, second
+
+
+def background_graphs(seed: int, count: int) -> list[Graph]:
+    """Seeded random MPDAGs with 5-40 nodes, each with a random set of its
+    undirected edges oriented at random, as ``apply_background`` orients
+    them before closing.  The orientations need not fit the class, so some
+    of these graphs have no consistent closure."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(5, 40)
+        g = random_mpdag(rng, [f"N{i}" for i in range(n)],
+                         edge_prob=min(0.5, rng.choice((1.5, 3.0, 6.0)) / (n - 1)),
+                         orient_prob=rng.choice((0.0, 0.2)))
+        for a, b in g.undirected_edges:
+            if rng.random() < 0.5:
+                g = g.orient(*((a, b) if rng.random() < 0.5 else (b, a)))
+        out.append(g)
+    return out

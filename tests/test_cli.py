@@ -255,3 +255,72 @@ class TestMalformedJson:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestOneProcess:
+    def test_subcommands_share_no_state(self, graph_file, capsys):
+        path = graph_file("A -- B\nB -- C\n")
+        code, out, _ = run(capsys, "complete", path, "--orient", "A>B")
+        assert code == 0 and "A -> B" in out
+        code, out, _ = run(capsys, "complete", path)
+        assert code == 0 and "A -- B" in out and "B -- C" in out
+        code, out, _ = run(capsys, "pco", path, "--json")
+        assert json.loads(out) == {"buckets": [["A", "B", "C"]]}
+        code, out, _ = run(capsys, "reach", path, "--nodes", "A")
+        assert out.strip() == "A,B,C"
+        code, out, _ = run(capsys, "reach", path, "--nodes", "A",
+                           "--relation", "parents")
+        assert out.strip() == "(empty)"
+        code, out, _ = run(capsys, "pco", path)
+        assert out.strip() == "A,B,C"
+        code, _, err = run(capsys, "complete", path, "--orient", "A>B,B>A")
+        assert code == 2 and err.startswith("error:")
+        code, out, _ = run(capsys, "complete", path, "--json")
+        assert json.loads(out)["edges"] == [
+            {"a": "A", "b": "B", "kind": "--"},
+            {"a": "B", "b": "C", "kind": "--"}]
+
+    def test_graph_labels_round_trip_through_complete(self, graph_file, capsys):
+        path = graph_file("node -- B\nB -- C\n")
+        code, out, _ = run(capsys, "complete", path, "--orient", "node>B")
+        assert code == 0
+        again = graph_file(out, name="again.txt")
+        code, out2, _ = run(capsys, "complete", again)
+        assert code == 0 and out2 == out
+        assert "node -> B" in out and "B -> C" in out
+
+    def test_json_label_with_whitespace_exits_two(self, capsys, monkeypatch):
+        import io
+        blob = json.dumps({"nodes": ["A B", "C"], "edges": []})
+        monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+        code, out, err = run(capsys, "complete", "-")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: node label") and err.count("\n") == 1
+
+
+def test_no_subcommand_but_verify_loads_numpy(graph_file):
+    import os
+    import subprocess
+    import sys
+
+    import mpdagid
+    path = graph_file(FRACTION_TEXT)
+    code = (
+        "import sys, mpdagid, mpdagid.cli\n"
+        "from mpdagid.cli import main\n"
+        f"path = {path!r}\n"
+        "for argv in (['identify', path, '-x', 'X', '-y', 'Y', '-z', 'Z'],\n"
+        "             ['enumerate', path, '-x', 'X', '-y', 'Y', '--json'],\n"
+        "             ['complete', path], ['pco', path], ['dags', path],\n"
+        "             ['dsep', path, '-x', 'X', '-y', 'Y'],\n"
+        "             ['reach', path, '--nodes', 'X']):\n"
+        "    assert main(argv) in (0, 3), argv\n"
+        "assert 'numpy' not in sys.modules\n"
+        "print('ok')\n")
+    src = os.path.dirname(os.path.dirname(mpdagid.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("ok")

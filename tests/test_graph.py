@@ -174,3 +174,27 @@ class TestTextFormat:
         assert blob["nodes"] == ["A", "B", "C"]
         assert {"a": "A", "b": "B", "kind": "->"} in blob["edges"]
         assert parse_graph_json(text) == g
+
+
+class TestLabels:
+    def test_node_named_node_is_an_edge_endpoint(self):
+        g = Graph(["node", "B"], [("node", "B")])
+        assert parse_graph_text("node -> B") == g
+        assert parse_graph_text("B <- node\nnode node\n").nodes == ("B", "node")
+        text = graph_to_text(g)
+        assert parse_graph_text(text) == g
+        assert parse_graph_text(text).nodes == g.nodes
+
+    def test_node_lines_keep_their_errors(self):
+        for text in ("node", "node A B", "node A -"):
+            with pytest.raises(ParseError, match="expected 'node NAME'"):
+                parse_graph_text(text)
+
+    @pytest.mark.parametrize("label", ["", "A B", "A#B", "#", "A\tB",
+                                       "A\u00a0B", "A\u2028B"])
+    def test_json_rejects_labels_the_text_format_cannot_carry(self, label):
+        blob = json.dumps({"nodes": [label, "C"],
+                           "edges": [{"a": label, "b": "C", "kind": "->"}]})
+        with pytest.raises(ParseError, match="node label") as info:
+            parse_graph_json(blob)
+        assert "\n" not in str(info.value)

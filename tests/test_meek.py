@@ -3,10 +3,12 @@ import random
 
 import pytest
 
-from mpdagid import (Graph, GraphClass, InconsistentOrientation,
+from mpdagid import (Graph, GraphClass, GraphError, InconsistentOrientation,
                      apply_background, consistent_extension, enumerate_dags,
                      has_consistent_extension, is_meek_closed, meek_closure,
                      parse_graph_text, pattern_of, random_dag, refine)
+
+from cases import background_graphs
 
 
 def closure(text):
@@ -159,3 +161,157 @@ class TestPattern:
         after = set(enumerate_dags(h))
         assert after < before
         assert all(d.has_directed("A", "B") for d in after)
+
+
+# -- reference: the sweep closure and the sink scan ---------------------------
+#
+# The closure and the extension search as first written: every sweep tries
+# R1-R4 on every undirected edge of an immutable graph and orients through
+# Graph.orient, and every sink pick scans the nodes in order.  The fast
+# versions in mpdagid.meek must give the same graphs and the same errors.
+
+
+def _ref_r1(g, b, c):
+    return any(not g.adjacent(a, c) for a in g.parents_of(b) if a != c)
+
+
+def _ref_r2(g, a, c):
+    return bool(g.children_of(a) & g.parents_of(c))
+
+
+def _ref_r3(g, a, b):
+    shared = sorted(g.undirected_neighbors_of(a) & g.parents_of(b))
+    for i, c in enumerate(shared):
+        for d in shared[i + 1:]:
+            if not g.adjacent(c, d):
+                return True
+    return False
+
+
+def _ref_r4(g, a, b):
+    for d in g.undirected_neighbors_of(a):
+        if d == b or g.adjacent(d, b):
+            continue
+        for c in g.children_of(d) & g.parents_of(b):
+            if g.adjacent(a, c):
+                return True
+    return False
+
+
+def _ref_rule_applications(graph):
+    return [(x, y) for a, b in graph.undirected_edges
+            for x, y in ((a, b), (b, a))
+            if _ref_r1(graph, x, y) or _ref_r2(graph, x, y)
+            or _ref_r3(graph, x, y) or _ref_r4(graph, x, y)]
+
+
+def reference_consistent_extension(graph):
+    if not graph.directed_part_acyclic():
+        return None
+    g = graph
+    remaining = set(g.nodes)
+    oriented = []
+
+    def sink_ok(v):
+        if g.children_of(v) & remaining:
+            return False
+        nbs = g.undirected_neighbors_of(v) & remaining
+        others = (g.neighbors_of(v) & remaining) - {v}
+        return all(g.adjacent(u, w) for u in nbs for w in others if w != u)
+
+    while remaining:
+        v = next((v for v in g.nodes if v in remaining and sink_ok(v)), None)
+        if v is None:
+            return None
+        oriented += [(u, v) for u in g.undirected_neighbors_of(v) & remaining]
+        remaining.discard(v)
+    return Graph(graph.nodes, set(graph.directed_edges) | set(oriented))
+
+
+def reference_meek_closure(graph):
+    if not graph.directed_part_acyclic():
+        raise InconsistentOrientation("directed part contains a cycle")
+    g = graph
+    while True:
+        apps = _ref_rule_applications(g)
+        if not apps:
+            break
+        for a, b in apps:
+            if g.has_undirected(a, b):
+                g = g.orient(a, b)
+    if not g.directed_part_acyclic():
+        raise InconsistentOrientation("closure created a directed cycle")
+    if not g.unshielded_colliders() <= graph.unshielded_colliders():
+        raise InconsistentOrientation("closure created a new unshielded collider")
+    if g._undirected and reference_consistent_extension(g) is None:
+        raise InconsistentOrientation("no consistent extension exists")
+    return g
+
+
+def _closure_outcome(closure, graph):
+    """What a closure gives on a fresh copy of ``graph``: the repr of the
+    result, the class it recorded and whether it is the input itself, or
+    the exception's class and text."""
+    fresh = Graph(graph.nodes, graph.directed_edges, graph.undirected_edges)
+    try:
+        result = closure(fresh)
+    except GraphError as exc:
+        return type(exc).__name__, str(exc)
+    return repr(result), result.classify(), result is fresh
+
+
+def _assert_kernels_match_reference(graphs):
+    raised = 0
+    for g in graphs:
+        expected = _closure_outcome(reference_meek_closure, g)
+        assert _closure_outcome(meek_closure, g) == expected, g
+        raised += len(expected) == 2
+        assert (repr(consistent_extension(g))
+                == repr(reference_consistent_extension(g))), g
+        assert is_meek_closed(g) == (not _ref_rule_applications(g)), g
+    return raised
+
+
+def test_kernels_match_reference_on_every_four_node_graph(four_node_graphs):
+    raised = _assert_kernels_match_reference(four_node_graphs)
+    assert 0 < raised < len(four_node_graphs)
+
+
+def test_kernels_match_reference_on_random_background_knowledge():
+    graphs = background_graphs(seed=5, count=200)
+    raised = _assert_kernels_match_reference(graphs)
+    assert 0 < raised < len(graphs)
+    # refine, as the per-class split calls it, on the closed graphs
+    for g in graphs:
+        try:
+            closed = meek_closure(g)
+        except InconsistentOrientation:
+            continue
+        for a, b in closed.undirected_edges[:3]:
+            for x, y in ((a, b), (b, a)):
+                assert (_closure_outcome(lambda h: refine(h, x, y), closed)
+                        == _closure_outcome(
+                            lambda h: reference_meek_closure(h.orient(x, y)),
+                            closed))
+
+
+@pytest.mark.parametrize("graph", [
+    Graph([f"v{i}" for i in range(7)],
+          [("v0", "v3"), ("v3", "v2"), ("v5", "v1")],
+          [("v0", "v6"), ("v1", "v4"), ("v1", "v6"), ("v2", "v4"),
+           ("v3", "v5"), ("v3", "v6"), ("v4", "v5"), ("v5", "v6")]),
+    Graph([f"v{i}" for i in range(7)],
+          [("v1", "v6"), ("v4", "v0")],
+          [("v0", "v3"), ("v0", "v5"), ("v1", "v5"), ("v3", "v4"),
+           ("v3", "v6"), ("v4", "v5"), ("v4", "v6"), ("v5", "v6")]),
+])
+def test_rounds_retry_edges_next_to_a_new_edge(graph):
+    # R4 for x -> y reads the children of x's undirected neighbours, so an
+    # edge oriented between two neighbours of x, away from x and y, can
+    # license x -> y.  A closure that retried only the edges at the new
+    # edge's endpoints reports a directed cycle here, and the sweep a new
+    # unshielded collider.
+    assert (_closure_outcome(meek_closure, graph)
+            == _closure_outcome(reference_meek_closure, graph)
+            == ("InconsistentOrientation",
+                "closure created a new unshielded collider"))
