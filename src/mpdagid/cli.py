@@ -4,8 +4,8 @@ Graphs are read from a file (or stdin with ``-``) in the edge-list format
 of :func:`mpdagid.graph.parse_graph_text`, or as JSON when the input
 starts with ``{``.  Every subcommand accepts ``--json`` for structured
 output.  Exit codes: 0 on success, 1 when ``verify`` finds a numeric
-mismatch or nothing to verify, 2 on malformed input or queries, 3 when
-``identify`` finds the effect not identifiable.
+mismatch or nothing to verify, 2 on malformed input or queries or when
+numpy is missing, 3 when ``identify`` finds the effect not identifiable.
 """
 
 from __future__ import annotations
@@ -294,7 +294,8 @@ def main(argv=None) -> int:
     try:
         graph = _load_graph(args.graph)
         return args.func(graph, args)
-    except (GraphError, IdentificationError, ValueError, OSError) as exc:
+    except (GraphError, IdentificationError, ValueError, OSError,
+            ModuleNotFoundError) as exc:  # numpy, which verify loads
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

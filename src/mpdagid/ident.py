@@ -14,7 +14,7 @@ fraction.  The entry points are
   raising :class:`NotIdentifiable` with a certificate otherwise;
 * :func:`cidme` -- the per-class enumeration: where ``cidm`` would fail it
   orients the first undirected edge of the offending path both ways,
-  re-closes, and recurses, yielding one expression per leaf class.
+  re-closes and repeats on each side, yielding one expression per leaf class.
 """
 
 from __future__ import annotations
@@ -414,20 +414,18 @@ def cidme_tree(graph: Graph, xs, ys, zs=()) -> list[CidmeLeaf]:
     undirected edge of the offending path whenever absorption fails.  The
     leaves' classes partition the input graph's class."""
     x, y, z = _validate_query(graph, xs, ys, zs)
-    return _cidme(graph, set(x), y, set(z))
-
-
-def _cidme(graph: Graph, x1: set[str], y: frozenset[str],
-           z1: set[str]) -> list[CidmeLeaf]:
-    failure = _absorb(graph, x1, y, z1)
-    if failure is None:
-        return [CidmeLeaf(graph, _finish(graph, x1, y, z1))]
-    path, _ = failure
-    a, b = path[0], path[1]
-    left = refine(graph, a, b)
-    right = refine(graph, b, a)
-    return (_cidme(left, set(x1), y, set(z1))
-            + _cidme(right, set(x1), y, set(z1)))
+    leaves: list[CidmeLeaf] = []
+    stack = [(graph, set(x), set(z))]
+    while stack:
+        g, x1, z1 = stack.pop()
+        failure = _absorb(g, x1, y, z1)
+        if failure is None:
+            leaves.append(CidmeLeaf(g, _finish(g, x1, y, z1)))
+            continue
+        a, b = failure[0][:2]  # the offending path's first edge
+        stack += [(refine(g, b, a), set(x1), set(z1)),
+                  (refine(g, a, b), x1, z1)]
+    return leaves
 
 
 def cidme(graph: Graph, xs, ys, zs=()) -> list[DensityExpression]:

@@ -155,20 +155,14 @@ def apply_background(graph: Graph, orientations: Iterable[tuple[str, str]]) -> G
     return meek_closure(g)
 
 
-def consistent_extension(graph: Graph) -> Graph | None:
-    """A DAG with the same adjacencies and directed edges and no unshielded
-    collider the input lacks, or None if none exists.
-
-    Uses the sink-elimination search: repeatedly pick the first node, in
-    node order, with no outgoing directed edge whose undirected neighbors
-    are adjacent to all its other neighbors, orient its undirected edges
-    inward, and remove it.  Failure to find such a node at any step means
-    no extension exists.
-
-    Candidates wait in a heap of node positions.  A node that fails the
-    test leaves the heap until one of its neighbours is removed, since
-    only that can change its verdict.
-    """
+def _extension_edges(graph: Graph) -> list[tuple[str, str]] | None:
+    """How the sink-elimination search orients the undirected edges, or
+    None if no consistent extension exists.  It repeatedly picks the first
+    node, in node order, with no outgoing directed edge whose undirected
+    neighbors are adjacent to all its other neighbors, orients its
+    undirected edges inward, and removes it.  A node that fails waits
+    outside the heap of candidate positions until one of its neighbours is
+    removed, since only that can change its verdict."""
     if not graph.directed_part_acyclic():
         return None
     nodes, index = graph.nodes, graph._index
@@ -202,11 +196,18 @@ def consistent_extension(graph: Graph) -> Graph | None:
             if not queued[index[u]]:
                 queued[index[u]] = True
                 heapq.heappush(heap, index[u])
-    return Graph(graph.nodes, graph._directed.union(oriented))
+    return oriented
+
+
+def consistent_extension(graph: Graph) -> Graph | None:
+    """A DAG of ``graph``'s class (see ``enumerate_dags``), or None."""
+    oriented = _extension_edges(graph)
+    return (None if oriented is None
+            else Graph(graph.nodes, graph._directed.union(oriented)))
 
 
 def has_consistent_extension(graph: Graph) -> bool:
-    return consistent_extension(graph) is not None
+    return _extension_edges(graph) is not None
 
 
 def pattern_of(dag: Graph) -> Graph:

@@ -209,7 +209,7 @@ def possible_descendants(graph: Graph, nodes: Iterable[str]) -> frozenset[str]:
     start = frozenset(nodes)
     for v in start:
         graph.index(v)
-    if not graph.undirected_edges:
+    if not graph._undirected:
         return descendants(graph, start)
     return _search(graph, start, blocked=start)[0]
 
@@ -223,7 +223,7 @@ def possible_ancestors(graph: Graph, nodes: Iterable[str]) -> frozenset[str]:
     start = frozenset(nodes)
     for v in start:
         graph.index(v)
-    if not graph.undirected_edges:
+    if not graph._undirected:
         return ancestors(graph, start)
     return _search(graph, start, backward=True, blocked=start)[0]
 

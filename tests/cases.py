@@ -7,6 +7,7 @@ frozen here; the tests also re-validate them numerically against the
 brute-force oracle, so a regression in either direction gets caught.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -240,4 +241,51 @@ def background_graphs(seed: int, count: int) -> list[Graph]:
             if rng.random() < 0.5:
                 g = g.orient(*((a, b) if rng.random() < 0.5 else (b, a)))
         out.append(g)
+    return out
+
+
+def reference_enumerate_dags(graph: Graph) -> list[Graph]:
+    """The DAG class as first enumerated: try all 2^u orientations of the
+    u undirected edges, ``undirected_edges[0]`` varying slowest and a -> b
+    first, and keep the acyclic ones that add no unshielded collider.
+
+    It uses no Meek rule, so it judges the closure, ``refine`` and the
+    split walks of ``enumerate_dags`` and ``cidme_tree`` independently."""
+    und = graph.undirected_edges
+    base = list(graph.directed_edges)
+    colliders = graph.unshielded_colliders()
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(und)):
+        oriented = base + [(a, b) if bit == 0 else (b, a)
+                           for (a, b), bit in zip(und, bits)]
+        candidate = Graph(graph.nodes, directed=oriented)
+        if not candidate.directed_part_acyclic():
+            continue
+        if not candidate.unshielded_colliders() <= colliders:
+            continue
+        out.append(candidate)
+    return out
+
+
+def small_random_graphs(seed: int, count: int) -> list[Graph]:
+    """Seeded graphs with 5-9 nodes, alternately a random MPDAG (with
+    random background orientations, closed) and an arbitrary partially
+    directed graph, which may be cyclic or not closed under the rules."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        nodes = [f"N{j}" for j in range(rng.randint(5, 9))]
+        p = rng.choice((0.25, 0.4, 0.55))
+        if i % 2 == 0:
+            out.append(random_mpdag(rng, nodes, p, rng.choice((0.0, 0.3))))
+            continue
+        directed, undirected = [], []
+        for a, b in itertools.combinations(nodes, 2):
+            if rng.random() < p:
+                kind = rng.randrange(3)
+                if kind == 2:
+                    undirected.append((a, b))
+                else:
+                    directed.append((a, b) if kind == 0 else (b, a))
+        out.append(Graph(nodes, directed, undirected))
     return out

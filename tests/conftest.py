@@ -9,7 +9,9 @@ import itertools
 
 import pytest
 
-from mpdagid import Graph, GraphClass, enumerate_dags
+from mpdagid import Graph, GraphClass
+
+from cases import reference_enumerate_dags
 
 acceptance_lines: list[str] = []
 
@@ -57,5 +59,5 @@ def battery(four_node_graphs):
     The graphs of :func:`four_node_graphs` that are not maximally oriented
     are dropped.
     """
-    return [(g, enumerate_dags(g)) for g in four_node_graphs
+    return [(g, reference_enumerate_dags(g)) for g in four_node_graphs
             if g.classify() is not GraphClass.PDAG]

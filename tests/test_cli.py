@@ -324,3 +324,26 @@ def test_no_subcommand_but_verify_loads_numpy(graph_file):
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip().endswith("ok")
+
+
+def test_verify_without_numpy_exits_two(graph_file):
+    import os
+    import subprocess
+    import sys
+
+    import mpdagid
+    path = graph_file(MARGINAL_TEXT)
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from mpdagid.cli import main\n"
+        f"sys.exit(main(['verify', {path!r}, '-x', 'X', '-y', 'Y',"
+        " '-z', 'V1']))\n")
+    src = os.path.dirname(os.path.dirname(mpdagid.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "numpy" in proc.stderr
+    assert proc.stderr.count("\n") == 1

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from mpdagid import (CounterexampleReport, DagNotInClass, DiscreteModel,
                      verify_counterexample, wright_covariance)
 
 from cases import (counterexample_one, counterexample_two,
-                   identification_cases)
+                   identification_cases, reference_enumerate_dags,
+                   small_random_graphs)
 
 
 class TestEnumeration:
@@ -36,6 +38,32 @@ class TestEnumeration:
         g = Graph(nodes, undirected=und)
         with pytest.raises(GraphError):
             enumerate_dags(g)
+
+    def test_matches_reference_on_every_four_node_graph(self,
+                                                        four_node_graphs):
+        # cyclic and unclosed graphs included: both give their class, or []
+        for g in four_node_graphs:
+            assert ([repr(d) for d in enumerate_dags(g)]
+                    == [repr(d) for d in reference_enumerate_dags(g)]), g
+
+    def test_matches_reference_on_small_random_graphs(self):
+        graphs = small_random_graphs(seed=7, count=400)
+        empty = 0
+        for g in graphs:
+            expected = [repr(d) for d in reference_enumerate_dags(g)]
+            assert [repr(d) for d in enumerate_dags(g)] == expected, g
+            empty += not expected
+        assert 0 < empty < len(graphs)
+
+    def test_long_path_dags_is_fast(self):
+        # 2^20 orientations, of which the 21 with one source node are DAGs
+        nodes = [f"N{i}" for i in range(21)]
+        g = Graph(nodes, undirected=list(zip(nodes, nodes[1:])))
+        start = time.perf_counter()
+        dags = enumerate_dags(g)
+        assert time.perf_counter() - start < 1.0
+        assert len(dags) == 21
+        assert len(set(dags)) == 21
 
     def test_members_are_consistent_extensions(self):
         rng = random.Random(1)
