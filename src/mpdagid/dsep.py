@@ -6,17 +6,16 @@ counts only when it is a collider or a definite non-collider *in this
 graph*, and a collider is open only when it has a descendant (here, along
 this graph's directed edges) in the conditioning set.
 
-Two searches cooperate, both the shared ones of
-:mod:`mpdagid.reachability` under one open-triple rule.
-:func:`~mpdagid.reachability.edge_state_search` finds every open
-definite-status walk in polynomial time; since every path is a walk, its
-SEPARATED verdict is final.  Its CONNECTED verdict is confirmed by
-:func:`~mpdagid.reachability.simple_path_search`, which is exact, because on
-mutilated graphs an open definite-status walk can exist with no open
-definite-status path (the walk can reuse a node under two triples whose
-merged triple has no definite status).  The exact search also produces the
-witness path, and the edge-state search along children gives each
-collider's descent into the conditioning set.
+Two searches, the shared ones of :mod:`mpdagid.reachability`, run under
+one open-triple rule.  :func:`~mpdagid.reachability.edge_state_search`
+finds the least shortest open definite-status walk in polynomial time.
+Every path is a walk, so no walk means SEPARATED; and since the rule reads
+only ``(prev, cur, next)``, a walk that repeats no node is the least
+shortest open path, the witness.  A walk that repeats a node goes to the
+exact :func:`~mpdagid.reachability.simple_path_search`: on mutilated graphs
+an open walk can exist with no open path (it can reuse a node under two
+triples whose merged triple has no definite status).  The edge-state
+search along children gives each collider's descent into Z.
 """
 
 from __future__ import annotations
@@ -58,8 +57,7 @@ def triple_status(graph: Graph, a: str, b: str, c: str) -> str | None:
 
 def _check_sets(graph: Graph, xs, ys, zs) -> tuple[frozenset, frozenset, frozenset]:
     x, y, z = frozenset(xs), frozenset(ys), frozenset(zs)
-    for v in x | y | z:
-        graph.index(v)
+    graph.check_nodes(x | y | z)
     if x & y or x & z or y & z:
         raise ValueError("node sets must be pairwise disjoint")
     return x, y, z
@@ -102,11 +100,12 @@ def find_open_path(graph: Graph, xs: Iterable[str], ys: Iterable[str],
                 in open_at.get(triple_status(graph, prev, cur, w), ())]
 
     sources = graph.sorted_nodes(x)
-    # no open walk means no open path; an open walk needs the exact search
-    if edge_state_search(sources, expand, y)[1] is None:
-        return None
-    path = simple_path_search(
-        sources, lambda p: expand(p[-2] if len(p) > 1 else None, p[-1]), y)[1]
+    # no open walk means no open path; a walk with a repeat needs the exact search
+    path = edge_state_search(sources, expand, y)[1]
+    if path is not None and len(set(path)) < len(path):
+        path = simple_path_search(
+            sources, lambda p: expand(p[-2] if len(p) > 1 else None, p[-1]),
+            y)[1]
     if path is None:
         return None
     return OpenPathWitness(path, tuple(

@@ -82,17 +82,14 @@ class Graph:
         pa: dict[str, set[str]] = {v: set() for v in nodes}
         ch: dict[str, set[str]] = {v: set() for v in nodes}
         nb: dict[str, set[str]] = {v: set() for v in nodes}
-        seen_pairs: set[frozenset[str]] = set()
 
         def check(a: str, b: str) -> None:
             if a not in index or b not in index:
                 raise GraphError(f"edge ({a}, {b}) uses undeclared node")
             if a == b:
                 raise GraphError(f"self loop on {a!r}")
-            pair = frozenset((a, b))
-            if pair in seen_pairs:
+            if b in pa[a] or b in ch[a] or b in nb[a]:
                 raise GraphError(f"more than one edge between {a!r} and {b!r}")
-            seen_pairs.add(pair)
 
         dset: set[tuple[str, str]] = set()
         for a, b in directed:
@@ -131,6 +128,13 @@ class Graph:
             return self._index[v]
         except KeyError:
             raise GraphError(f"unknown node {v!r}") from None
+
+    def check_nodes(self, nodes: Iterable[str]) -> frozenset[str]:
+        """``nodes`` as a frozenset, once :meth:`index` has checked each."""
+        out = frozenset(nodes)
+        for v in out:
+            self.index(v)
+        return out
 
     @property
     def directed_edges(self) -> tuple[tuple[str, str], ...]:
@@ -206,25 +210,21 @@ class Graph:
 
         Undirected edges are untouched and the result is not re-closed.
         """
-        t = set(targets)
-        for v in t:
-            self.index(v)
+        t = self.check_nodes(targets)
         keep = [(a, b) for a, b in self._directed if b not in t]
         return Graph(self._nodes, keep, self._undirected)
 
     def remove_edges_out_of(self, sources: Iterable[str]) -> "Graph":
         """Drop every directed edge whose tail is in ``sources``."""
-        s = set(sources)
-        for v in s:
-            self.index(v)
+        s = self.check_nodes(sources)
         keep = [(a, b) for a, b in self._directed if a not in s]
         return Graph(self._nodes, keep, self._undirected)
 
     def induced_subgraph(self, keep: Iterable[str]) -> "Graph":
-        """Subgraph over ``keep``, node order preserved."""
-        k = set(keep)
-        for v in k:
-            self.index(v)
+        """Subgraph over ``keep``, node order preserved; ``self`` if all."""
+        k = self.check_nodes(keep)
+        if len(k) == len(self._nodes):
+            return self
         nodes = tuple(v for v in self._nodes if v in k)
         directed = [(a, b) for a, b in self._directed if a in k and b in k]
         undirected = [(a, b) for a, b in self._undirected if a in k and b in k]

@@ -226,8 +226,7 @@ class NotIdentifiable(IdentificationError):
 def _validate_query(graph: Graph, xs, ys, zs
                     ) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
     x, y, z = frozenset(xs), frozenset(ys), frozenset(zs)
-    for v in x | y | z:
-        graph.index(v)
+    graph.check_nodes(x | y | z)
     if not x or not y:
         raise PreconditionViolated("treatment and outcome sets must be nonempty")
     if x & y or x & z or y & z:
@@ -241,10 +240,7 @@ def _validate_query(graph: Graph, xs, ys, zs
 
 
 def _disjoint(graph: Graph, *sets):
-    out = [frozenset(s) for s in sets]
-    for s in out:
-        for v in s:
-            graph.index(v)
+    out = [graph.check_nodes(s) for s in sets]
     flat: set[str] = set()
     for s in out:
         if flat & s:
@@ -260,12 +256,18 @@ def rule1_holds(graph: Graph, xs, ys, zs, ws=()) -> bool:
     return d_separated(graph.remove_edges_into(x), y, z, x | w)
 
 
+def _rule2_open_path(graph: Graph, x, y, z, w) -> OpenPathWitness | None:
+    """An open path from Y to Z given X and W once edges into X and out of
+    Z are removed: the witness that the rule-2 premise fails."""
+    mut = graph.remove_edges_into(x).remove_edges_out_of(z)
+    return find_open_path(mut, y, z, x | w)
+
+
 def rule2_holds(graph: Graph, xs, ys, zs, ws=()) -> bool:
     """Action/observation exchange for do(z): premise checked with edges
     into X and out of Z removed."""
     x, y, z, w = _disjoint(graph, xs, ys, zs, ws)
-    mut = graph.remove_edges_into(x).remove_edges_out_of(z)
-    return d_separated(mut, y, z, x | w)
+    return _rule2_open_path(graph, x, y, z, w) is None
 
 
 def rule3_holds(graph: Graph, xs, ys, zs, ws=()) -> bool:
@@ -337,17 +339,15 @@ def id_formula(graph: Graph, xs, ys, zs=()) -> DensityExpression:
 
 
 def _absorb(graph: Graph, x1: set[str], y: frozenset[str], z1: set[str]):
-    """Run the absorption loop in place.  Returns None when it exits
-    cleanly, else the offending path of the failure and the open path that
-    breaks the premise in the mutilated graph."""
+    """Run the absorption loop in place, absorbing each pick whose rule-2
+    premise holds.  Returns None when it exits cleanly, else the offending
+    path of the failure and the open path that breaks the premise."""
     while True:
         path = find_proper_pc_path(graph, x1, y | z1, start_undirected=True)
         if path is None:
             return None
         picked = path[0]
-        rest = x1 - {picked}
-        mut = graph.remove_edges_into(rest).remove_edges_out_of({picked})
-        witness = find_open_path(mut, y, {picked}, rest | z1)
+        witness = _rule2_open_path(graph, x1 - {picked}, y, {picked}, z1)
         if witness is None:
             x1.remove(picked)
             z1.add(picked)
@@ -357,10 +357,9 @@ def _absorb(graph: Graph, x1: set[str], y: frozenset[str], z1: set[str]):
 
 def _finish(graph: Graph, x1: set[str], y: frozenset[str],
             z1: set[str]) -> DensityExpression:
-    """Post-loop identification: conditional-density off-ramp, else a
+    """Post-loop identification: the rule-3 off-ramp ``f(y | z1)``, else a
     fraction of two formula instances over the conditioning split."""
-    x_eff = frozenset(x1) - possible_ancestors(graph, z1)
-    if d_separated(graph.remove_edges_into(x_eff), y, x1, z1):
+    if rule3_holds(graph, (), y, x1, z1):
         return normal_form(Factor(tuple(y), tuple(z1)), graph)
     pd_x1 = possible_descendants(graph, x1)
     z_desc = z1 & pd_x1

@@ -162,9 +162,8 @@ def _extension_edges(graph: Graph) -> list[tuple[str, str]] | None:
     neighbors are adjacent to all its other neighbors, orients its
     undirected edges inward, and removes it.  A node that fails waits
     outside the heap of candidate positions until one of its neighbours is
-    removed, since only that can change its verdict."""
-    if not graph.directed_part_acyclic():
-        return None
+    removed, since only that can change its verdict.  A node on a
+    directed cycle keeps a child on the cycle, so it is never removed."""
     nodes, index = graph.nodes, graph._index
     pa, ch, nb = graph._pa, graph._ch, graph._nb
     adj = _Adjacency(graph)

@@ -14,6 +14,7 @@ import heapq
 from typing import Iterable
 
 from .graph import Graph, GraphError
+from .reachability import _closure
 
 
 def undirected_components(graph: Graph) -> list[frozenset[str]]:
@@ -21,27 +22,17 @@ def undirected_components(graph: Graph) -> list[frozenset[str]]:
     seen: set[str] = set()
     comps: list[frozenset[str]] = []
     for v in graph.nodes:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in graph.undirected_neighbors_of(u):
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(frozenset(comp))
+        if v not in seen:
+            comp = _closure(graph, (v,), graph.undirected_neighbors_of)
+            seen |= comp
+            comps.append(comp)
     return comps
 
 
 def bucket_decomposition(graph: Graph, nodes: Iterable[str]) -> list[frozenset[str]]:
     """The nonempty intersections of ``nodes`` with the undirected components,
     ordered by smallest member (no causal ordering implied)."""
-    d = frozenset(nodes)
-    for v in d:
-        graph.index(v)
+    d = graph.check_nodes(nodes)
     out = [comp & d for comp in undirected_components(graph)]
     return [b for b in out if b]
 
@@ -57,9 +48,7 @@ def pco(graph: Graph, nodes: Iterable[str]) -> list[tuple[str, ...]]:
     remaining components it points into, and the sinks wait in a heap keyed
     by component position, which is the order of their smallest members.
     """
-    d = frozenset(nodes)
-    for v in d:
-        graph.index(v)
+    d = graph.check_nodes(nodes)
     comps = undirected_components(graph)
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     out_degree = [0] * len(comps)

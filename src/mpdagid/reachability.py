@@ -37,17 +37,12 @@ from .graph import Graph, GraphClass
 
 def parents(graph: Graph, nodes: Iterable[str]) -> frozenset[str]:
     """Union of the nodes' parents, minus the nodes themselves."""
-    s = set(nodes)
-    out: set[str] = set()
-    for v in s:
-        out |= graph.parents_of(v)
-    return frozenset(out - s)
+    s = graph.check_nodes(nodes)
+    return frozenset().union(*map(graph._pa.__getitem__, s)) - s
 
 
 def _closure(graph: Graph, nodes: Iterable[str], step) -> frozenset[str]:
-    out = set(nodes)
-    for v in out:
-        graph.index(v)
+    out = set(graph.check_nodes(nodes))
     stack = list(out)
     while stack:
         v = stack.pop()
@@ -200,18 +195,21 @@ def _search(graph: Graph, sources: frozenset[str], *, backward: bool = False,
     return edge_state_search(graph.sorted_nodes(sources), expand, targets)
 
 
+def _possible_relatives(graph: Graph, nodes: Iterable[str],
+                        backward: bool) -> frozenset[str]:
+    start = graph.check_nodes(nodes)
+    if not graph._undirected:
+        return (ancestors if backward else descendants)(graph, start)
+    return _search(graph, start, backward=backward, blocked=start)[0]
+
+
 def possible_descendants(graph: Graph, nodes: Iterable[str]) -> frozenset[str]:
     """Endpoints of possibly directed paths out of ``nodes`` (reflexive).
 
     Polynomial on DAGs and MPDAGs; exhaustive on other graphs with
     undirected edges.  Without undirected edges this is :func:`descendants`.
     """
-    start = frozenset(nodes)
-    for v in start:
-        graph.index(v)
-    if not graph._undirected:
-        return descendants(graph, start)
-    return _search(graph, start, blocked=start)[0]
+    return _possible_relatives(graph, nodes, backward=False)
 
 
 def possible_ancestors(graph: Graph, nodes: Iterable[str]) -> frozenset[str]:
@@ -220,12 +218,7 @@ def possible_ancestors(graph: Graph, nodes: Iterable[str]) -> frozenset[str]:
     Polynomial on DAGs and MPDAGs; exhaustive on other graphs with
     undirected edges.  Without undirected edges this is :func:`ancestors`.
     """
-    start = frozenset(nodes)
-    for v in start:
-        graph.index(v)
-    if not graph._undirected:
-        return ancestors(graph, start)
-    return _search(graph, start, backward=True, blocked=start)[0]
+    return _possible_relatives(graph, nodes, backward=True)
 
 
 def find_proper_pc_path(graph: Graph, sources: Iterable[str],
@@ -243,8 +236,7 @@ def find_proper_pc_path(graph: Graph, sources: Iterable[str],
     src = frozenset(sources)
     tgt = frozenset(targets)
     bad = frozenset(forbidden)
-    for v in src | tgt | bad:
-        graph.index(v)
+    graph.check_nodes(src | tgt | bad)
     if src & tgt:
         raise ValueError("sources and targets must be disjoint")
     return _search(graph, src - bad, blocked=src | bad, targets=tgt,

@@ -289,3 +289,16 @@ def small_random_graphs(seed: int, count: int) -> list[Graph]:
                     directed.append((a, b) if kind == 0 else (b, a))
         out.append(Graph(nodes, directed, undirected))
     return out
+
+
+def diamond_chain(k: int) -> Graph:
+    """X0, then k chordal diamonds (``J -- A``, ``J -- B``, ``A -- B``,
+    ``A -- J'``, ``B -- J'``), then ``J_k -- Y``: an undirected chordal
+    MPDAG on 3k + 2 nodes with 2^k shortest X0-Y paths."""
+    nodes, undirected, j = ["X0"], [], "X0"
+    for i in range(1, k + 1):
+        a, b, nxt = f"A{i}", f"B{i}", f"J{i}"
+        nodes += [a, b, nxt]
+        undirected += [(j, a), (j, b), (a, b), (a, nxt), (b, nxt)]
+        j = nxt
+    return Graph(nodes + ["Y"], undirected=undirected + [(j, "Y")])

@@ -1,12 +1,15 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from mpdagid import (d_separated, dag_d_separated, find_open_path,
-                     is_open_definite_status_path, parse_graph_text,
-                     random_dag, triple_status)
+from mpdagid import (NotIdentifiable, cidm, d_separated, dag_d_separated,
+                     find_open_path, is_open_definite_status_path,
+                     parse_graph_text, random_dag, triple_status)
 from mpdagid.dsep import COLLIDER, NONCOLLIDER
+
+from cases import diamond_chain
 
 
 class TestTripleStatus:
@@ -183,3 +186,21 @@ def test_every_four_node_graph_matches_brute_force(four_node_graphs):
                     next(p for p in descents[c] if p[-1] in z)
                     for c in colliders), (g, x, y, z)
     assert checked == 4096 * 12 * 4
+
+
+def test_diamond_chain_is_fast():
+    # 18 chordal diamonds give 2^18 shortest paths from X0 to Y, which a
+    # search over simple paths lists level by level; the least shortest
+    # open walk repeats no node, so it is the witness
+    g = diamond_chain(18)
+    assert len(g.nodes) == 56
+    start = time.perf_counter()
+    witness = find_open_path(g, {"X0"}, {"Y"})
+    assert time.perf_counter() - start < 0.5
+    assert witness.path == ("X0",) + tuple(
+        v for i in range(1, 19) for v in (f"A{i}", f"J{i}")) + ("Y",)
+    start = time.perf_counter()
+    with pytest.raises(NotIdentifiable) as info:
+        cidm(g, {"X0"}, {"Y"})
+    assert time.perf_counter() - start < 0.5
+    assert info.value.certificate.dsep_failure.open_path.path[0] == "Y"

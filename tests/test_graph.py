@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import mpdagid
 from mpdagid import (Edge, EdgeKind, Graph, GraphClass, GraphError,
                      ParseError, graph_to_json, graph_to_text,
                      parse_graph_json, parse_graph_text)
@@ -198,3 +199,36 @@ class TestLabels:
         with pytest.raises(ParseError, match="node label") as info:
             parse_graph_json(blob)
         assert "\n" not in str(info.value)
+
+
+_UNKNOWN_NODE_CALLS = {
+    "parents": lambda g: mpdagid.parents(g, {"A", "Q"}),
+    "ancestors": lambda g: mpdagid.ancestors(g, {"Q"}),
+    "descendants": lambda g: mpdagid.descendants(g, {"Q"}),
+    "possible_descendants": lambda g: mpdagid.possible_descendants(g, {"Q"}),
+    "possible_ancestors": lambda g: mpdagid.possible_ancestors(g, {"Q"}),
+    "find_proper_pc_path": lambda g: mpdagid.find_proper_pc_path(
+        g, {"A"}, {"C"}, forbidden={"Q"}),
+    "find_open_path": lambda g: mpdagid.find_open_path(g, {"A"}, {"C"}, {"Q"}),
+    "d_separated": lambda g: mpdagid.d_separated(g, {"Q"}, {"C"}),
+    "pco": lambda g: mpdagid.pco(g, {"A", "Q"}),
+    "bucket_decomposition": lambda g: mpdagid.bucket_decomposition(g, {"Q"}),
+    "remove_edges_into": lambda g: g.remove_edges_into({"Q"}),
+    "remove_edges_out_of": lambda g: g.remove_edges_out_of({"A", "Q"}),
+    "induced_subgraph": lambda g: g.induced_subgraph({"A", "Q"}),
+    "cidm": lambda g: mpdagid.cidm(g, {"A"}, {"Q"}),
+    "id_formula": lambda g: mpdagid.id_formula(g, {"Q"}, {"C"}),
+    "cidme_tree": lambda g: mpdagid.cidme_tree(g, {"A"}, {"C"}, {"Q"}),
+    "rule1_holds": lambda g: mpdagid.rule1_holds(g, {"Q"}, {"A"}, {"C"}),
+    "rule2_holds": lambda g: mpdagid.rule2_holds(g, (), {"A"}, {"C"}, {"Q"}),
+    "rule3_holds": lambda g: mpdagid.rule3_holds(g, (), {"A"}, {"Q"}),
+}
+
+
+@pytest.mark.parametrize("call", _UNKNOWN_NODE_CALLS.values(),
+                         ids=_UNKNOWN_NODE_CALLS.keys())
+def test_unknown_node_is_named(call):
+    # every public function that takes node sets names the unknown label
+    g = parse_graph_text("A -> B\nB -- C\n")
+    with pytest.raises(GraphError, match="unknown node 'Q'"):
+        call(g)

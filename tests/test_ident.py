@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mpdagid import (Factor, Fraction, GraphError, MarginalOver,
+from mpdagid import (Factor, Fraction, GraphClass, GraphError, MarginalOver,
                      NotIdentifiable, PreconditionViolated, Product, cidm,
                      cidme, cidme_tree, enumerate_dags, evaluate_expression,
                      expression_to_json, fold, id_formula,
@@ -15,7 +15,7 @@ from mpdagid import (Factor, Fraction, GraphError, MarginalOver,
 from cases import (absorb_graph, chain_graph, fraction_graph,
                    identification_cases, marginal_graph,
                    reference_enumerate_dags, shortcut_graph,
-                   unidentifiable_graph)
+                   small_random_graphs, unidentifiable_graph)
 
 
 class TestNormalForm:
@@ -246,6 +246,44 @@ class TestCidm:
         mut = g.remove_edges_into(fail.edges_removed_into) \
               .remove_edges_out_of(fail.edges_removed_out_of)
         assert is_open_definite_status_path(mut, fail.open_path.path, {"Z"})
+
+    def test_failed_premise_replays(self, battery):
+        # every refusal with a failed premise, on six seeded queries per
+        # four-node MPDAG and per small random MPDAG: the public rule-2
+        # predicate agrees, and the witness is open in its mutilated graph
+        rng = random.Random(12)
+        graphs = [g for g, _ in battery] + [
+            g for g in small_random_graphs(seed=12, count=300)
+            if g.classify() is not GraphClass.PDAG]
+        replayed = 0
+        for g in graphs:
+            for _ in range(6):
+                vs = list(g.nodes)
+                rng.shuffle(vs)
+                nx, ny = rng.choice((1, 2)), rng.choice((1, 2))
+                x, y = vs[:nx], vs[nx:nx + ny]
+                z = vs[nx + ny:nx + ny + rng.randint(0, len(vs) - nx - ny)]
+                try:
+                    cidm(g, x, y, z)
+                    continue
+                except PreconditionViolated:
+                    continue
+                except NotIdentifiable as exc:
+                    cert = exc.certificate
+                fail = cert.dsep_failure
+                if fail is None:
+                    continue
+                rest = set(cert.x_current) - {fail.picked}
+                assert not rule2_holds(g, rest, y, {fail.picked},
+                                       cert.z_current), (g, x, y, z)
+                mut = g.remove_edges_into(rest) \
+                       .remove_edges_out_of({fail.picked})
+                path = fail.open_path.path
+                assert path[0] in y and path[-1] == fail.picked
+                assert is_open_definite_status_path(
+                    mut, path, rest | set(cert.z_current)), (g, x, y, z)
+                replayed += 1
+        assert replayed > 1000
 
     def test_deterministic(self):
         g = unidentifiable_graph()
