@@ -169,10 +169,10 @@ def cmd_enumerate(graph: Graph, args) -> int:
     leaves = cidme_tree(graph, _split(args.x), _split(args.y), _split(args.z))
     rendered = [render_text(leaf.expression) for leaf in leaves]
     payload = {"leaves": [{"graph": _graph_obj(leaf.graph),
-                           "expression": render_text(leaf.expression),
+                           "expression": text,
                            "latex": render_latex(leaf.expression),
                            "ast": expression_to_json(leaf.expression)}
-                          for leaf in leaves],
+                          for leaf, text in zip(leaves, rendered)],
                "distinct_expressions": len(set(rendered))}
     lines = [f"{len(leaves)} leaves, {len(set(rendered))} distinct expressions"]
     for leaf, text in zip(leaves, rendered):

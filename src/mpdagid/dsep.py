@@ -55,14 +55,6 @@ def triple_status(graph: Graph, a: str, b: str, c: str) -> str | None:
     return None
 
 
-def _check_sets(graph: Graph, xs, ys, zs) -> tuple[frozenset, frozenset, frozenset]:
-    x, y, z = frozenset(xs), frozenset(ys), frozenset(zs)
-    graph.check_nodes(x | y | z)
-    if x & y or x & z or y & z:
-        raise ValueError("node sets must be pairwise disjoint")
-    return x, y, z
-
-
 def _open_at(graph: Graph, zset: frozenset[str]) -> dict[str, frozenset[str]]:
     """The interior nodes open given Z, by triple status: colliders with a
     descendant in Z, definite non-colliders outside Z."""
@@ -86,7 +78,7 @@ def find_open_path(graph: Graph, xs: Iterable[str], ys: Iterable[str],
                    zs: Iterable[str] = ()) -> OpenPathWitness | None:
     """Lexicographically first shortest open definite-status path X to Y
     given Z, or None if X and Y are d-separated given Z."""
-    x, y, z = _check_sets(graph, xs, ys, zs)
+    x, y, z = graph.check_disjoint(xs, ys, zs)
     open_at = _open_at(graph, z)
     order: dict[str, tuple[str, ...]] = {}
 

@@ -11,6 +11,7 @@ Graphs are immutable; every mutation-like operation returns a new graph.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -34,6 +35,10 @@ class GraphClass(Enum):
     DAG = "dag"
     MPDAG = "mpdag"
     PDAG = "pdag"
+
+
+# the text format splits lines on whitespace and cuts them at '#'
+_UNWRITABLE = re.compile(r"[\s#]")
 
 
 class GraphError(ValueError):
@@ -75,6 +80,16 @@ class Graph:
                  directed: Iterable[tuple[str, str]] = (),
                  undirected: Iterable[tuple[str, str]] = ()):
         nodes = tuple(nodes)
+        try:
+            unwritable = "" in nodes or _UNWRITABLE.search("\0".join(nodes))
+        except TypeError:  # a label that is not a string
+            unwritable = True
+        if unwritable:
+            v = next(v for v in nodes if not isinstance(v, str)
+                     or not v or _UNWRITABLE.search(v))
+            raise GraphError(f"node label {v!r} is empty or contains "
+                             "whitespace or '#'" if isinstance(v, str)
+                             else f"node label {v!r} is not a string")
         if len(set(nodes)) != len(nodes):
             raise GraphError(f"duplicate node labels in {nodes!r}")
         index = {v: i for i, v in enumerate(nodes)}
@@ -130,10 +145,20 @@ class Graph:
             raise GraphError(f"unknown node {v!r}") from None
 
     def check_nodes(self, nodes: Iterable[str]) -> frozenset[str]:
-        """``nodes`` as a frozenset, once :meth:`index` has checked each."""
+        """``nodes`` as a frozenset; a GraphError names the least label
+        that is not a node."""
         out = frozenset(nodes)
-        for v in out:
-            self.index(v)
+        unknown = out.difference(self._index)
+        if unknown:
+            raise GraphError(f"unknown node {min(unknown, key=str)!r}")
+        return out
+
+    def check_disjoint(self, *sets: Iterable[str]) -> list[frozenset[str]]:
+        """Each of ``sets`` as a frozenset, once :meth:`check_nodes` has
+        checked their union; ValueError if two of them overlap."""
+        out = [frozenset(s) for s in sets]
+        if len(self.check_nodes(frozenset().union(*out))) != sum(map(len, out)):
+            raise ValueError("node sets must be pairwise disjoint")
         return out
 
     @property
@@ -260,20 +285,16 @@ class Graph:
         return frozenset(out)
 
     def classify(self) -> GraphClass:
-        """The graph's class, computed on the first call and then kept."""
+        """The graph's class, kept after the first call: the one
+        ``meek_closure`` records on a graph it returns unchanged, else PDAG."""
         if self._class is None:
-            self._class = self._compute_class()
+            from .meek import InconsistentOrientation, meek_closure
+            try:
+                if meek_closure(self) is not self:
+                    self._class = GraphClass.PDAG
+            except InconsistentOrientation:
+                self._class = GraphClass.PDAG
         return self._class
-
-    def _compute_class(self) -> GraphClass:
-        if not self.directed_part_acyclic():
-            return GraphClass.PDAG
-        if not self._undirected:
-            return GraphClass.DAG
-        from .meek import is_meek_closed, has_consistent_extension
-        if is_meek_closed(self) and has_consistent_extension(self):
-            return GraphClass.MPDAG
-        return GraphClass.PDAG
 
     # -- value semantics ---------------------------------------------------
 
@@ -311,14 +332,7 @@ def parse_graph_text(text: str) -> Graph:
     Nodes appear in order of first mention; ``node X`` declares an isolated
     (or early-ordered) node; ``#`` starts a comment.
     """
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def note(v: str) -> None:
-        if v not in seen:
-            seen.add(v)
-            order.append(v)
-
+    order: dict[str, None] = {}  # first mention keeps its place
     directed: list[tuple[str, str]] = []
     undirected: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -332,13 +346,12 @@ def parse_graph_text(text: str) -> Graph:
         if parts[0] == "node" and not is_edge:
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 'node NAME'")
-            note(parts[1])
+            order[parts[1]] = None
             continue
         if not is_edge:
             raise ParseError(f"line {lineno}: expected 'A -> B', 'A <- B' or 'A -- B'")
         a, op, b = parts
-        note(a)
-        note(b)
+        order[a] = order[b] = None
         if op == "--":
             undirected.append((a, b))
         elif op == "->":
@@ -370,11 +383,6 @@ def parse_graph_json(text: str) -> Graph:
     if not (isinstance(nodes, list)
             and all(isinstance(v, str) for v in nodes)):
         raise ParseError("JSON 'nodes' must be a list of strings")
-    for v in nodes:
-        # the text format splits on whitespace and cuts at '#'
-        if not v or "#" in v or any(c.isspace() for c in v):
-            raise ParseError(f"node label {v!r} is empty or contains "
-                             "whitespace or '#'")
     if not isinstance(edges, list):
         raise ParseError("JSON 'edges' must be a list")
     directed, undirected = [], []

@@ -239,20 +239,10 @@ def _validate_query(graph: Graph, xs, ys, zs
 # -- do-calculus rule premises -------------------------------------------------
 
 
-def _disjoint(graph: Graph, *sets):
-    out = [graph.check_nodes(s) for s in sets]
-    flat: set[str] = set()
-    for s in out:
-        if flat & s:
-            raise ValueError("rule sets must be pairwise disjoint")
-        flat |= s
-    return out
-
-
 def rule1_holds(graph: Graph, xs, ys, zs, ws=()) -> bool:
     """Insertion/deletion of observations: the premise that Y and Z are
     d-separated by X, W once edges into X are removed."""
-    x, y, z, w = _disjoint(graph, xs, ys, zs, ws)
+    x, y, z, w = graph.check_disjoint(xs, ys, zs, ws)
     return d_separated(graph.remove_edges_into(x), y, z, x | w)
 
 
@@ -266,7 +256,7 @@ def _rule2_open_path(graph: Graph, x, y, z, w) -> OpenPathWitness | None:
 def rule2_holds(graph: Graph, xs, ys, zs, ws=()) -> bool:
     """Action/observation exchange for do(z): premise checked with edges
     into X and out of Z removed."""
-    x, y, z, w = _disjoint(graph, xs, ys, zs, ws)
+    x, y, z, w = graph.check_disjoint(xs, ys, zs, ws)
     return _rule2_open_path(graph, x, y, z, w) is None
 
 
@@ -274,7 +264,7 @@ def rule3_holds(graph: Graph, xs, ys, zs, ws=()) -> bool:
     """Insertion/deletion of actions: premise checked with edges removed
     into X and into the part of Z that cannot possibly cause W once X is
     taken out of the graph."""
-    x, y, z, w = _disjoint(graph, xs, ys, zs, ws)
+    x, y, z, w = graph.check_disjoint(xs, ys, zs, ws)
     sub = graph.induced_subgraph(set(graph.nodes) - x)
     z_prime = z - possible_ancestors(sub, w)
     return d_separated(graph.remove_edges_into(x | z_prime), y, z, x | w)
@@ -318,11 +308,13 @@ def id_formula(graph: Graph, xs, ys, zs=()) -> DensityExpression:
     anc = ancestors(graph.induced_subgraph(set(graph.nodes) - x), y)
     buckets = pco(graph, anc - z)
     integrate_over = anc - (z | y)
+    # a bucket has a possibly directed path into Z iff it meets PossAn(Z)
+    pan_z = possible_ancestors(graph, z)
 
     factors: list[Factor] = []
     prev: set[str] = set()
     for bucket in buckets:
-        if not (z & possible_descendants(graph, bucket)):
+        if pan_z.isdisjoint(bucket):
             pa = parents(graph, bucket)
             factors.append(Factor(bucket, graph.sorted_nodes(pa),
                                   fixed=graph.sorted_nodes(pa & x)))

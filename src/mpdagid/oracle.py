@@ -62,11 +62,9 @@ def enumerate_dags(graph: Graph) -> list[Graph]:
 def dag_d_separated(dag: Graph, xs, ys, zs=()) -> bool:
     """Classic d-separation in a DAG via the moral graph of the ancestral
     subgraph: marry parents, drop directions, delete Z, test connectivity."""
-    x, y, z = frozenset(xs), frozenset(ys), frozenset(zs)
+    x, y, z = dag.check_disjoint(xs, ys, zs)
     if not x or not y:
         raise ValueError("d-separation needs nonempty endpoint sets")
-    if x & y or x & z or y & z:
-        raise ValueError("d-separation sets must be pairwise disjoint")
     if dag.classify() is not GraphClass.DAG:
         raise GraphError("moralization test requires a DAG")
 

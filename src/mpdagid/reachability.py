@@ -233,12 +233,9 @@ def find_proper_pc_path(graph: Graph, sources: Iterable[str],
     lexicographically by node index.  Returns None if no such path exists.
     Polynomial on DAGs and MPDAGs; exhaustive on other graphs.
     """
-    src = frozenset(sources)
-    tgt = frozenset(targets)
-    bad = frozenset(forbidden)
+    src, tgt, bad = map(frozenset, (sources, targets, forbidden))
     graph.check_nodes(src | tgt | bad)
-    if src & tgt:
-        raise ValueError("sources and targets must be disjoint")
+    graph.check_disjoint(src, tgt)
     return _search(graph, src - bad, blocked=src | bad, targets=tgt,
                    start_undirected=start_undirected)[1]
 
@@ -248,12 +245,7 @@ def is_possibly_directed_path(graph: Graph, path: Sequence[str]) -> bool:
     n = len(path)
     if len(set(path)) != n or n == 0:
         return False
-    for i in range(n - 1):
-        if graph.edge_between(path[i], path[i + 1]) is None \
-                or graph.has_directed(path[i + 1], path[i]):
-            return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if graph.has_directed(path[j], path[i]):
-                return False
-    return True
+    if not all(map(graph.adjacent, path, path[1:])):
+        return False
+    return not any(graph.has_directed(path[j], path[i])
+                   for i in range(n) for j in range(i + 1, n))

@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from mpdagid import (DensityExpression, Factor, Fraction, Graph,
+from mpdagid import (DensityExpression, Factor, Fraction, Graph, GraphClass,
                      MarginalOver, Product, normal_form, parse_graph_text,
                      random_mpdag)
 
@@ -302,3 +302,82 @@ def diamond_chain(k: int) -> Graph:
         undirected += [(j, a), (j, b), (a, b), (a, nxt), (b, nxt)]
         j = nxt
     return Graph(nodes + ["Y"], undirected=undirected + [(j, "Y")])
+
+
+# -- reference: the sweep rules, the sink scan and the class ------------------
+#
+# The rules and the extension search as first written: every sweep tries
+# R1-R4 on every undirected edge of an immutable graph, and every sink pick
+# scans the nodes in order.  The fast versions in mpdagid.meek, and
+# Graph.classify, which runs the closure, must give the same answers.
+
+
+def _ref_r1(g, b, c):
+    return any(not g.adjacent(a, c) for a in g.parents_of(b) if a != c)
+
+
+def _ref_r2(g, a, c):
+    return bool(g.children_of(a) & g.parents_of(c))
+
+
+def _ref_r3(g, a, b):
+    shared = sorted(g.undirected_neighbors_of(a) & g.parents_of(b))
+    for i, c in enumerate(shared):
+        for d in shared[i + 1:]:
+            if not g.adjacent(c, d):
+                return True
+    return False
+
+
+def _ref_r4(g, a, b):
+    for d in g.undirected_neighbors_of(a):
+        if d == b or g.adjacent(d, b):
+            continue
+        for c in g.children_of(d) & g.parents_of(b):
+            if g.adjacent(a, c):
+                return True
+    return False
+
+
+def _ref_rule_applications(graph):
+    return [(x, y) for a, b in graph.undirected_edges
+            for x, y in ((a, b), (b, a))
+            if _ref_r1(graph, x, y) or _ref_r2(graph, x, y)
+            or _ref_r3(graph, x, y) or _ref_r4(graph, x, y)]
+
+
+def reference_consistent_extension(graph):
+    if not graph.directed_part_acyclic():
+        return None
+    g = graph
+    remaining = set(g.nodes)
+    oriented = []
+
+    def sink_ok(v):
+        if g.children_of(v) & remaining:
+            return False
+        nbs = g.undirected_neighbors_of(v) & remaining
+        others = (g.neighbors_of(v) & remaining) - {v}
+        return all(g.adjacent(u, w) for u in nbs for w in others if w != u)
+
+    while remaining:
+        v = next((v for v in g.nodes if v in remaining and sink_ok(v)), None)
+        if v is None:
+            return None
+        oriented += [(u, v) for u in g.undirected_neighbors_of(v) & remaining]
+        remaining.discard(v)
+    return Graph(graph.nodes, set(graph.directed_edges) | set(oriented))
+
+
+def reference_classify(graph: Graph) -> GraphClass:
+    """The class as first computed, without the closure: cyclic graphs are
+    PDAGs, graphs with no undirected edge DAGs, and the rest MPDAGs when no
+    rule applies and a consistent extension exists."""
+    if not graph.directed_part_acyclic():
+        return GraphClass.PDAG
+    if not graph._undirected:
+        return GraphClass.DAG
+    if (not _ref_rule_applications(graph)
+            and reference_consistent_extension(graph) is not None):
+        return GraphClass.MPDAG
+    return GraphClass.PDAG

@@ -347,3 +347,21 @@ def test_verify_without_numpy_exits_two(graph_file):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and "numpy" in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+def test_unknown_node_error_is_the_same_in_every_process(graph_file):
+    # the error names the least unknown label, not the first in hash order
+    import os
+    import subprocess
+    import sys
+
+    import mpdagid
+    path = graph_file("A -> B\nB -> C\n")
+    src = os.path.dirname(os.path.dirname(mpdagid.__file__))
+    for seed in range(1, 7):
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpdagid.cli", "reach", path,
+             "--nodes", "Q,R,S"], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)))
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (2, "", "error: unknown node 'Q'\n"), seed

@@ -200,6 +200,14 @@ class TestLabels:
             parse_graph_json(blob)
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("label", ["", "A B", "A#B", "#", "A\tB",
+                                       "A\u00a0B", "A\u2028B", 5, None])
+    def test_graph_rejects_labels_the_text_format_cannot_carry(self, label):
+        # so graph_to_text never writes a label that does not parse back
+        with pytest.raises(GraphError, match="node label") as info:
+            Graph([label, "C"])
+        assert "\n" not in str(info.value)
+
 
 _UNKNOWN_NODE_CALLS = {
     "parents": lambda g: mpdagid.parents(g, {"A", "Q"}),
@@ -232,3 +240,32 @@ def test_unknown_node_is_named(call):
     g = parse_graph_text("A -> B\nB -- C\n")
     with pytest.raises(GraphError, match="unknown node 'Q'"):
         call(g)
+
+
+_OVERLAP_CALLS = {
+    "rule1_holds": lambda g: mpdagid.rule1_holds(g, {"A"}, {"C"}, {"A"}),
+    "rule2_holds": lambda g: mpdagid.rule2_holds(g, (), {"A"}, {"C"}, {"C"}),
+    "rule3_holds": lambda g: mpdagid.rule3_holds(g, {"B"}, {"B"}, {"C"}),
+    "find_open_path": lambda g: mpdagid.find_open_path(g, {"A"}, {"C"}, {"A"}),
+    "d_separated": lambda g: mpdagid.d_separated(g, {"A", "B"}, {"B"}),
+    "find_proper_pc_path": lambda g: mpdagid.find_proper_pc_path(
+        g, {"A"}, {"A", "C"}),
+    "dag_d_separated": lambda g: mpdagid.dag_d_separated(g, {"A"}, {"C"},
+                                                         {"C"}),
+}
+
+
+@pytest.mark.parametrize("call", _OVERLAP_CALLS.values(),
+                         ids=_OVERLAP_CALLS.keys())
+def test_overlapping_sets_are_named_one_way(call):
+    g = parse_graph_text("A -> B\nB -> C\n")
+    with pytest.raises(ValueError, match="^node sets must be pairwise disjoint$"):
+        call(g)
+
+
+def test_check_disjoint_names_the_least_unknown_label_of_the_query():
+    g = parse_graph_text("A -> B\nB -> C\n")
+    with pytest.raises(GraphError, match="unknown node 'P'"):
+        g.check_disjoint({"S", "A"}, {"R", "P"}, {"A", "Q"})
+    assert g.check_disjoint({"A"}, (), ["B", "C"]) == [
+        {"A"}, frozenset(), {"B", "C"}]

@@ -8,7 +8,9 @@ from mpdagid import (Graph, GraphClass, GraphError, InconsistentOrientation,
                      has_consistent_extension, is_meek_closed, meek_closure,
                      parse_graph_text, pattern_of, random_dag, refine)
 
-from cases import background_graphs, reference_enumerate_dags
+from cases import (_ref_rule_applications, background_graphs,
+                   reference_classify, reference_consistent_extension,
+                   reference_enumerate_dags, small_random_graphs)
 
 
 def closure(text):
@@ -57,9 +59,21 @@ class TestRules:
                 continue
             fresh = Graph(result.nodes, result.directed_edges,
                           result.undirected_edges)
-            assert result.classify() is fresh.classify(), result
+            assert result.classify() is reference_classify(fresh), result
             closed += 1
         assert closed > 0
+
+    def test_classify_matches_reference(self, four_node_graphs):
+        # classify decides the class through the closure; the reference
+        # decides it from the rules and the sink scan alone
+        graphs = four_node_graphs + small_random_graphs(seed=19, count=300)
+        seen = set()
+        for g in graphs:
+            fresh = Graph(g.nodes, g.directed_edges, g.undirected_edges)
+            expected = reference_classify(fresh)
+            assert fresh.classify() is expected, g
+            seen.add(expected)
+        assert seen == set(GraphClass)
 
 
 class TestFailures:
@@ -165,67 +179,10 @@ class TestPattern:
 
 # -- reference: the sweep closure and the sink scan ---------------------------
 #
-# The closure and the extension search as first written: every sweep tries
-# R1-R4 on every undirected edge of an immutable graph and orients through
-# Graph.orient, and every sink pick scans the nodes in order.  The fast
-# versions in mpdagid.meek must give the same graphs and the same errors.
-
-
-def _ref_r1(g, b, c):
-    return any(not g.adjacent(a, c) for a in g.parents_of(b) if a != c)
-
-
-def _ref_r2(g, a, c):
-    return bool(g.children_of(a) & g.parents_of(c))
-
-
-def _ref_r3(g, a, b):
-    shared = sorted(g.undirected_neighbors_of(a) & g.parents_of(b))
-    for i, c in enumerate(shared):
-        for d in shared[i + 1:]:
-            if not g.adjacent(c, d):
-                return True
-    return False
-
-
-def _ref_r4(g, a, b):
-    for d in g.undirected_neighbors_of(a):
-        if d == b or g.adjacent(d, b):
-            continue
-        for c in g.children_of(d) & g.parents_of(b):
-            if g.adjacent(a, c):
-                return True
-    return False
-
-
-def _ref_rule_applications(graph):
-    return [(x, y) for a, b in graph.undirected_edges
-            for x, y in ((a, b), (b, a))
-            if _ref_r1(graph, x, y) or _ref_r2(graph, x, y)
-            or _ref_r3(graph, x, y) or _ref_r4(graph, x, y)]
-
-
-def reference_consistent_extension(graph):
-    if not graph.directed_part_acyclic():
-        return None
-    g = graph
-    remaining = set(g.nodes)
-    oriented = []
-
-    def sink_ok(v):
-        if g.children_of(v) & remaining:
-            return False
-        nbs = g.undirected_neighbors_of(v) & remaining
-        others = (g.neighbors_of(v) & remaining) - {v}
-        return all(g.adjacent(u, w) for u in nbs for w in others if w != u)
-
-    while remaining:
-        v = next((v for v in g.nodes if v in remaining and sink_ok(v)), None)
-        if v is None:
-            return None
-        oriented += [(u, v) for u in g.undirected_neighbors_of(v) & remaining]
-        remaining.discard(v)
-    return Graph(graph.nodes, set(graph.directed_edges) | set(oriented))
+# The closure as first written, on the reference rules and sink scan of
+# cases.py: every sweep tries R1-R4 on every undirected edge of an immutable
+# graph and orients through Graph.orient.  The fast versions in mpdagid.meek
+# must give the same graphs and the same errors.
 
 
 def reference_meek_closure(graph):

@@ -11,7 +11,7 @@ from mpdagid import (Graph, GraphClass, ancestors, descendants,
                      random_mpdag)
 from mpdagid.reachability import _walk_paths
 
-from cases import shortcut_graph
+from cases import shortcut_graph, small_random_graphs
 
 
 def test_parents_of_set():
@@ -226,3 +226,30 @@ def test_long_ladder_is_fast():
     assert path is not None and len(path) == 101
     assert is_possibly_directed_path(g, path)
     assert time.perf_counter() - start < 2.0
+
+
+def test_bucket_reaches_z_iff_it_meets_possible_ancestors(battery):
+    # id_formula asks PossAn(Z) once instead of PossDe(bucket) per bucket:
+    # for disjoint B and Z, Z meets PossDe(B) exactly when B meets PossAn(Z)
+    graphs = [g for g, _ in battery]
+    rng = random.Random(23)
+    for g in small_random_graphs(seed=31, count=200):
+        if g.classify() is not GraphClass.PDAG:
+            graphs.append(g)
+    checked = reaching = 0
+    for g in graphs:
+        subsets = [frozenset(c) for r in range(len(g.nodes) + 1)
+                   for c in itertools.combinations(g.nodes, r)]
+        if len(subsets) > 16:
+            subsets = rng.sample(subsets, 16)
+        pde = {s: possible_descendants(g, s) for s in subsets}
+        pan = {s: possible_ancestors(g, s) for s in subsets}
+        for b in subsets:
+            for z in subsets:
+                if b & z:
+                    continue
+                reaches = bool(z & pde[b])
+                assert reaches == (not pan[z].isdisjoint(b)), (g, b, z)
+                checked += 1
+                reaching += reaches
+    assert 0 < reaching < checked and checked > 10000
