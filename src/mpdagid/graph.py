@@ -5,7 +5,8 @@ A graph here is a set of nodes plus directed (``a -> b``) and undirected
 order is part of the value: it fixes edge canonicalization, tie-breaking in
 the algorithms, and the variable order used when rendering expressions.
 
-Graphs are immutable; every mutation-like operation returns a new graph.
+Graphs are immutable; every mutation-like operation returns a new graph,
+or the graph itself when it changes nothing.
 """
 
 from __future__ import annotations
@@ -59,6 +60,20 @@ class Edge:
         return f"{self.a} {self.kind.value} {self.b}"
 
 
+# a node's parents, children or undirected neighbours; a set of node pairs
+_Map = dict[str, frozenset[str]]
+_Pairs = frozenset[tuple[str, str]]
+
+
+def _orient_in_maps(pa: _Map, ch: _Map, nb: _Map, a: str, b: str) -> None:
+    """Turn a -- b into a -> b in parent, child and neighbour maps of
+    frozensets, replacing the four sets that change."""
+    nb[a] = nb[a] - {b}
+    nb[b] = nb[b] - {a}
+    ch[a] = ch[a] | {b}
+    pa[b] = pa[b] | {a}
+
+
 class Graph:
     """Immutable partially directed graph.
 
@@ -71,6 +86,16 @@ class Graph:
         Iterable of (tail, head) pairs.
     undirected:
         Iterable of unordered pairs.
+
+    ``Graph(...)`` checks every label and edge it is given.  A derived
+    graph (:meth:`orient`, :meth:`remove_edges_into`,
+    :meth:`remove_edges_out_of`, :meth:`induced_subgraph`, and the results
+    of :mod:`mpdagid.meek`'s closure and ``refine``) is built from its
+    parent's maps instead: it shares the parent's node tuple and index
+    (:meth:`induced_subgraph` makes its own) and every per-node set whose
+    edges do not change, and checks its maps in one O(n + m) pass.  The
+    hash, and the unordered edge pairs ``==`` compares, are computed on
+    first use.
     """
 
     __slots__ = ("_nodes", "_index", "_directed", "_undirected",
@@ -121,16 +146,52 @@ class Graph:
             nb[a].add(b)
             nb[b].add(a)
 
-        self._nodes = nodes
-        self._index = index
-        self._directed = frozenset(dset)
-        self._undirected = frozenset(uset)
-        self._pa = {v: frozenset(s) for v, s in pa.items()}
-        self._ch = {v: frozenset(s) for v, s in ch.items()}
-        self._nb = {v: frozenset(s) for v, s in nb.items()}
-        self._und_norm = frozenset(frozenset(e) for e in uset)
-        self._hash = hash((frozenset(nodes), self._directed, self._und_norm))
-        self._class: GraphClass | None = None
+        self._set(nodes, index, *({v: frozenset(s) for v, s in m.items()}
+                                  for m in (pa, ch, nb)),
+                  frozenset(dset), frozenset(uset))
+
+    def _set(self, nodes: tuple[str, ...], index: dict[str, int],
+             pa: _Map, ch: _Map, nb: _Map, directed: _Pairs,
+             undirected: _Pairs) -> "Graph":
+        """The one constructor tail, for ``__init__`` and every derived
+        graph: keeps the node order and the edge maps and sets."""
+        self._nodes, self._index = nodes, index
+        self._pa, self._ch, self._nb = pa, ch, nb
+        self._directed, self._undirected = directed, undirected
+        self._und_norm = self._hash = self._class = None
+        return self
+
+    def _derive(self, pa: _Map, ch: _Map, nb: _Map, directed: _Pairs,
+                undirected: _Pairs) -> "Graph":
+        """A graph on this graph's node tuple and index with the given maps
+        and edges, built without ``__init__``."""
+        return Graph.__new__(Graph)._set(self._nodes, self._index, pa, ch, nb,
+                                         directed, undirected)._check_maps()
+
+    def _check_maps(self) -> "Graph":
+        """The constructor's edge checks, as one O(n + m) pass over a
+        derived graph's maps: each node has a parent, child and neighbour
+        set, the three hold declared nodes other than itself and no node
+        twice (one edge per pair), and they hold the edges once each."""
+        nodes = self._nodes
+        if not (self._pa.keys() == self._ch.keys() == self._nb.keys()
+                == self._index.keys()):
+            raise GraphError("edge maps do not match the nodes")
+        pa, ch, nb = (list(map(m.__getitem__, nodes))
+                      for m in (self._pa, self._ch, self._nb))
+        around = list(map(frozenset.union, pa, ch, nb))
+        degrees = sum(map(len, pa)) + sum(map(len, ch)) + sum(map(len, nb))
+        if any(map(frozenset.__contains__, around, nodes)):
+            raise GraphError("self loop in a derived graph")
+        if sum(map(len, around)) != degrees:
+            raise GraphError("more than one edge between two nodes of a "
+                             "derived graph")
+        if not frozenset().union(*around).issubset(self._index):
+            raise GraphError("an edge of a derived graph uses an "
+                             "undeclared node")
+        if degrees != 2 * (len(self._directed) + len(self._undirected)):
+            raise GraphError("edge maps do not match the edge sets")
+        return self
 
     # -- basic accessors -------------------------------------------------
 
@@ -224,26 +285,53 @@ class Graph:
 
     def orient(self, a: str, b: str) -> "Graph":
         """Replace the undirected edge a -- b with a -> b."""
+        return self._with_oriented(*self._oriented_maps(a, b), [(a, b)])
+
+    def _oriented_maps(self, a: str, b: str) -> tuple[_Map, _Map, _Map]:
+        """Copies of the parent, child and neighbour maps with a -- b
+        turned into a -> b."""
+        self.check_nodes((a, b))
         if not self.has_undirected(a, b):
             raise GraphError(f"no undirected edge between {a!r} and {b!r}")
-        und = set(self._undirected)
-        und.discard((a, b) if self._index[a] < self._index[b] else (b, a))
-        return Graph(self._nodes, self._directed | {(a, b)}, und)
+        pa, ch, nb = dict(self._pa), dict(self._ch), dict(self._nb)
+        _orient_in_maps(pa, ch, nb, a, b)
+        return pa, ch, nb
+
+    def _with_oriented(self, pa: _Map, ch: _Map, nb: _Map,
+                       oriented: list[tuple[str, str]]) -> "Graph":
+        """This graph with the undirected edges ``oriented`` directed as
+        listed; ``pa``, ``ch`` and ``nb`` are its maps with them applied."""
+        index = self._index
+        return self._derive(pa, ch, nb, self._directed.union(oriented),
+                            self._undirected.difference(
+                                (a, b) if index[a] < index[b] else (b, a)
+                                for a, b in oriented))
+
+    def _without_directed(self, ends: frozenset[str], into: bool) -> "Graph":
+        """Drop every directed edge whose head (``into``) or tail is in
+        ``ends``; ``self`` if there is none."""
+        near, far = (self._pa, self._ch) if into else (self._ch, self._pa)
+        cut = [(v, w) for v in ends for w in near[v]]
+        if not cut:
+            return self
+        near, far = dict(near), dict(far)
+        for v, w in cut:
+            near[v] = frozenset()
+            far[w] = far[w] - ends
+        pa, ch = (near, far) if into else (far, near)
+        return self._derive(pa, ch, self._nb, self._directed.difference(
+            (w, v) if into else (v, w) for v, w in cut), self._undirected)
 
     def remove_edges_into(self, targets: Iterable[str]) -> "Graph":
         """Drop every directed edge whose head is in ``targets``.
 
         Undirected edges are untouched and the result is not re-closed.
         """
-        t = self.check_nodes(targets)
-        keep = [(a, b) for a, b in self._directed if b not in t]
-        return Graph(self._nodes, keep, self._undirected)
+        return self._without_directed(self.check_nodes(targets), into=True)
 
     def remove_edges_out_of(self, sources: Iterable[str]) -> "Graph":
         """Drop every directed edge whose tail is in ``sources``."""
-        s = self.check_nodes(sources)
-        keep = [(a, b) for a, b in self._directed if a not in s]
-        return Graph(self._nodes, keep, self._undirected)
+        return self._without_directed(self.check_nodes(sources), into=False)
 
     def induced_subgraph(self, keep: Iterable[str]) -> "Graph":
         """Subgraph over ``keep``, node order preserved; ``self`` if all."""
@@ -251,17 +339,19 @@ class Graph:
         if len(k) == len(self._nodes):
             return self
         nodes = tuple(v for v in self._nodes if v in k)
-        directed = [(a, b) for a, b in self._directed if a in k and b in k]
-        undirected = [(a, b) for a, b in self._undirected if a in k and b in k]
-        return Graph(nodes, directed, undirected)
+        pa, ch, nb = ({v: m[v] if m[v] <= k else m[v] & k for v in nodes}
+                      for m in (self._pa, self._ch, self._nb))
+        return Graph.__new__(Graph)._set(
+            nodes, {v: i for i, v in enumerate(nodes)}, pa, ch, nb,
+            frozenset(e for e in self._directed if e[0] in k and e[1] in k),
+            frozenset(e for e in self._undirected if e[0] in k and e[1] in k)
+        )._check_maps()
 
     # -- structure queries ------------------------------------------------
 
     def directed_part_acyclic(self) -> bool:
         """True iff the directed edges alone contain no cycle."""
-        indeg = {v: 0 for v in self._nodes}
-        for _, b in self._directed:
-            indeg[b] += 1
+        indeg = {v: len(self._pa[v]) for v in self._nodes}
         stack = [v for v in self._nodes if indeg[v] == 0]
         seen = 0
         while stack:
@@ -304,9 +394,18 @@ class Graph:
             return NotImplemented
         return (set(self._nodes) == set(other._nodes)
                 and self._directed == other._directed
-                and self._und_norm == other._und_norm)
+                and self._unordered() == other._unordered())
+
+    def _unordered(self) -> frozenset[frozenset[str]]:
+        """The undirected edges as unordered pairs, made on first use."""
+        if self._und_norm is None:
+            self._und_norm = frozenset(map(frozenset, self._undirected))
+        return self._und_norm
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((frozenset(self._nodes), self._directed,
+                               self._unordered()))
         return self._hash
 
     def __repr__(self) -> str:

@@ -27,7 +27,7 @@ from .dsep import OpenPathWitness, d_separated, find_open_path
 from .graph import Graph, GraphClass
 from .meek import refine
 from .pco import pco
-from .reachability import (ancestors, find_proper_pc_path, parents,
+from .reachability import (_closure, find_proper_pc_path, parents,
                            possible_ancestors, possible_descendants)
 
 
@@ -294,7 +294,13 @@ def id_formula(graph: Graph, xs, ys, zs=()) -> DensityExpression:
         undirected edge (the effect is then not identifiable).
     """
     x, y, z = _validate_query(graph, xs, ys, zs)
-    pd_x = possible_descendants(graph, x)
+    return _id_formula(graph, x, y, z, possible_descendants(graph, x))
+
+
+def _id_formula(graph: Graph, x: frozenset[str], y: frozenset[str],
+                z: frozenset[str], pd_x: frozenset[str]) -> DensityExpression:
+    """The body of :func:`id_formula` on a validated query, given
+    ``pd_x``, the possible descendants of X."""
     if z & pd_x:
         raise PreconditionViolated(
             "conditioning set intersects possible descendants of the treatments")
@@ -305,7 +311,8 @@ def id_formula(graph: Graph, xs, ys, zs=()) -> DensityExpression:
             f"starts with an undirected edge: {' - '.join(path)}",
             FailCertificate(path, graph.sorted_nodes(x), graph.sorted_nodes(z)))
 
-    anc = ancestors(graph.induced_subgraph(set(graph.nodes) - x), y)
+    # the ancestors of Y in G - X: a directed closure that never enters X
+    anc = _closure(graph, y, lambda v: graph._pa[v] - x)
     buckets = pco(graph, anc - z)
     integrate_over = anc - (z | y)
     # a bucket has a possibly directed path into Z iff it meets PossAn(Z)
@@ -357,10 +364,12 @@ def _finish(graph: Graph, x1: set[str], y: frozenset[str],
     z_desc = z1 & pd_x1
     z_rest = frozenset(z1) - pd_x1
     try:
-        numerator = id_formula(graph, x1, y | z_desc, z_rest)
+        numerator = _id_formula(
+            graph, *_validate_query(graph, x1, y | z_desc, z_rest), pd_x1)
         if not z_desc:
             return numerator
-        denominator = id_formula(graph, x1, z_desc, z_rest)
+        denominator = _id_formula(
+            graph, *_validate_query(graph, x1, z_desc, z_rest), pd_x1)
     except IdentificationError as exc:  # pragma: no cover - loop exit forbids it
         raise AssertionError(
             "absorption loop exited but the closed form was rejected; "

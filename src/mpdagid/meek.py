@@ -12,7 +12,7 @@ import heapq
 import itertools
 from typing import Iterable
 
-from .graph import Graph, GraphClass, GraphError
+from .graph import Graph, GraphClass, GraphError, _orient_in_maps
 
 
 class InconsistentOrientation(GraphError):
@@ -68,6 +68,14 @@ class _Adjacency(dict):
         return out
 
 
+def _edges_at(nb, index, nodes: Iterable[str]) -> list[tuple[str, str]]:
+    """The undirected edges with an endpoint in ``nodes``, in
+    ``undirected_edges`` order."""
+    return sorted({(u, w) if index[u] < index[w] else (w, u)
+                   for u in nodes for w in nb[u]},
+                  key=lambda e: (index[e[0]], index[e[1]]))
+
+
 def meek_closure(graph: Graph) -> Graph:
     """Apply R1-R4 to a fixed point.
 
@@ -87,38 +95,39 @@ def meek_closure(graph: Graph) -> Graph:
         directed cycle or an unshielded collider the input did not have,
         or the closed graph has no consistent extension.
     """
-    if not graph.directed_part_acyclic():
-        raise InconsistentOrientation("directed part contains a cycle")
+    return _close(graph, dict(graph._pa), dict(graph._ch), dict(graph._nb),
+                  graph.undirected_edges)
+
+
+def _close(graph: Graph, pa, ch, nb, edges: list[tuple[str, str]],
+           given: tuple[str, str] | None = None) -> Graph:
+    """The rounds of :func:`meek_closure`, run on ``pa``, ``ch`` and
+    ``nb``: copies of ``graph``'s maps with the orientation ``given``
+    already applied.  The first round tries ``edges``.  The result is one
+    graph derived from ``graph``, or ``graph`` itself if nothing changed."""
     index = graph._index
-    # the maps share the graph's sets; orienting replaces the four it changes
-    pa, ch, nb = dict(graph._pa), dict(graph._ch), dict(graph._nb)
-    adj = _Adjacency(graph)
+    adj = _Adjacency(graph)  # orienting keeps every adjacency
     new: list[tuple[str, str]] = []
-    edges = graph.undirected_edges
     while edges:
         oriented = []
         for a, b in _rule_applications(pa, ch, nb, adj, edges):
             if b in nb[a]:
-                nb[a] = nb[a] - {b}
-                nb[b] = nb[b] - {a}
-                ch[a] = ch[a] | {b}
-                pa[b] = pa[b] | {a}
+                _orient_in_maps(pa, ch, nb, a, b)
                 oriented.append((a, b))
         new += oriented
         near: set[str] = set()
         for a, b in oriented:
             near |= adj[a] | adj[b] | {a, b}
-        edges = sorted({(u, w) if index[u] < index[w] else (w, u)
-                        for u in near for w in nb[u]},
-                       key=lambda e: (index[e[0]], index[e[1]]))
-    g = graph
-    if new:
-        und = set(graph._undirected)
-        und.difference_update((a, b) if index[a] < index[b] else (b, a)
-                              for a, b in new)
-        g = Graph(graph.nodes, graph._directed.union(new), und)
-        if not g.directed_part_acyclic():
-            raise InconsistentOrientation("closure created a directed cycle")
+        edges = _edges_at(nb, index, near)
+    changed = [given, *new] if given else new
+    g = graph._with_oriented(pa, ch, nb, changed) if changed else graph
+    # g holds every directed edge of the start (graph with ``given``), so
+    # the start is checked only when g has a cycle, to say whose it is
+    if not g.directed_part_acyclic():
+        start = graph.orient(*given) if given else graph
+        raise InconsistentOrientation(
+            "directed part contains a cycle" if not start.directed_part_acyclic()
+            else "closure created a directed cycle")
     # a new unshielded collider holds a newly oriented edge u -> v and
     # another parent of v that is not adjacent to u
     if any(p != u and p not in adj[u] for u, v in new for p in pa[v]):
@@ -141,12 +150,25 @@ def is_meek_closed(graph: Graph) -> bool:
 
 
 def refine(graph: Graph, a: str, b: str) -> Graph:
-    """Orient the undirected edge a -- b as a -> b and re-close."""
-    return meek_closure(graph.orient(a, b))
+    """Orient the undirected edge a -- b as a -> b and re-close.
+
+    The result, its class and every error are those of
+    ``meek_closure(graph.orient(a, b))``, but the rounds start from a -> b
+    applied to copies of ``graph``'s maps and build one graph.  When
+    ``graph`` is recorded as an MPDAG no rule applies to it, so the first
+    round tries only the undirected edges next to a or b; otherwise it
+    tries every edge."""
+    pa, ch, nb = graph._oriented_maps(a, b)
+    seeds = (graph.neighbors_of(a) | graph.neighbors_of(b) | {a, b}
+             if graph._class is GraphClass.MPDAG else graph.nodes)
+    return _close(graph, pa, ch, nb, _edges_at(nb, graph._index, seeds),
+                  (a, b))
 
 
 def apply_background(graph: Graph, orientations: Iterable[tuple[str, str]]) -> Graph:
     """Orient each listed undirected edge, then close under R1-R4."""
+    orientations = list(orientations)
+    graph.check_nodes(v for pair in orientations for v in pair)
     g = graph
     for a, b in orientations:
         if g.has_directed(a, b):

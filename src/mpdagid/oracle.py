@@ -48,13 +48,14 @@ def enumerate_dags(graph: Graph) -> list[Graph]:
         stack = [meek_closure(graph)]
     except InconsistentOrientation:
         return []
+    index = graph._index  # every refined graph shares it
     out: list[Graph] = []
     while stack:
         g = stack.pop()
         if not g._undirected:
             out.append(g)
             continue
-        a, b = g.undirected_edges[0]
+        a, b = min(g._undirected, key=lambda e: (index[e[0]], index[e[1]]))
         stack += [refine(g, b, a), refine(g, a, b)]
     return out
 

@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 
 from mpdagid import (DensityExpression, Factor, Fraction, Graph, GraphClass,
-                     MarginalOver, Product, normal_form, parse_graph_text,
-                     random_mpdag)
+                     MarginalOver, Product, meek_closure, normal_form,
+                     parse_graph_text, random_mpdag)
 
 MARGINAL_TEXT = """\
 X -> Y
@@ -265,6 +265,13 @@ def reference_enumerate_dags(graph: Graph) -> list[Graph]:
             continue
         out.append(candidate)
     return out
+
+
+def reference_refine(graph: Graph, a: str, b: str) -> Graph:
+    """``refine`` as first written: the oriented graph, then its closure.
+    ``meek.refine`` builds one graph from ``graph``'s maps instead, and
+    must give the same graph, class and errors."""
+    return meek_closure(graph.orient(a, b))
 
 
 def small_random_graphs(seed: int, count: int) -> list[Graph]:

@@ -1,7 +1,10 @@
+import hashlib
+import itertools
 import json
 
 import pytest
 
+from mpdagid import Graph, graph_to_text
 from mpdagid.cli import main
 
 from cases import (CHAIN_TEXT, FRACTION_TEXT, MARGINAL_TEXT,
@@ -41,6 +44,11 @@ class TestComplete:
         code, _, err = run(capsys, "complete", path, "--orient", "B>A")
         assert code == 2
         assert "error:" in err
+
+    def test_orient_unknown_label_is_named(self, graph_file, capsys):
+        path = graph_file("A -- B\nB -- C\n")
+        code, out, err = run(capsys, "complete", path, "--orient", "R>Q")
+        assert (code, out, err) == (2, "", "error: unknown node 'Q'\n")
 
     def test_json_round_trips(self, graph_file, capsys):
         path = graph_file("A -- B\n")
@@ -365,3 +373,43 @@ def test_unknown_node_error_is_the_same_in_every_process(graph_file):
             env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed)))
         assert (proc.returncode, proc.stdout, proc.stderr) == \
             (2, "", "error: unknown node 'Q'\n"), seed
+
+
+def _clique(k):
+    nodes = [f"C{i}" for i in range(k)]
+    return Graph(nodes, undirected=list(itertools.combinations(nodes, 2)))
+
+
+def _treated_ladder(m):
+    """L0..L{m-1} with undirected i--i+1 and i--i+2, and T -> every L."""
+    nodes = [f"L{i}" for i in range(m)]
+    und = [(nodes[i], nodes[i + 1]) for i in range(m - 1)]
+    und += [(nodes[i], nodes[i + 2]) for i in range(m - 2)]
+    return Graph(["T"] + nodes, [("T", v) for v in nodes], und)
+
+
+# SHA-256 of stdout, recorded before graphs were derived from their parents'
+# maps: the derivation must leave every byte of output as it was
+_GOLDEN = [
+    ("enumerate", "k6", ["-x", "C0,C1", "-y", "C5"],
+     "84c73c40cfc6b80f421ec16809d183ef7f7029a859657fd20b6d22c13d273205"),
+    ("enumerate", "k6", ["-x", "C0,C1", "-y", "C5", "--json"],
+     "3704f824ace3b78bdfc48608e674645c3358d809c046ec5be5d93615c1ed0749"),
+    ("enumerate", "ladder", ["-x", "L2", "-y", "L9", "-z", "L5"],
+     "e81299bf5ee64e6ade37980c8f9f10415dce6125ee5b2e41290e8ae9c2ff0fa6"),
+    ("enumerate", "ladder", ["-x", "L2", "-y", "L9", "-z", "L5", "--json"],
+     "2e2edcbf7e3768e21238c91c292d8b0e0b3050dee943c829c7f29a028acbb97d"),
+    ("identify", "fraction", ["-x", "X", "-y", "Y", "-z", "Z", "--json"],
+     "a97ec204076e84a44606e244fa4ed4a6d7ffba2b4ebc1d42a76ea3802064ac36"),
+]
+
+
+@pytest.mark.parametrize("command, graph, args, digest", _GOLDEN,
+                         ids=[f"{c}-{g}-{len(a)}" for c, g, a, _ in _GOLDEN])
+def test_golden_output(graph_file, capsys, command, graph, args, digest):
+    text = {"k6": lambda: graph_to_text(_clique(6)),
+            "ladder": lambda: graph_to_text(_treated_ladder(10)),
+            "fraction": lambda: FRACTION_TEXT}[graph]()
+    code, out, err = run(capsys, command, graph_file(text), *args)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

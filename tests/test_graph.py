@@ -4,8 +4,11 @@ import pytest
 
 import mpdagid
 from mpdagid import (Edge, EdgeKind, Graph, GraphClass, GraphError,
-                     ParseError, graph_to_json, graph_to_text,
-                     parse_graph_json, parse_graph_text)
+                     InconsistentOrientation, ParseError, graph_to_json,
+                     graph_to_text, meek_closure, parse_graph_json,
+                     parse_graph_text, refine)
+
+from cases import small_random_graphs
 
 
 class TestConstruction:
@@ -93,6 +96,95 @@ class TestSurgery:
         assert h.parents_of("B") == frozenset()
         with pytest.raises(GraphError):
             g.induced_subgraph(["Z"])
+
+
+def _derived_graphs(g, cut_at):
+    """Every kind of derived graph of ``g``: each undirected edge oriented
+    both ways, directed edges cut at each node of ``cut_at``, each of them
+    dropped, the same for two sets of nodes, and the closure and its
+    refinements on its first undirected edge when the closure exists."""
+    out = [g.orient(x, y) for a, b in g.undirected_edges
+           for x, y in ((a, b), (b, a))]
+    for v in cut_at:
+        out += [g.remove_edges_into({v}), g.remove_edges_out_of({v}),
+                g.induced_subgraph(set(g.nodes) - {v})]
+    out += [g.remove_edges_into(g.nodes[::2]),
+            g.remove_edges_out_of(g.nodes[1::2]),
+            g.induced_subgraph(g.nodes[::2])]
+    try:
+        closed = meek_closure(g)
+    except InconsistentOrientation:
+        return out
+    out.append(closed)
+    for a, b in closed.undirected_edges[:1]:
+        for x, y in ((a, b), (b, a)):
+            try:
+                out.append(refine(closed, x, y))
+            except InconsistentOrientation:
+                pass
+    return out
+
+
+def _assert_derived_graphs_match_rebuilt(graphs, cut_every=1):
+    count = 0
+    for g in graphs:
+        g = Graph(g.nodes, g.directed_edges, g.undirected_edges)
+        for d in _derived_graphs(g, g.nodes[::cut_every]):
+            fresh = Graph(d.nodes, d.directed_edges, d.undirected_edges)
+            assert repr(d) == repr(fresh)
+            assert d == fresh and fresh == d
+            assert hash(d) == hash(fresh)
+            assert (d._pa, d._ch, d._nb) == (fresh._pa, fresh._ch, fresh._nb)
+            assert d._index == fresh._index
+            assert d.classify() is fresh.classify(), d
+            count += 1
+    return count
+
+
+class TestDerivation:
+    # derived graphs share their parent's sets and skip __init__; they must
+    # be the graphs that Graph(...) builds from their edges
+
+    def test_derived_graphs_of_every_four_node_graph(
+            self, four_node_graphs):
+        # every labelling of each graph is in the battery, so cutting at
+        # the first node stands for cutting at any one node
+        assert _assert_derived_graphs_match_rebuilt(four_node_graphs, 4) > 0
+
+    def test_derived_graphs_of_small_random_graphs(self):
+        graphs = small_random_graphs(seed=31, count=60)
+        assert _assert_derived_graphs_match_rebuilt(graphs) > 0
+
+    def test_derived_graph_shares_unchanged_sets(self):
+        g = Graph(["A", "B", "C", "D"], directed=[("A", "B")],
+                  undirected=[("B", "C"), ("C", "D")])
+        h = g.orient("B", "C")
+        assert h._nodes is g._nodes and h._index is g._index
+        assert h._pa["A"] is g._pa["A"] and h._nb["D"] is g._nb["D"]
+        assert g.remove_edges_into({"C"}) is g  # nothing to cut
+
+    @pytest.mark.parametrize("pa, ch, nb, directed, message", [
+        ({"A": frozenset("A"), "B": frozenset()},
+         {"A": frozenset("A"), "B": frozenset()},
+         {"A": frozenset(), "B": frozenset()}, {("A", "A")}, "self loop"),
+        # a pair both directed and undirected
+        ({"A": frozenset(), "B": frozenset("A")},
+         {"A": frozenset("B"), "B": frozenset()},
+         {"A": frozenset("B"), "B": frozenset("A")}, {("A", "B")},
+         "more than one edge"),
+        ({"A": frozenset(), "B": frozenset("Z")},
+         {"A": frozenset(), "B": frozenset()},
+         {"A": frozenset(), "B": frozenset()}, {("Z", "B")}, "undeclared"),
+        ({"A": frozenset(), "B": frozenset("A")},
+         {"A": frozenset("B"), "B": frozenset()},
+         {"A": frozenset(), "B": frozenset()}, set(), "edge sets"),
+        ({"A": frozenset()}, {"A": frozenset()}, {"A": frozenset()}, set(),
+         "match the nodes"),
+    ])
+    def test_derived_maps_are_checked(self, pa, ch, nb, directed, message):
+        g = Graph(["A", "B"])
+        with pytest.raises(GraphError, match=message):
+            g._derive(pa, ch, nb, frozenset(directed), frozenset())
 
 
 class TestStructure:

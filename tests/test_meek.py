@@ -10,7 +10,8 @@ from mpdagid import (Graph, GraphClass, GraphError, InconsistentOrientation,
 
 from cases import (_ref_rule_applications, background_graphs,
                    reference_classify, reference_consistent_extension,
-                   reference_enumerate_dags, small_random_graphs)
+                   reference_enumerate_dags, reference_refine,
+                   small_random_graphs)
 
 
 def closure(text):
@@ -97,6 +98,17 @@ class TestFailures:
         g = parse_graph_text("A -> B\nB -- C\n")
         with pytest.raises(InconsistentOrientation):
             apply_background(g, [("B", "A")])
+
+    def test_unknown_label_is_named(self):
+        # the least unknown label, as every other query names it, not a
+        # missing undirected edge
+        g = parse_graph_text("A -- B\nB -- C\n")
+        for call in (lambda: apply_background(g, [("A", "B"), ("R", "Q")]),
+                     lambda: g.orient("R", "Q"),
+                     lambda: g.orient("A", "Q"),
+                     lambda: refine(g, "R", "Q")):
+            with pytest.raises(GraphError, match="^unknown node 'Q'$"):
+                call()
 
     def test_apply_background_agreeing_orientation_is_noop(self):
         g = meek_closure(parse_graph_text("A -> B\nnode C\n"))
@@ -273,3 +285,45 @@ def test_rounds_retry_edges_next_to_a_new_edge(graph):
             == _closure_outcome(reference_meek_closure, graph)
             == ("InconsistentOrientation",
                 "closure created a new unshielded collider"))
+
+
+def _refine_outcome(split, graph, a, b):
+    """The repr and recorded class of ``split(graph, a, b)``, or the
+    exception's class and text."""
+    try:
+        result = split(graph, a, b)
+    except GraphError as exc:
+        return type(exc).__name__, str(exc)
+    return repr(result), result._class
+
+
+def _assert_refine_matches_reference(graphs):
+    """Every undirected edge of every graph oriented both ways, on a fresh
+    copy (no class recorded: the first round tries every edge) and on a
+    classified one (an MPDAG first tries the edges next to the new one)."""
+    outcomes = []
+    for g in graphs:
+        fresh = Graph(g.nodes, g.directed_edges, g.undirected_edges)
+        classified = Graph(g.nodes, g.directed_edges, g.undirected_edges)
+        classified.classify()
+        for a, b in g.undirected_edges:
+            for x, y in ((a, b), (b, a)):
+                for start in (fresh, classified):
+                    expected = _refine_outcome(reference_refine, start, x, y)
+                    assert _refine_outcome(refine, start, x, y) == expected, \
+                        (g, x, y, start._class)
+                    outcomes.append((start._class, isinstance(expected[1], str)))
+    return outcomes
+
+
+def test_refine_matches_reference_on_every_four_node_graph(four_node_graphs):
+    outcomes = _assert_refine_matches_reference(four_node_graphs)
+    # both first rounds ran, and both kinds of outcome occurred
+    assert {(GraphClass.MPDAG, False), (None, False), (None, True),
+            (GraphClass.PDAG, True)} <= set(outcomes)
+
+
+def test_refine_matches_reference_on_small_random_graphs():
+    outcomes = _assert_refine_matches_reference(
+        small_random_graphs(seed=23, count=120))
+    assert {(GraphClass.MPDAG, False), (None, True)} <= set(outcomes)
