@@ -6,7 +6,8 @@ order is part of the value: it fixes edge canonicalization, tie-breaking in
 the algorithms, and the variable order used when rendering expressions.
 
 Graphs are immutable; every mutation-like operation returns a new graph,
-or the graph itself when it changes nothing.
+or the graph itself when it changes nothing.  Each graph keeps its edges
+in one store, the per-node sets of parents, children and neighbours.
 """
 
 from __future__ import annotations
@@ -60,9 +61,8 @@ class Edge:
         return f"{self.a} {self.kind.value} {self.b}"
 
 
-# a node's parents, children or undirected neighbours; a set of node pairs
+# a node's parents, children or undirected neighbours
 _Map = dict[str, frozenset[str]]
-_Pairs = frozenset[tuple[str, str]]
 
 
 def _orient_in_maps(pa: _Map, ch: _Map, nb: _Map, a: str, b: str) -> None:
@@ -87,19 +87,19 @@ class Graph:
     undirected:
         Iterable of unordered pairs.
 
-    ``Graph(...)`` checks every label and edge it is given.  A derived
-    graph (:meth:`orient`, :meth:`remove_edges_into`,
-    :meth:`remove_edges_out_of`, :meth:`induced_subgraph`, and the results
-    of :mod:`mpdagid.meek`'s closure and ``refine``) is built from its
+    The edges are stored only in maps from each node to the frozensets of
+    its parents, children and undirected neighbours; the edge tuples,
+    ``==``, the hash and ``repr`` are read from them.  ``Graph(...)``
+    checks every label and edge it is given.  A derived graph
+    (:meth:`orient`, :meth:`remove_edges_into`, :meth:`remove_edges_out_of`,
+    :meth:`induced_subgraph`, and the results of :mod:`mpdagid.meek`'s
+    closure, ``refine`` and ``consistent_extension``) is built from its
     parent's maps instead: it shares the parent's node tuple and index
     (:meth:`induced_subgraph` makes its own) and every per-node set whose
-    edges do not change, and checks its maps in one O(n + m) pass.  The
-    hash, and the unordered edge pairs ``==`` compares, are computed on
-    first use.
+    edges do not change, and checks its maps in one O(n + m) pass.
     """
 
-    __slots__ = ("_nodes", "_index", "_directed", "_undirected",
-                 "_und_norm", "_pa", "_ch", "_nb", "_hash", "_class")
+    __slots__ = ("_nodes", "_index", "_pa", "_ch", "_nb", "_hash", "_class")
 
     def __init__(self, nodes: Sequence[str],
                  directed: Iterable[tuple[str, str]] = (),
@@ -131,48 +131,39 @@ class Graph:
             if b in pa[a] or b in ch[a] or b in nb[a]:
                 raise GraphError(f"more than one edge between {a!r} and {b!r}")
 
-        dset: set[tuple[str, str]] = set()
         for a, b in directed:
             check(a, b)
-            dset.add((a, b))
             ch[a].add(b)
             pa[b].add(a)
-        uset: set[tuple[str, str]] = set()
         for a, b in undirected:
             check(a, b)
-            if index[a] > index[b]:
-                a, b = b, a
-            uset.add((a, b))
             nb[a].add(b)
             nb[b].add(a)
 
         self._set(nodes, index, *({v: frozenset(s) for v, s in m.items()}
-                                  for m in (pa, ch, nb)),
-                  frozenset(dset), frozenset(uset))
+                                  for m in (pa, ch, nb)))
 
     def _set(self, nodes: tuple[str, ...], index: dict[str, int],
-             pa: _Map, ch: _Map, nb: _Map, directed: _Pairs,
-             undirected: _Pairs) -> "Graph":
+             pa: _Map, ch: _Map, nb: _Map) -> "Graph":
         """The one constructor tail, for ``__init__`` and every derived
-        graph: keeps the node order and the edge maps and sets."""
+        graph: keeps the node order and the edge maps."""
         self._nodes, self._index = nodes, index
         self._pa, self._ch, self._nb = pa, ch, nb
-        self._directed, self._undirected = directed, undirected
-        self._und_norm = self._hash = self._class = None
+        self._hash = self._class = None
         return self
 
-    def _derive(self, pa: _Map, ch: _Map, nb: _Map, directed: _Pairs,
-                undirected: _Pairs) -> "Graph":
-        """A graph on this graph's node tuple and index with the given maps
-        and edges, built without ``__init__``."""
-        return Graph.__new__(Graph)._set(self._nodes, self._index, pa, ch, nb,
-                                         directed, undirected)._check_maps()
+    def _derive(self, pa: _Map, ch: _Map, nb: _Map) -> "Graph":
+        """A graph on this graph's node tuple and index with the given
+        maps, built without ``__init__``."""
+        return Graph.__new__(Graph)._set(self._nodes, self._index,
+                                         pa, ch, nb)._check_maps()
 
     def _check_maps(self) -> "Graph":
         """The constructor's edge checks, as one O(n + m) pass over a
         derived graph's maps: each node has a parent, child and neighbour
         set, the three hold declared nodes other than itself and no node
-        twice (one edge per pair), and they hold the edges once each."""
+        twice (one edge per pair), and the counts fit each edge held at
+        both ends: as many parents as children, an even neighbour count."""
         nodes = self._nodes
         if not (self._pa.keys() == self._ch.keys() == self._nb.keys()
                 == self._index.keys()):
@@ -180,17 +171,18 @@ class Graph:
         pa, ch, nb = (list(map(m.__getitem__, nodes))
                       for m in (self._pa, self._ch, self._nb))
         around = list(map(frozenset.union, pa, ch, nb))
-        degrees = sum(map(len, pa)) + sum(map(len, ch)) + sum(map(len, nb))
+        n_pa, n_ch, n_nb = (sum(map(len, m)) for m in (pa, ch, nb))
         if any(map(frozenset.__contains__, around, nodes)):
             raise GraphError("self loop in a derived graph")
-        if sum(map(len, around)) != degrees:
+        if sum(map(len, around)) != n_pa + n_ch + n_nb:
             raise GraphError("more than one edge between two nodes of a "
                              "derived graph")
         if not frozenset().union(*around).issubset(self._index):
             raise GraphError("an edge of a derived graph uses an "
                              "undeclared node")
-        if degrees != 2 * (len(self._directed) + len(self._undirected)):
-            raise GraphError("edge maps do not match the edge sets")
+        if n_pa != n_ch or n_nb % 2:
+            raise GraphError("edge maps of a derived graph do not hold each "
+                             "edge at both ends")
         return self
 
     # -- basic accessors -------------------------------------------------
@@ -224,13 +216,18 @@ class Graph:
 
     @property
     def directed_edges(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self._directed,
-                            key=lambda e: (self._index[e[0]], self._index[e[1]])))
+        """(tail, head) pairs, by tail and then head in node order."""
+        ch, key = self._ch, self._index.__getitem__
+        return tuple([(a, b) for a in self._nodes
+                      for b in sorted(ch[a], key=key)])
 
     @property
     def undirected_edges(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self._undirected,
-                            key=lambda e: (self._index[e[0]], self._index[e[1]])))
+        """Each pair once, earlier node first, ordered as directed_edges."""
+        nb, index = self._nb, self._index
+        return tuple([(a, b) for a in self._nodes
+                       for b in sorted(nb[a], key=index.__getitem__)
+                       if index[a] < index[b]])
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -256,7 +253,7 @@ class Graph:
         return self._pa[v] | self._ch[v] | self._nb[v]
 
     def has_directed(self, a: str, b: str) -> bool:
-        return (a, b) in self._directed
+        return b in self._ch.get(a, frozenset())
 
     def has_undirected(self, a: str, b: str) -> bool:
         return b in self._nb.get(a, frozenset())
@@ -285,27 +282,20 @@ class Graph:
 
     def orient(self, a: str, b: str) -> "Graph":
         """Replace the undirected edge a -- b with a -> b."""
-        return self._with_oriented(*self._oriented_maps(a, b), [(a, b)])
+        return self._derive(*self._oriented_maps([(a, b)]))
 
-    def _oriented_maps(self, a: str, b: str) -> tuple[_Map, _Map, _Map]:
-        """Copies of the parent, child and neighbour maps with a -- b
-        turned into a -> b."""
-        self.check_nodes((a, b))
-        if not self.has_undirected(a, b):
-            raise GraphError(f"no undirected edge between {a!r} and {b!r}")
+    def _oriented_maps(self, pairs: list[tuple[str, str]]
+                       ) -> tuple[_Map, _Map, _Map]:
+        """Copies of the parent, child and neighbour maps with each
+        undirected edge a -- b of ``pairs`` turned into a -> b, in order:
+        the one start of every orientation, the closure's included."""
+        self.check_nodes(v for pair in pairs for v in pair)
         pa, ch, nb = dict(self._pa), dict(self._ch), dict(self._nb)
-        _orient_in_maps(pa, ch, nb, a, b)
+        for a, b in pairs:
+            if b not in nb[a]:
+                raise GraphError(f"no undirected edge between {a!r} and {b!r}")
+            _orient_in_maps(pa, ch, nb, a, b)
         return pa, ch, nb
-
-    def _with_oriented(self, pa: _Map, ch: _Map, nb: _Map,
-                       oriented: list[tuple[str, str]]) -> "Graph":
-        """This graph with the undirected edges ``oriented`` directed as
-        listed; ``pa``, ``ch`` and ``nb`` are its maps with them applied."""
-        index = self._index
-        return self._derive(pa, ch, nb, self._directed.union(oriented),
-                            self._undirected.difference(
-                                (a, b) if index[a] < index[b] else (b, a)
-                                for a, b in oriented))
 
     def _without_directed(self, ends: frozenset[str], into: bool) -> "Graph":
         """Drop every directed edge whose head (``into``) or tail is in
@@ -319,8 +309,7 @@ class Graph:
             near[v] = frozenset()
             far[w] = far[w] - ends
         pa, ch = (near, far) if into else (far, near)
-        return self._derive(pa, ch, self._nb, self._directed.difference(
-            (w, v) if into else (v, w) for v, w in cut), self._undirected)
+        return self._derive(pa, ch, self._nb)
 
     def remove_edges_into(self, targets: Iterable[str]) -> "Graph":
         """Drop every directed edge whose head is in ``targets``.
@@ -342,26 +331,29 @@ class Graph:
         pa, ch, nb = ({v: m[v] if m[v] <= k else m[v] & k for v in nodes}
                       for m in (self._pa, self._ch, self._nb))
         return Graph.__new__(Graph)._set(
-            nodes, {v: i for i, v in enumerate(nodes)}, pa, ch, nb,
-            frozenset(e for e in self._directed if e[0] in k and e[1] in k),
-            frozenset(e for e in self._undirected if e[0] in k and e[1] in k)
+            nodes, {v: i for i, v in enumerate(nodes)}, pa, ch, nb
         )._check_maps()
 
     # -- structure queries ------------------------------------------------
 
-    def directed_part_acyclic(self) -> bool:
-        """True iff the directed edges alone contain no cycle."""
+    def _topological_order(self) -> list[str] | None:
+        """Every node after its parents (Kahn's algorithm on a stack), or
+        None if the directed edges contain a cycle."""
         indeg = {v: len(self._pa[v]) for v in self._nodes}
         stack = [v for v in self._nodes if indeg[v] == 0]
-        seen = 0
+        order = []
         while stack:
             v = stack.pop()
-            seen += 1
+            order.append(v)
             for c in self._ch[v]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     stack.append(c)
-        return seen == len(self._nodes)
+        return order if len(order) == len(self._nodes) else None
+
+    def directed_part_acyclic(self) -> bool:
+        """True iff the directed edges alone contain no cycle."""
+        return self._topological_order() is not None
 
     def unshielded_colliders(self) -> frozenset[tuple[str, str, str]]:
         """Triples (a, b, c) with a -> b <- c, a and c nonadjacent, a before c."""
@@ -392,26 +384,18 @@ class Graph:
         """Equality is mathematical: node declaration order is ignored."""
         if not isinstance(other, Graph):
             return NotImplemented
-        return (set(self._nodes) == set(other._nodes)
-                and self._directed == other._directed
-                and self._unordered() == other._unordered())
-
-    def _unordered(self) -> frozenset[frozenset[str]]:
-        """The undirected edges as unordered pairs, made on first use."""
-        if self._und_norm is None:
-            self._und_norm = frozenset(map(frozenset, self._undirected))
-        return self._und_norm
+        return self._pa == other._pa and self._nb == other._nb
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((frozenset(self._nodes), self._directed,
-                               self._unordered()))
+            self._hash = hash((frozenset(self._pa.items()),
+                               frozenset(self._nb.items())))
         return self._hash
 
     def __repr__(self) -> str:
         return (f"Graph(nodes={self._nodes!r}, "
-                f"directed={sorted(self._directed)!r}, "
-                f"undirected={sorted(self._undirected)!r})")
+                f"directed={sorted(self.directed_edges)!r}, "
+                f"undirected={sorted(self.undirected_edges)!r})")
 
     def __str__(self) -> str:
         return graph_to_text(self)

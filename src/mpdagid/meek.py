@@ -95,18 +95,19 @@ def meek_closure(graph: Graph) -> Graph:
         directed cycle or an unshielded collider the input did not have,
         or the closed graph has no consistent extension.
     """
-    return _close(graph, dict(graph._pa), dict(graph._ch), dict(graph._nb),
-                  graph.undirected_edges)
+    return _close(graph, [], graph.nodes)
 
 
-def _close(graph: Graph, pa, ch, nb, edges: list[tuple[str, str]],
-           given: tuple[str, str] | None = None) -> Graph:
-    """The rounds of :func:`meek_closure`, run on ``pa``, ``ch`` and
-    ``nb``: copies of ``graph``'s maps with the orientation ``given``
-    already applied.  The first round tries ``edges``.  The result is one
-    graph derived from ``graph``, or ``graph`` itself if nothing changed."""
+def _close(graph: Graph, given: list[tuple[str, str]],
+           seeds: Iterable[str]) -> Graph:
+    """The rounds of :func:`meek_closure` on copies of ``graph``'s maps,
+    with the undirected edges ``given`` oriented first, as listed.  The
+    first round tries the undirected edges at ``seeds``.  Returns one graph
+    derived from ``graph``, or ``graph`` itself if nothing changed."""
+    pa, ch, nb = graph._oriented_maps(given)
     index = graph._index
     adj = _Adjacency(graph)  # orienting keeps every adjacency
+    edges = _edges_at(nb, index, seeds)
     new: list[tuple[str, str]] = []
     while edges:
         oriented = []
@@ -119,12 +120,11 @@ def _close(graph: Graph, pa, ch, nb, edges: list[tuple[str, str]],
         for a, b in oriented:
             near |= adj[a] | adj[b] | {a, b}
         edges = _edges_at(nb, index, near)
-    changed = [given, *new] if given else new
-    g = graph._with_oriented(pa, ch, nb, changed) if changed else graph
+    g = graph._derive(pa, ch, nb) if given or new else graph
     # g holds every directed edge of the start (graph with ``given``), so
     # the start is checked only when g has a cycle, to say whose it is
     if not g.directed_part_acyclic():
-        start = graph.orient(*given) if given else graph
+        start = graph._derive(*graph._oriented_maps(given))
         raise InconsistentOrientation(
             "directed part contains a cycle" if not start.directed_part_acyclic()
             else "closure created a directed cycle")
@@ -135,7 +135,7 @@ def _close(graph: Graph, pa, ch, nb, edges: list[tuple[str, str]],
     # the rounds stopped with no rule left to apply, so g is closed:
     # its class is decided here, and Graph.classify() asks for it
     if g._class is None:
-        g._class = (GraphClass.DAG if not g._undirected
+        g._class = (GraphClass.DAG if not any(g._nb.values())
                     else GraphClass.MPDAG if has_consistent_extension(g)
                     else GraphClass.PDAG)
     if g._class is GraphClass.PDAG:
@@ -144,7 +144,8 @@ def _close(graph: Graph, pa, ch, nb, edges: list[tuple[str, str]],
 
 
 def is_meek_closed(graph: Graph) -> bool:
-    """True iff none of R1-R4 can orient any undirected edge."""
+    """True iff none of R1-R4 can orient any undirected edge.  Nothing in
+    the package calls it; ``bench/tracing.py`` wraps it by name."""
     return not _rule_applications(graph._pa, graph._ch, graph._nb,
                                   _Adjacency(graph), graph.undirected_edges)
 
@@ -156,28 +157,31 @@ def refine(graph: Graph, a: str, b: str) -> Graph:
     ``meek_closure(graph.orient(a, b))``, but the rounds start from a -> b
     applied to copies of ``graph``'s maps and build one graph.  When
     ``graph`` is recorded as an MPDAG no rule applies to it, so the first
-    round tries only the undirected edges next to a or b; otherwise it
-    tries every edge."""
-    pa, ch, nb = graph._oriented_maps(a, b)
+    round tries only the undirected edges next to a or b; otherwise, or
+    when there is no a -- b to orient, it tries every edge."""
     seeds = (graph.neighbors_of(a) | graph.neighbors_of(b) | {a, b}
-             if graph._class is GraphClass.MPDAG else graph.nodes)
-    return _close(graph, pa, ch, nb, _edges_at(nb, graph._index, seeds),
-                  (a, b))
+             if graph._class is GraphClass.MPDAG and graph.has_undirected(a, b)
+             else graph.nodes)
+    return _close(graph, [(a, b)], seeds)
 
 
 def apply_background(graph: Graph, orientations: Iterable[tuple[str, str]]) -> Graph:
-    """Orient each listed undirected edge, then close under R1-R4."""
+    """Orient each listed undirected edge, then close under R1-R4.  A pair
+    already directed, in ``graph`` or by an earlier pair, is skipped, or
+    raises if directed the other way; the first bad pair names the error."""
     orientations = list(orientations)
     graph.check_nodes(v for pair in orientations for v in pair)
-    g = graph
+    given: dict[tuple[str, str], None] = {}
     for a, b in orientations:
-        if g.has_directed(a, b):
+        if graph.has_directed(a, b) or (a, b) in given:
             continue
-        if g.has_directed(b, a):
+        if graph.has_directed(b, a) or (b, a) in given:
             raise InconsistentOrientation(
                 f"edge between {a!r} and {b!r} already oriented the other way")
-        g = g.orient(a, b)
-    return meek_closure(g)
+        given[a, b] = None
+        if not graph.has_undirected(a, b):
+            break  # the pair _oriented_maps rejects, before any later one
+    return _close(graph, list(given), graph.nodes)
 
 
 def _extension_edges(graph: Graph) -> list[tuple[str, str]] | None:
@@ -227,7 +231,7 @@ def consistent_extension(graph: Graph) -> Graph | None:
     """A DAG of ``graph``'s class (see ``enumerate_dags``), or None."""
     oriented = _extension_edges(graph)
     return (None if oriented is None
-            else Graph(graph.nodes, graph._directed.union(oriented)))
+            else graph._derive(*graph._oriented_maps(oriented)))
 
 
 def has_consistent_extension(graph: Graph) -> bool:

@@ -41,21 +41,21 @@ def enumerate_dags(graph: Graph) -> list[Graph]:
     both ways, and so on down; no side is empty, since orientations fit the
     class exactly when their closure stays consistent (Meek 1995).  The
     input is capped at ``MAX_ENUMERABLE_UNDIRECTED`` undirected edges."""
-    if len(graph._undirected) > MAX_ENUMERABLE_UNDIRECTED:
-        raise GraphError(f"{len(graph._undirected)} undirected edges exceeds "
+    if len(graph.undirected_edges) > MAX_ENUMERABLE_UNDIRECTED:
+        raise GraphError(f"{len(graph.undirected_edges)} undirected edges exceeds "
                          f"the enumeration cap ({MAX_ENUMERABLE_UNDIRECTED})")
     try:
         stack = [meek_closure(graph)]
     except InconsistentOrientation:
         return []
-    index = graph._index  # every refined graph shares it
     out: list[Graph] = []
     while stack:
         g = stack.pop()
-        if not g._undirected:
+        undirected = g.undirected_edges
+        if not undirected:
             out.append(g)
             continue
-        a, b = min(g._undirected, key=lambda e: (index[e[0]], index[e[1]]))
+        a, b = undirected[0]
         stack += [refine(g, b, a), refine(g, a, b)]
     return out
 
@@ -383,18 +383,9 @@ def wright_covariance(sem: LinearGaussianSem) -> np.ndarray:
     dag = sem.dag
     nodes = dag.nodes
     n = len(nodes)
-    order: list[str] = []
-    pending = {v: len(dag.parents_of(v)) for v in nodes}
-    ready = [v for v in nodes if pending[v] == 0]
-    while ready:
-        v = ready.pop()
-        order.append(v)
-        for child in dag.children_of(v):
-            pending[child] -= 1
-            if pending[child] == 0:
-                ready.append(child)
     effects = np.zeros((n, n))
-    for j_name in order:
+    # a column sums its parents' columns: any parents-first order is exact
+    for j_name in dag._topological_order():
         j = nodes.index(j_name)
         effects[j, j] = 1.0
         for p in dag.parents_of(j_name):

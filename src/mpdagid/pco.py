@@ -53,7 +53,8 @@ def pco(graph: Graph, nodes: Iterable[str]) -> list[tuple[str, ...]]:
     comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
     out_degree = [0] * len(comps)
     pred: list[list[int]] = [[] for _ in comps]
-    for ca, cb in {(comp_of[a], comp_of[b]) for a, b in graph._directed}:
+    for ca, cb in {(comp_of[a], comp_of[b])
+                   for a, children in graph._ch.items() for b in children}:
         if ca != cb:
             out_degree[ca] += 1
             pred[cb].append(ca)

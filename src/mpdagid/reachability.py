@@ -198,7 +198,7 @@ def _search(graph: Graph, sources: frozenset[str], *, backward: bool = False,
 def _possible_relatives(graph: Graph, nodes: Iterable[str],
                         backward: bool) -> frozenset[str]:
     start = graph.check_nodes(nodes)
-    if not graph._undirected:
+    if not any(graph._nb.values()):
         return (ancestors if backward else descendants)(graph, start)
     return _search(graph, start, backward=backward, blocked=start)[0]
 

@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 
 from mpdagid import (DensityExpression, Factor, Fraction, Graph, GraphClass,
-                     MarginalOver, Product, meek_closure, normal_form,
-                     parse_graph_text, random_mpdag)
+                     InconsistentOrientation, MarginalOver, Product,
+                     meek_closure, normal_form, parse_graph_text, random_mpdag)
 
 MARGINAL_TEXT = """\
 X -> Y
@@ -274,6 +274,25 @@ def reference_refine(graph: Graph, a: str, b: str) -> Graph:
     return meek_closure(graph.orient(a, b))
 
 
+def reference_apply_background(graph: Graph, orientations) -> Graph:
+    """``apply_background`` as first written: ``orient`` each pair in turn
+    (skipped when already directed that way, an error when directed the
+    other way), then close.  ``meek.apply_background`` orients every pair
+    on one copy of the maps and closes once, and must give the same graph,
+    class and errors."""
+    orientations = list(orientations)
+    graph.check_nodes(v for pair in orientations for v in pair)
+    g = graph
+    for a, b in orientations:
+        if g.has_directed(a, b):
+            continue
+        if g.has_directed(b, a):
+            raise InconsistentOrientation(
+                f"edge between {a!r} and {b!r} already oriented the other way")
+        g = g.orient(a, b)
+    return meek_closure(g)
+
+
 def small_random_graphs(seed: int, count: int) -> list[Graph]:
     """Seeded graphs with 5-9 nodes, alternately a random MPDAG (with
     random background orientations, closed) and an arbitrary partially
@@ -382,7 +401,7 @@ def reference_classify(graph: Graph) -> GraphClass:
     rule applies and a consistent extension exists."""
     if not graph.directed_part_acyclic():
         return GraphClass.PDAG
-    if not graph._undirected:
+    if not graph.undirected_edges:
         return GraphClass.DAG
     if (not _ref_rule_applications(graph)
             and reference_consistent_extension(graph) is not None):

@@ -50,6 +50,13 @@ class TestComplete:
         code, out, err = run(capsys, "complete", path, "--orient", "R>Q")
         assert (code, out, err) == (2, "", "error: unknown node 'Q'\n")
 
+    def test_orient_contradictory_pairs(self, graph_file, capsys):
+        # the second pair meets the edge the first one oriented
+        path = graph_file("A -- B\nB -- C\n")
+        code, out, err = run(capsys, "complete", path, "--orient", "A>B,B>A")
+        assert (code, out, err) == (2, "", "error: edge between 'B' and 'A' "
+                                    "already oriented the other way\n")
+
     def test_json_round_trips(self, graph_file, capsys):
         path = graph_file("A -- B\n")
         code, out, _ = run(capsys, "complete", path, "--json")

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -163,28 +164,66 @@ class TestDerivation:
         assert h._pa["A"] is g._pa["A"] and h._nb["D"] is g._nb["D"]
         assert g.remove_edges_into({"C"}) is g  # nothing to cut
 
-    @pytest.mark.parametrize("pa, ch, nb, directed, message", [
+    @pytest.mark.parametrize("pa, ch, nb, message", [
         ({"A": frozenset("A"), "B": frozenset()},
          {"A": frozenset("A"), "B": frozenset()},
-         {"A": frozenset(), "B": frozenset()}, {("A", "A")}, "self loop"),
+         {"A": frozenset(), "B": frozenset()}, "self loop"),
         # a pair both directed and undirected
         ({"A": frozenset(), "B": frozenset("A")},
          {"A": frozenset("B"), "B": frozenset()},
-         {"A": frozenset("B"), "B": frozenset("A")}, {("A", "B")},
-         "more than one edge"),
+         {"A": frozenset("B"), "B": frozenset("A")}, "more than one edge"),
         ({"A": frozenset(), "B": frozenset("Z")},
          {"A": frozenset(), "B": frozenset()},
-         {"A": frozenset(), "B": frozenset()}, {("Z", "B")}, "undeclared"),
+         {"A": frozenset(), "B": frozenset()}, "undeclared"),
+        # A -> B held as B's parent but not as A's child
         ({"A": frozenset(), "B": frozenset("A")},
-         {"A": frozenset("B"), "B": frozenset()},
-         {"A": frozenset(), "B": frozenset()}, set(), "edge sets"),
-        ({"A": frozenset()}, {"A": frozenset()}, {"A": frozenset()}, set(),
+         {"A": frozenset(), "B": frozenset()},
+         {"A": frozenset(), "B": frozenset()}, "both ends"),
+        ({"A": frozenset()}, {"A": frozenset()}, {"A": frozenset()},
          "match the nodes"),
+        # A -- B held at A only
+        ({"A": frozenset(), "B": frozenset()},
+         {"A": frozenset(), "B": frozenset()},
+         {"A": frozenset("B"), "B": frozenset()}, "both ends"),
     ])
-    def test_derived_maps_are_checked(self, pa, ch, nb, directed, message):
+    def test_derived_maps_are_checked(self, pa, ch, nb, message):
         g = Graph(["A", "B"])
         with pytest.raises(GraphError, match=message):
-            g._derive(pa, ch, nb, frozenset(directed), frozenset())
+            g._derive(pa, ch, nb)
+
+
+def _assert_edge_order(graphs, rng):
+    """Rebuild each graph from its edges, with its nodes declared in a
+    shuffled order, its edges listed in a shuffled order and each
+    undirected pair flipped at random, and compare the edge tuples and
+    ``repr`` with the input pairs sorted by (index, index), undirected ones
+    first normalised so the earlier node leads; ``repr`` sorts by label."""
+    for g in graphs:
+        nodes = rng.sample(g.nodes, len(g.nodes))
+        directed = rng.sample(g.directed_edges, len(g.directed_edges))
+        undirected = [e if rng.random() < 0.5 else e[::-1] for e in
+                      rng.sample(g.undirected_edges, len(g.undirected_edges))]
+        h = Graph(nodes, directed, undirected)
+        index = {v: i for i, v in enumerate(nodes)}
+
+        def key(e):
+            return index[e[0]], index[e[1]]
+
+        normal = [tuple(sorted(e, key=index.__getitem__)) for e in undirected]
+        assert h.directed_edges == tuple(sorted(directed, key=key))
+        assert h.undirected_edges == tuple(sorted(normal, key=key))
+        assert repr(h) == (f"Graph(nodes={tuple(nodes)!r}, "
+                           f"directed={sorted(directed)!r}, "
+                           f"undirected={sorted(normal)!r})")
+
+
+def test_edge_order_of_every_four_node_graph(four_node_graphs):
+    _assert_edge_order(four_node_graphs, random.Random(3))
+
+
+def test_edge_order_of_small_random_graphs():
+    _assert_edge_order(small_random_graphs(seed=37, count=60),
+                       random.Random(4))
 
 
 class TestStructure:

@@ -9,9 +9,9 @@ from mpdagid import (Graph, GraphClass, GraphError, InconsistentOrientation,
                      parse_graph_text, pattern_of, random_dag, refine)
 
 from cases import (_ref_rule_applications, background_graphs,
-                   reference_classify, reference_consistent_extension,
-                   reference_enumerate_dags, reference_refine,
-                   small_random_graphs)
+                   reference_apply_background, reference_classify,
+                   reference_consistent_extension, reference_enumerate_dags,
+                   reference_refine, small_random_graphs)
 
 
 def closure(text):
@@ -98,6 +98,13 @@ class TestFailures:
         g = parse_graph_text("A -> B\nB -- C\n")
         with pytest.raises(InconsistentOrientation):
             apply_background(g, [("B", "A")])
+
+    def test_apply_background_contradictory_pairs(self):
+        # B -> A meets the edge the first pair oriented, not a missing one
+        g = parse_graph_text("A -- B\nB -- C\n")
+        with pytest.raises(InconsistentOrientation, match="^edge between 'B' "
+                           "and 'A' already oriented the other way$"):
+            apply_background(g, [("A", "B"), ("B", "A")])
 
     def test_unknown_label_is_named(self):
         # the least unknown label, as every other query names it, not a
@@ -212,7 +219,7 @@ def reference_meek_closure(graph):
         raise InconsistentOrientation("closure created a directed cycle")
     if not g.unshielded_colliders() <= graph.unshielded_colliders():
         raise InconsistentOrientation("closure created a new unshielded collider")
-    if g._undirected and reference_consistent_extension(g) is None:
+    if g.undirected_edges and reference_consistent_extension(g) is None:
         raise InconsistentOrientation("no consistent extension exists")
     return g
 
@@ -287,11 +294,11 @@ def test_rounds_retry_edges_next_to_a_new_edge(graph):
                 "closure created a new unshielded collider"))
 
 
-def _refine_outcome(split, graph, a, b):
-    """The repr and recorded class of ``split(graph, a, b)``, or the
-    exception's class and text."""
+def _outcome(call, *args):
+    """The repr and recorded class of ``call(*args)``, or the exception's
+    class and text."""
     try:
-        result = split(graph, a, b)
+        result = call(*args)
     except GraphError as exc:
         return type(exc).__name__, str(exc)
     return repr(result), result._class
@@ -309,8 +316,8 @@ def _assert_refine_matches_reference(graphs):
         for a, b in g.undirected_edges:
             for x, y in ((a, b), (b, a)):
                 for start in (fresh, classified):
-                    expected = _refine_outcome(reference_refine, start, x, y)
-                    assert _refine_outcome(refine, start, x, y) == expected, \
+                    expected = _outcome(reference_refine, start, x, y)
+                    assert _outcome(refine, start, x, y) == expected, \
                         (g, x, y, start._class)
                     outcomes.append((start._class, isinstance(expected[1], str)))
     return outcomes
@@ -327,3 +334,45 @@ def test_refine_matches_reference_on_small_random_graphs():
     outcomes = _assert_refine_matches_reference(
         small_random_graphs(seed=23, count=120))
     assert {(GraphClass.MPDAG, False), (None, True)} <= set(outcomes)
+
+
+def _background_pair_lists(g):
+    """Pair lists for ``apply_background`` on ``g``: each undirected edge
+    both ways, all of them at once, an already directed and a reversed
+    directed edge, a duplicate, a contradictory and a non-adjacent pair,
+    and a non-adjacent pair before and after a reversed one, to fix which
+    error comes first."""
+    und, dirs = g.undirected_edges, g.directed_edges
+    apart = [(a, b) for a, b in itertools.combinations(g.nodes, 2)
+             if not g.adjacent(a, b)]
+    lists = [[], list(und)] + [[e] for a, b in und for e in ((a, b), (b, a))]
+    if dirs:
+        (a, b), = dirs[:1]
+        lists += [[(a, b)], [(b, a)]]
+    if und:
+        (a, b), = und[:1]
+        lists += [[(a, b), (a, b)], [(a, b), (b, a)]]
+    if apart:
+        lists.append(apart[:1])
+    if apart and dirs:
+        lists += [apart[:1] + [dirs[0][::-1]], [dirs[0][::-1]] + apart[:1]]
+    return lists
+
+
+def test_apply_background_matches_reference_on_every_four_node_graph(
+        four_node_graphs):
+    kinds = set()
+    for g in four_node_graphs:
+        # classified first, so neither side records a class on g: the
+        # input's class matters only when no pair changes it, and then
+        # both run the closure of g, which the kernel tests check fresh
+        g.classify()
+        for pairs in _background_pair_lists(g):
+            expected = _outcome(reference_apply_background, g, pairs)
+            assert _outcome(apply_background, g, pairs) == expected, \
+                (g, pairs)
+            kinds.add(expected[0] if isinstance(expected[1], str)
+                      else expected[1])
+    # both classes of result, and both kinds of error, occurred
+    assert kinds == {GraphClass.DAG, GraphClass.MPDAG, "GraphError",
+                     "InconsistentOrientation"}

@@ -326,6 +326,39 @@ class TestLinearGaussian:
             assert np.allclose(wright_covariance(sem), sem.covariance(),
                                atol=1e-9)
 
+    def test_wright_matches_reference_exactly(self):
+        # any order with every parent first sums each column in the same
+        # float order, so the values equal the first version's bit for bit
+        def reference(sem):
+            dag, nodes = sem.dag, sem.dag.nodes
+            order, pending = [], {v: len(dag.parents_of(v)) for v in nodes}
+            ready = [v for v in nodes if pending[v] == 0]
+            while ready:
+                v = ready.pop()
+                order.append(v)
+                for child in dag.children_of(v):
+                    pending[child] -= 1
+                    if pending[child] == 0:
+                        ready.append(child)
+            effects = np.zeros((len(nodes), len(nodes)))
+            for j_name in order:
+                j = nodes.index(j_name)
+                effects[j, j] = 1.0
+                for p in dag.parents_of(j_name):
+                    effects[:, j] += sem.coefficients[(p, j_name)] \
+                        * effects[:, nodes.index(p)]
+            d = np.array([sem.noise_variances[v] for v in nodes])
+            return effects.T @ np.diag(d) @ effects
+
+        rng = random.Random(43)
+        for _ in range(60):
+            dag = random_dag(rng, [f"N{i}" for i in range(rng.randint(3, 9))],
+                             rng.choice((0.3, 0.5, 0.8)))
+            coefs = {e: rng.uniform(-2, 2) for e in dag.directed_edges}
+            noise = {v: rng.uniform(0.2, 2.0) for v in dag.nodes}
+            sem = LinearGaussianSem(dag, coefs, noise)
+            assert np.array_equal(wright_covariance(sem), reference(sem))
+
 
 class TestVerifyCounterexample:
     def test_frozen_pair_verifies(self):
