@@ -2,9 +2,9 @@
 partially directed acyclic graphs, with a brute-force oracle over the
 represented DAG class."""
 
-from .graph import (Edge, EdgeKind, Graph, GraphClass, GraphError,
-                    ParseError, graph_to_json, graph_to_text,
-                    parse_graph_json, parse_graph_text)
+from .graph import (Graph, GraphClass, GraphError, ParseError,
+                    graph_to_json, graph_to_text, parse_graph_json,
+                    parse_graph_text)
 from .meek import (InconsistentOrientation, apply_background,
                    consistent_extension, has_consistent_extension,
                    is_meek_closed, meek_closure, pattern_of, refine)
@@ -30,7 +30,7 @@ from .oracle import (CounterexampleReport, DagNotInClass, DiscreteModel,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Edge", "EdgeKind", "Graph", "GraphClass", "GraphError", "ParseError",
+    "Graph", "GraphClass", "GraphError", "ParseError",
     "graph_to_json", "graph_to_text", "parse_graph_json", "parse_graph_text",
     "InconsistentOrientation", "apply_background", "consistent_extension",
     "has_consistent_extension", "is_meek_closed", "meek_closure",

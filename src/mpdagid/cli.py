@@ -4,8 +4,9 @@ Graphs are read from a file (or stdin with ``-``) in the edge-list format
 of :func:`mpdagid.graph.parse_graph_text`, or as JSON when the input
 starts with ``{``.  Every subcommand accepts ``--json`` for structured
 output.  Exit codes: 0 on success, 1 when ``verify`` finds a numeric
-mismatch or nothing to verify, 2 on malformed input or queries or when
-numpy is missing, 3 when ``identify`` finds the effect not identifiable.
+mismatch or nothing to verify, 2 on malformed input or queries, when
+numpy is missing or when ``verify``'s joint table is too large to
+allocate, 3 when ``identify`` finds the effect not identifiable.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import sys
 from dataclasses import asdict
 
 from .dsep import find_open_path
-from .graph import (Graph, GraphError, _graph_obj, graph_to_text,
-                    parse_graph_json, parse_graph_text)
+from .graph import (Graph, GraphError, _edge_tokens, _graph_obj,
+                    graph_to_text, parse_graph_json, parse_graph_text)
 from .ident import (IdentificationError, NotIdentifiable, cidm, cidme_tree,
                     expression_to_json, render_latex, render_text)
 from .meek import apply_background
@@ -33,7 +34,11 @@ VERIFY_TOL = 1e-9
 
 
 def _load_graph(source: str) -> Graph:
-    text = sys.stdin.read() if source == "-" else open(source).read()
+    if source == "-":
+        text = sys.stdin.read()
+    else:
+        with open(source) as fh:
+            text = fh.read()
     if text.lstrip().startswith("{"):
         return parse_graph_json(text)
     return parse_graph_text(text)
@@ -48,7 +53,7 @@ def _split(arg: str | None) -> tuple[str, ...]:
 def _graph_line(graph: Graph) -> str:
     parts = [f"node {v}" for v in graph.nodes
              if not graph.neighbors_of(v)]
-    parts.extend(str(e) for e in graph.edges)
+    parts.extend(map(" ".join, _edge_tokens(graph)))
     return ", ".join(parts)
 
 
@@ -65,12 +70,13 @@ def _path_text(graph: Graph, path: tuple[str, ...]) -> str:
     return " ".join(out)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines: list[str], file=None) -> None:
+    """The payload as JSON on stdout, or the text lines on ``file``."""
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
         for line in text_lines:
-            print(line)
+            print(line, file=file)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -143,20 +149,16 @@ def cmd_identify(graph: Graph, args) -> int:
     try:
         expr = cidm(graph, _split(args.x), _split(args.y), _split(args.z))
     except NotIdentifiable as exc:
-        cert = exc.certificate
-        if args.json:
-            print(json.dumps({"identifiable": False,
-                              "certificate": asdict(cert)}, indent=2))
-        else:
-            print("not identifiable", file=sys.stderr)
-            print(f"offending path: {_path_text(graph, cert.offending_path)}",
-                  file=sys.stderr)
-            if cert.dsep_failure is not None:
-                fail = cert.dsep_failure
-                print(f"cannot absorb {fail.picked} given "
-                      f"{{{','.join(fail.conditioning)}}}:", file=sys.stderr)
-                print("  open path in the mutilated graph: "
-                      f"{' - '.join(fail.open_path.path)}", file=sys.stderr)
+        cert, fail = exc.certificate, exc.certificate.dsep_failure
+        lines = ["not identifiable",
+                 f"offending path: {_path_text(graph, cert.offending_path)}"]
+        if fail is not None:
+            lines += [f"cannot absorb {fail.picked} given "
+                      f"{{{','.join(fail.conditioning)}}}:",
+                      "  open path in the mutilated graph: "
+                      f"{' - '.join(fail.open_path.path)}"]
+        _emit(args, {"identifiable": False, "certificate": asdict(cert)},
+              lines, sys.stderr)
         return 3
     payload = {"identifiable": True, "expression": render_text(expr),
                "latex": render_latex(expr), "ast": expression_to_json(expr)}
@@ -295,7 +297,8 @@ def main(argv=None) -> int:
         graph = _load_graph(args.graph)
         return args.func(graph, args)
     except (GraphError, IdentificationError, ValueError, OSError,
-            ModuleNotFoundError) as exc:  # numpy, which verify loads
+            ModuleNotFoundError,  # numpy, which verify loads
+            MemoryError) as exc:  # a joint table too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -119,8 +119,7 @@ def is_open_definite_status_path(graph: Graph, path: Sequence[str],
     z = frozenset(zs)
     if len(path) < 2 or len(set(path)) != len(path):
         return False
-    if any(graph.edge_between(path[i], path[i + 1]) is None
-           for i in range(len(path) - 1)):
+    if not all(map(graph.adjacent, path, path[1:])):
         return False
     open_at = _open_at(graph, z)
     return all(path[i] in open_at.get(triple_status(graph, *path[i - 1:i + 2]), ())

@@ -14,14 +14,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
-
-
-class EdgeKind(Enum):
-    DIRECTED = "->"
-    UNDIRECTED = "--"
+from typing import Iterable, Iterator, Sequence
 
 
 class GraphClass(Enum):
@@ -49,16 +43,6 @@ class GraphError(ValueError):
 
 class ParseError(GraphError):
     """Malformed graph text or JSON."""
-
-
-@dataclass(frozen=True)
-class Edge:
-    a: str
-    b: str
-    kind: EdgeKind
-
-    def __str__(self) -> str:
-        return f"{self.a} {self.kind.value} {self.b}"
 
 
 # a node's parents, children or undirected neighbours
@@ -229,12 +213,6 @@ class Graph:
                        for b in sorted(nb[a], key=index.__getitem__)
                        if index[a] < index[b]])
 
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        out = [Edge(a, b, EdgeKind.DIRECTED) for a, b in self.directed_edges]
-        out += [Edge(a, b, EdgeKind.UNDIRECTED) for a, b in self.undirected_edges]
-        return tuple(out)
-
     def parents_of(self, v: str) -> frozenset[str]:
         self.index(v)
         return self._pa[v]
@@ -262,14 +240,6 @@ class Graph:
         return (b in self._pa.get(a, frozenset())
                 or b in self._ch.get(a, frozenset())
                 or b in self._nb.get(a, frozenset()))
-
-    def edge_between(self, a: str, b: str) -> EdgeKind | None:
-        """Kind of the edge between a and b (DIRECTED for either direction)."""
-        if self.has_undirected(a, b):
-            return EdgeKind.UNDIRECTED
-        if self.has_directed(a, b) or self.has_directed(b, a):
-            return EdgeKind.DIRECTED
-        return None
 
     def sorted_nodes(self, subset: Iterable[str]) -> tuple[str, ...]:
         """The given nodes in this graph's node order."""
@@ -441,16 +411,31 @@ def parse_graph_text(text: str) -> Graph:
             directed.append((a, b))
         else:
             directed.append((b, a))
+    return _parsed(order, directed, undirected)
+
+
+def _parsed(nodes: Iterable[str], directed: list[tuple[str, str]],
+            undirected: list[tuple[str, str]]) -> Graph:
+    """``Graph(...)`` for the parsers: a GraphError becomes a ParseError."""
     try:
-        return Graph(order, directed, undirected)
+        return Graph(nodes, directed, undirected)
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _edge_tokens(graph: Graph) -> Iterator[tuple[str, str, str]]:
+    """Each edge as its text tokens ``(a, "->", b)`` or ``(a, "--", b)``:
+    the directed edges, then the undirected ones."""
+    for a, b in graph.directed_edges:
+        yield a, "->", b
+    for a, b in graph.undirected_edges:
+        yield a, "--", b
 
 
 def graph_to_text(graph: Graph) -> str:
     """Serialize to the text format; parses back to an equal graph."""
     lines = [f"node {v}" for v in graph.nodes]
-    lines += [str(e) for e in graph.edges]
+    lines += map(" ".join, _edge_tokens(graph))
     return "\n".join(lines) + "\n"
 
 
@@ -458,7 +443,7 @@ def parse_graph_json(text: str) -> Graph:
     """Parse ``{"nodes": [...], "edges": [{"a":..,"b":..,"kind":"->"|"--"}]}``."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "nodes" not in obj:
         raise ParseError("JSON graph must be an object with 'nodes'")
@@ -476,16 +461,13 @@ def parse_graph_json(text: str) -> Graph:
             raise ParseError(f"bad edge entry {e!r}") from exc
         if not isinstance(a, str) or not isinstance(b, str):
             raise ParseError(f"edge endpoints must be strings in {e!r}")
-        if kind == EdgeKind.DIRECTED.value:
+        if kind == "->":
             directed.append((a, b))
-        elif kind == EdgeKind.UNDIRECTED.value:
+        elif kind == "--":
             undirected.append((a, b))
         else:
             raise ParseError(f"bad edge kind {kind!r}")
-    try:
-        return Graph(nodes, directed, undirected)
-    except GraphError as exc:
-        raise ParseError(str(exc)) from exc
+    return _parsed(nodes, directed, undirected)
 
 
 def _graph_obj(graph: Graph) -> dict:
@@ -493,7 +475,8 @@ def _graph_obj(graph: Graph) -> dict:
     document."""
     return {
         "nodes": list(graph.nodes),
-        "edges": [{"a": e.a, "b": e.b, "kind": e.kind.value} for e in graph.edges],
+        "edges": [{"a": a, "b": b, "kind": kind}
+                  for a, kind, b in _edge_tokens(graph)],
     }
 
 

@@ -255,6 +255,15 @@ class TestVerify:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "trials" in err
 
+    def test_joint_table_too_large_exits_two(self, graph_file, capsys):
+        # the (2,)*56 joint table of a 56-node chain: numpy refuses it
+        # before allocating (MemoryError, or ValueError past 32 dimensions
+        # on numpy < 2)
+        path = graph_file("".join(f"V{i} -> V{i + 1}\n" for i in range(55)))
+        code, out, err = run(capsys, "verify", path, "-x", "V0", "-y", "V1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestMalformedJson:
     @pytest.mark.parametrize("blob", [
@@ -270,6 +279,13 @@ class TestMalformedJson:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_too_deeply_nested_exits_two(self, graph_file, capsys):
+        path = graph_file('{"nodes": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                          name="deep.json")
+        code, out, err = run(capsys, "reach", path, "--nodes", "A")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid JSON") and err.count("\n") == 1
 
 
 class TestOneProcess:
@@ -382,6 +398,22 @@ def test_unknown_node_error_is_the_same_in_every_process(graph_file):
             (2, "", "error: unknown node 'Q'\n"), seed
 
 
+def test_graph_file_is_closed(graph_file):
+    # under -X dev a file left open prints a ResourceWarning on stderr
+    import os
+    import subprocess
+    import sys
+
+    import mpdagid
+    path = graph_file("A -> B\n")
+    src = os.path.dirname(os.path.dirname(mpdagid.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "mpdagid.cli", "reach", path,
+         "--nodes", "A"], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "A,B\n", "")
+
+
 def _clique(k):
     nodes = [f"C{i}" for i in range(k)]
     return Graph(nodes, undirected=list(itertools.combinations(nodes, 2)))
@@ -395,8 +427,9 @@ def _treated_ladder(m):
     return Graph(["T"] + nodes, [("T", v) for v in nodes], und)
 
 
-# SHA-256 of stdout, recorded before graphs were derived from their parents'
-# maps: the derivation must leave every byte of output as it was
+# SHA-256 of stdout, each row recorded before a refactor of the code it runs
+# (derived graphs; the edge writers): a refactor must leave every byte of
+# output as it was
 _GOLDEN = [
     ("enumerate", "k6", ["-x", "C0,C1", "-y", "C5"],
      "84c73c40cfc6b80f421ec16809d183ef7f7029a859657fd20b6d22c13d273205"),
@@ -408,15 +441,44 @@ _GOLDEN = [
      "2e2edcbf7e3768e21238c91c292d8b0e0b3050dee943c829c7f29a028acbb97d"),
     ("identify", "fraction", ["-x", "X", "-y", "Y", "-z", "Z", "--json"],
      "a97ec204076e84a44606e244fa4ed4a6d7ffba2b4ebc1d42a76ea3802064ac36"),
+    ("complete", "ladder", ["--orient", "L4>L3"],
+     "d4a5fa467427b0b8f91087c7b9a93d56b1c92d38212bd57ae64ccd99d208a9a2"),
+    ("complete", "ladder", ["--orient", "L4>L3", "--json"],
+     "a9c93c3d0f70795475838579c4ca83f93cf08ed6706b6a6da4aa247abac7e79f"),
+    ("dags", "k4w", [],
+     "45a565ab7c82957e63c515a4633e057efb8c05ae3eab1e528b609e131075517a"),
+    ("dags", "k4w", ["--json"],
+     "2b6941a2e9677c87dff5bd146673c101fdce3046f91eefd7e1608a0eab4e06fe"),
 ]
+
+_GOLDEN_TEXTS = {
+    "k6": lambda: graph_to_text(_clique(6)),
+    "ladder": lambda: graph_to_text(_treated_ladder(10)),
+    "k4w": lambda: graph_to_text(_clique(4)) + "node W\n",  # isolated W
+    "fraction": lambda: FRACTION_TEXT,
+    "unidentifiable": lambda: UNIDENTIFIABLE_TEXT,
+}
 
 
 @pytest.mark.parametrize("command, graph, args, digest", _GOLDEN,
                          ids=[f"{c}-{g}-{len(a)}" for c, g, a, _ in _GOLDEN])
 def test_golden_output(graph_file, capsys, command, graph, args, digest):
-    text = {"k6": lambda: graph_to_text(_clique(6)),
-            "ladder": lambda: graph_to_text(_treated_ladder(10)),
-            "fraction": lambda: FRACTION_TEXT}[graph]()
-    code, out, err = run(capsys, command, graph_file(text), *args)
+    code, out, err = run(capsys, command,
+                         graph_file(_GOLDEN_TEXTS[graph]()), *args)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("as_json, digest", [
+    (False, "899a3ac48184fc9d9830be0446ab1b5a4b93c74d535288a03f06766cef4db506"),
+    (True, "84436dd3f19501badcea4399942db50574d21db7e3d6c7437c3908165ec54613"),
+])
+def test_golden_refusal(graph_file, capsys, as_json, digest):
+    # the certificate goes to stderr as text, to stdout as JSON
+    code, out, err = run(capsys, "identify",
+                         graph_file(_GOLDEN_TEXTS["unidentifiable"]()),
+                         "-x", "X", "-y", "Y", "-z", "Z",
+                         *(["--json"] if as_json else []))
+    written, silent = (out, err) if as_json else (err, out)
+    assert (code, silent) == (3, "")
+    assert hashlib.sha256(written.encode()).hexdigest() == digest

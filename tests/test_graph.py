@@ -4,10 +4,9 @@ import random
 import pytest
 
 import mpdagid
-from mpdagid import (Edge, EdgeKind, Graph, GraphClass, GraphError,
-                     InconsistentOrientation, ParseError, graph_to_json,
-                     graph_to_text, meek_closure, parse_graph_json,
-                     parse_graph_text, refine)
+from mpdagid import (Graph, GraphClass, GraphError, InconsistentOrientation,
+                     ParseError, graph_to_json, graph_to_text, meek_closure,
+                     parse_graph_json, parse_graph_text, refine)
 
 from cases import small_random_graphs
 
@@ -31,11 +30,11 @@ class TestConstruction:
         assert g.children_of("A") == {"B"}
         assert g.undirected_neighbors_of("B") == {"D"}
         assert g.neighbors_of("B") == {"A", "C", "D"}
-        assert g.edge_between("A", "B") is EdgeKind.DIRECTED
-        assert g.edge_between("B", "A") is EdgeKind.DIRECTED
-        assert g.edge_between("D", "B") is EdgeKind.UNDIRECTED
-        assert g.edge_between("A", "D") is None
-        assert Edge("A", "B", EdgeKind.DIRECTED) in g.edges
+        assert g.has_directed("A", "B") and not g.has_directed("B", "A")
+        assert g.has_undirected("D", "B") and not g.has_undirected("A", "B")
+        assert g.adjacent("B", "A") and not g.adjacent("A", "D")
+        assert g.directed_edges == (("A", "B"), ("C", "B"))
+        assert g.undirected_edges == (("B", "D"),)
 
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError):
@@ -306,6 +305,12 @@ class TestTextFormat:
         assert blob["nodes"] == ["A", "B", "C"]
         assert {"a": "A", "b": "B", "kind": "->"} in blob["edges"]
         assert parse_graph_json(text) == g
+
+    def test_json_too_deeply_nested(self):
+        # json.loads raises RecursionError here, not JSONDecodeError
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_graph_json('{"nodes": ' + "[" * 100_000 + "]" * 100_000
+                             + "}")
 
 
 class TestLabels:
