@@ -115,8 +115,10 @@ def d_separated(graph: Graph, xs: Iterable[str], ys: Iterable[str],
 def is_open_definite_status_path(graph: Graph, path: Sequence[str],
                                  zs: Iterable[str]) -> bool:
     """Validate an explicit path: distinct nodes, consecutive adjacency,
-    every interior of definite status and open given Z."""
+    every interior of definite status and open given Z.  A GraphError
+    names the least label of ``path`` and ``zs`` that is not a node."""
     z = frozenset(zs)
+    graph.check_nodes(z.union(path))
     if len(path) < 2 or len(set(path)) != len(path):
         return False
     if not all(map(graph.adjacent, path, path[1:])):

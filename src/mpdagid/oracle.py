@@ -11,6 +11,7 @@ factorization or interventional Gaussian conditioning.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Collection, Dict, Iterable, Mapping, Tuple
@@ -129,9 +130,9 @@ class DiscreteModel:
     parents in graph node order.  ``cpts[v]`` has shape ``(2,) * k`` and
     stores P(v = 1 | parent values).
 
-    The model keeps read-only copies of the CPTs and builds each
-    do-assignment's joint table once, so a table it has handed out can
-    never go stale."""
+    The model keeps read-only copies of the CPTs and builds each node's
+    CPT factor and each do-assignment's joint table once, so a table it
+    has handed out can never go stale."""
 
     def __init__(self, dag: Graph, cpts: Mapping[str, np.ndarray]):
         import numpy as np
@@ -147,11 +148,12 @@ class DiscreteModel:
             if table.shape != want:
                 raise ValueError(f"CPT for {v!r} has shape {table.shape}, "
                                  f"expected {want}")
-            if np.any(table <= 0.0) or np.any(table >= 1.0):
+            if not np.all((table > 0.0) & (table < 1.0)):  # NaN fails too
                 raise ValueError(f"CPT for {v!r} must lie strictly in (0, 1)")
             table.flags.writeable = False
             self.cpts[v] = table
         self._tables: Dict[tuple, np.ndarray] = {}
+        self._factors: list[np.ndarray] = []
 
     @classmethod
     def random(cls, dag: Graph, rng: random.Random) -> "DiscreteModel":
@@ -176,7 +178,7 @@ class DiscreteModel:
         ``(1 - p1, p1)`` on its own axis and laid onto its parents' axes,
         or, for an intervened node, the indicator of its set value.  The
         result is read-only and kept per do-assignment, so a repeated
-        call returns the same array.
+        call returns the same array.  Only the indicators are built per call.
 
         Raises ``ValueError`` when a key of ``do`` is not a node or a
         value is not 0 or 1.
@@ -190,20 +192,24 @@ class DiscreteModel:
         if key not in self._tables:
             import numpy as np
             nodes = self.dag.nodes
+
+            def place(factor, axes):
+                # move each axis of the factor to its node's place
+                shape = [2 if ax in axes else 1 for ax in range(len(nodes))]
+                return factor.transpose(np.argsort(axes)).reshape(shape)
+
+            if not self._factors:
+                self._factors = [
+                    place(np.stack([1.0 - self.cpts[v], self.cpts[v]]),
+                          [i] + [self.dag.index(p) for p in self.parent_order[v]])
+                    for i, v in enumerate(nodes)]
             table = np.ones((2,) * len(nodes))
             for i, v in enumerate(nodes):
+                factor = self._factors[i]
                 if v in do:
-                    factor = np.array([do[v] == 0, do[v] == 1], dtype=float)
-                    axes = [i]
-                else:
-                    p1 = self.cpts[v]
-                    factor = np.stack([1.0 - p1, p1])
-                    axes = [i] + [self.dag.index(p)
-                                  for p in self.parent_order[v]]
-                # move each axis of the factor to its node's place
-                factor = factor.transpose(np.argsort(axes))
-                shape = [2 if ax in axes else 1 for ax in range(len(nodes))]
-                table = table * factor.reshape(shape)
+                    factor = place(np.array([do[v] == 0, do[v] == 1],
+                                            dtype=float), [i])
+                table = table * factor
             table.flags.writeable = False
             self._tables[key] = table
         return self._tables[key]
@@ -219,12 +225,54 @@ def table_probability(table: np.ndarray, nodes: tuple[str, ...],
     return float(np.asarray(table)[tuple(index)].sum())
 
 
+def _conditional(table: np.ndarray, nodes: tuple[str, ...]):
+    """``table_conditional`` on ``table``, each marginal summed once, in a
+    memo keyed on the assignment's items that lives in this closure with
+    the table itself (an ``id(table)`` key would outlive a freed table)."""
+    sums: Dict[frozenset, float] = {}
+
+    def probability(assignment: Mapping[str, int]) -> float:
+        key = frozenset(assignment.items())
+        if key not in sums:
+            sums[key] = table_probability(table, nodes, assignment)
+        return sums[key]
+
+    def conditional(targets, given):
+        den = probability(given) if given else 1.0
+        return probability({**targets, **given}) / den
+    return conditional
+
+
 def table_conditional(table: np.ndarray, nodes: tuple[str, ...],
                       targets: Mapping[str, int],
                       given: Mapping[str, int]) -> float:
-    den = table_probability(table, nodes, given) if given else 1.0
-    num = table_probability(table, nodes, {**targets, **given})
-    return num / den
+    return _conditional(table, nodes)(targets, given)
+
+
+def _compile(expr: DensityExpression):
+    """``expr`` folded once into a function of ``(env, conditional)``:
+    products multiply left to right from 1, marginals sum in
+    ``itertools.product`` order, a ``Factor`` is ``conditional``."""
+
+    def factor(f: Factor):
+        return lambda env, cond: cond({v: env[v] for v in f.targets},
+                                      {v: env[v] for v in f.given})
+
+    def product(parts):
+        return lambda env, cond: math.prod(part(env, cond) for part in parts)
+
+    def marginal(variables, body):
+        def ev(env: Dict[str, int], cond) -> float:
+            total = 0.0
+            for values in itertools.product((0, 1), repeat=len(variables)):
+                total += body({**env, **dict(zip(variables, values))}, cond)
+            return total
+        return ev
+
+    def fraction(numerator, denominator):
+        return lambda env, cond: numerator(env, cond) / denominator(env, cond)
+
+    return fold(expr, factor, product, marginal, fraction)
 
 
 def evaluate_expression(expr: DensityExpression, joint: np.ndarray,
@@ -232,34 +280,7 @@ def evaluate_expression(expr: DensityExpression, joint: np.ndarray,
                         assignment: Mapping[str, int]) -> float:
     """Value of a density expression under an observational joint table,
     at a (binary) assignment of every free variable of the expression."""
-
-    def factor(f: Factor):
-        return lambda env: table_conditional(joint, nodes,
-                                             {v: env[v] for v in f.targets},
-                                             {v: env[v] for v in f.given})
-
-    def product(parts):
-        def ev(env: Dict[str, int]) -> float:
-            out = 1.0
-            for part in parts:
-                out *= part(env)
-            return out
-        return ev
-
-    def marginal(variables, body):
-        def ev(env: Dict[str, int]) -> float:
-            total = 0.0
-            for values in itertools.product((0, 1), repeat=len(variables)):
-                inner = dict(env)
-                inner.update(zip(variables, values))
-                total += body(inner)
-            return total
-        return ev
-
-    def fraction(numerator, denominator):
-        return lambda env: numerator(env) / denominator(env)
-
-    return fold(expr, factor, product, marginal, fraction)(dict(assignment))
+    return _compile(expr)(dict(assignment), _conditional(joint, nodes))
 
 
 def interventional_conditional(model: DiscreteModel, do: Mapping[str, int],
@@ -276,6 +297,8 @@ def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
     """Check ``expr`` as f(y | do(x), z) against truncated factorization:
     on every DAG in ``graph``'s class, draw ``trials`` random binary models
     from ``rng`` and compare at every binary assignment of X, Y and Z.
+    ``expr`` is folded once, each model builds its CPT factors once, and
+    each marginal of the joint and of each do-table is summed once.
 
     Returns the worst absolute gap, the number of DAGs and the number of
     comparisons."""
@@ -283,19 +306,24 @@ def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
         raise ValueError(f"trials must be at least 1, got {trials}")
     free = graph.sorted_nodes(set(x) | set(y) | set(z))
     dags = enumerate_dags(graph)
+    evaluate = _compile(expr)
     worst = 0.0
     checks = 0
     for dag in dags:
         for _ in range(trials):
             model = DiscreteModel.random(dag, rng)
-            joint = model.joint()
+            observed = _conditional(model.joint(), graph.nodes)
+            truths = {}  # one conditional per do-assignment
             for values in itertools.product((0, 1), repeat=len(free)):
                 env = dict(zip(free, values))
-                truth = interventional_conditional(
-                    model, {v: env[v] for v in x},
-                    {v: env[v] for v in y}, {v: env[v] for v in z})
-                got = evaluate_expression(expr, joint, graph.nodes, env)
-                worst = max(worst, abs(got - truth))
+                do = {v: env[v] for v in x}
+                key = tuple(do.values())
+                if key not in truths:
+                    truths[key] = _conditional(model.interventional(do),
+                                               dag.nodes)
+                truth = truths[key]({v: env[v] for v in y},
+                                    {v: env[v] for v in z})
+                worst = max(worst, abs(evaluate(env, observed) - truth))
                 checks += 1
     return worst, len(dags), checks
 

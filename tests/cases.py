@@ -11,9 +11,11 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from mpdagid import (DensityExpression, Factor, Fraction, Graph, GraphClass,
-                     InconsistentOrientation, MarginalOver, Product,
-                     meek_closure, normal_form, parse_graph_text, random_mpdag)
+from mpdagid import (DensityExpression, DiscreteModel, Factor, Fraction,
+                     Graph, GraphClass, InconsistentOrientation, MarginalOver,
+                     Product, enumerate_dags, evaluate_expression,
+                     interventional_conditional, meek_closure, normal_form,
+                     parse_graph_text, random_mpdag)
 
 MARGINAL_TEXT = """\
 X -> Y
@@ -264,6 +266,49 @@ def reference_enumerate_dags(graph: Graph) -> list[Graph]:
         if not candidate.unshielded_colliders() <= colliders:
             continue
         out.append(candidate)
+    return out
+
+
+def reference_numeric_gap(graph: Graph, expr: DensityExpression, x, y, z,
+                          rng: random.Random, trials: int = 1
+                          ) -> tuple[float, int, int]:
+    """``numeric_gap`` as first written: the same models from the same
+    ``rng``, but every assignment folds the expression again and sums its
+    marginals afresh.  ``oracle.numeric_gap`` folds once and sums each
+    marginal of a table once per model, and must give the same result to
+    the last bit."""
+    free = graph.sorted_nodes(set(x) | set(y) | set(z))
+    dags = enumerate_dags(graph)
+    worst = 0.0
+    checks = 0
+    for dag in dags:
+        for _ in range(trials):
+            model = DiscreteModel.random(dag, rng)
+            joint = model.joint()
+            for values in itertools.product((0, 1), repeat=len(free)):
+                env = dict(zip(free, values))
+                truth = interventional_conditional(
+                    model, {v: env[v] for v in x},
+                    {v: env[v] for v in y}, {v: env[v] for v in z})
+                got = evaluate_expression(expr, joint, graph.nodes, env)
+                worst = max(worst, abs(got - truth))
+                checks += 1
+    return worst, len(dags), checks
+
+
+def random_oracle_queries(seed: int, count: int):
+    """Seeded (graph, x, y, z) queries on random MPDAGs of 4-8 nodes, with
+    |X| and |Y| of 1 or 2 and |Z| of 0-2, as the verify benchmark poses."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        nodes = [f"V{j}" for j in range(4 + i % 5)]
+        g = random_mpdag(rng, nodes, 0.4, 0.3)
+        pool = list(nodes)
+        rng.shuffle(pool)
+        a, b = rng.choice((1, 2)), rng.choice((1, 2))
+        c = rng.randint(0, min(2, len(nodes) - a - b))
+        out.append((g, pool[:a], pool[a:a + b], pool[a + b:a + b + c]))
     return out
 
 

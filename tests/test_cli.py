@@ -428,8 +428,8 @@ def _treated_ladder(m):
 
 
 # SHA-256 of stdout, each row recorded before a refactor of the code it runs
-# (derived graphs; the edge writers): a refactor must leave every byte of
-# output as it was
+# (derived graphs; the edge writers; the oracle's per-model work): a
+# refactor must leave every byte of output as it was
 _GOLDEN = [
     ("enumerate", "k6", ["-x", "C0,C1", "-y", "C5"],
      "84c73c40cfc6b80f421ec16809d183ef7f7029a859657fd20b6d22c13d273205"),
@@ -449,6 +449,20 @@ _GOLDEN = [
      "45a565ab7c82957e63c515a4633e057efb8c05ae3eab1e528b609e131075517a"),
     ("dags", "k4w", ["--json"],
      "2b6941a2e9677c87dff5bd146673c101fdce3046f91eefd7e1608a0eab4e06fe"),
+    # verify prints max_gap to the last bit in --json: these rows pin every
+    # float of the oracle (do-tables, marginal sums, expression evaluation)
+    ("verify", "fraction", ["-x", "X", "-y", "Y", "-z", "Z"],
+     "0bd193ebd01ec148244cf1627b963488d6f5504bd47c2485fcd9a13276b742e8"),
+    ("verify", "fraction", ["-x", "X", "-y", "Y", "-z", "Z", "--json"],
+     "5344cceb7bc056096823e216d9ceed1696da42cafded1931ce8193a8d62252d4"),
+    ("verify", "fraction", ["-x", "X", "-y", "Y", "-z", "Z", "--trials", "3"],
+     "d50659e724755e5c4c730802c200278c6231429f6cb615eb0cc18facab0455f5"),
+    ("verify", "ladder", ["-x", "T", "-y", "L9", "-z", "L5"],
+     "117bdfd855f87fca594f30522d1cee1e2c57f6e2c1a408e0dd1f44667f6dc093"),
+    ("verify", "ladder", ["-x", "T", "-y", "L9", "-z", "L5", "--json"],
+     "e1c59f05db5062e3922596b69f4de8d5ad5f7925a24f57c4620ccf63b95b20de"),
+    ("verify", "ladder", ["-x", "T", "-y", "L9", "-z", "L5", "--trials", "3"],
+     "69c4647d00e5b9dd1d46599bdc78fd8c2074879c4969b0a22950a63a39912fa5"),
 ]
 
 _GOLDEN_TEXTS = {

@@ -4,9 +4,10 @@ import time
 
 import pytest
 
-from mpdagid import (NotIdentifiable, cidm, d_separated, dag_d_separated,
-                     find_open_path, is_open_definite_status_path,
-                     parse_graph_text, random_dag, triple_status)
+from mpdagid import (GraphError, NotIdentifiable, cidm, d_separated,
+                     dag_d_separated, find_open_path,
+                     is_open_definite_status_path, parse_graph_text,
+                     random_dag, triple_status)
 from mpdagid.dsep import COLLIDER, NONCOLLIDER
 
 from cases import diamond_chain
@@ -112,6 +113,25 @@ class TestWitness:
     def test_no_witness_when_separated(self):
         g = parse_graph_text("A -> B\nB -> C\n")
         assert find_open_path(g, {"A"}, {"C"}, {"B"}) is None
+
+    @pytest.mark.parametrize("path, zs, unknown", [
+        (["Q", "R"], ["Z9"], "Q"),     # path labels sort first
+        (["A", "B"], ["Q"], "Q"),      # a valid path, unknown Z
+        (["R", "A"], ["Q", "B"], "Q"),  # mixed: the least label overall
+        (["A", "A"], ["Q"], "Q"),      # checked before the path's shape
+    ])
+    def test_explicit_path_rejects_unknown_labels(self, path, zs, unknown):
+        g = parse_graph_text("A -> B\n")
+        with pytest.raises(GraphError, match=f"^unknown node '{unknown}'$"):
+            is_open_definite_status_path(g, path, zs)
+
+    def test_explicit_path_answers_on_known_labels(self):
+        g = parse_graph_text("A -> B\nB -> C\nnode D\n")
+        assert is_open_definite_status_path(g, ["A", "B", "C"], [])
+        assert not is_open_definite_status_path(g, ["A", "B", "C"], ["B"])
+        assert not is_open_definite_status_path(g, ["A", "D"], [])
+        assert not is_open_definite_status_path(g, ["A"], [])
+        assert not is_open_definite_status_path(g, ["A", "B", "A"], [])
 
 
 def test_set_validation():

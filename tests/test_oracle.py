@@ -7,14 +7,16 @@ import pytest
 
 from mpdagid import (CounterexampleReport, DagNotInClass, DiscreteModel,
                      Factor, Graph, GraphError, LinearGaussianSem,
-                     MarginalOver, Product, dag_d_separated, enumerate_dags,
-                     evaluate_expression, interventional_conditional,
-                     numeric_gap, parse_graph_text, random_dag, random_mpdag,
+                     MarginalOver, NotIdentifiable, Product, cidm,
+                     dag_d_separated, enumerate_dags, evaluate_expression,
+                     interventional_conditional, numeric_gap, oracle,
+                     parse_graph_text, random_dag, random_mpdag,
                      table_conditional, table_probability,
                      verify_counterexample, wright_covariance)
 
 from cases import (counterexample_one, counterexample_two,
-                   identification_cases, reference_enumerate_dags,
+                   identification_cases, random_oracle_queries,
+                   reference_enumerate_dags, reference_numeric_gap,
                    small_random_graphs)
 
 
@@ -96,6 +98,16 @@ class TestDiscreteModel:
         with pytest.raises(ValueError):
             DiscreteModel(g, {"A": np.array(0.0), "B": np.array([0.3, 0.7])})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("node", ["A", "B"])
+    def test_rejects_nan_and_inf(self, bad, node):
+        g = Graph(["A", "B"], directed=[("A", "B")])
+        cpts = {"A": np.array(bad if node == "A" else 0.4),
+                "B": np.array([0.5, bad if node == "B" else 0.6])}
+        with pytest.raises(ValueError, match=f"CPT for '{node}' must lie "
+                           r"strictly in \(0, 1\)"):
+            DiscreteModel(g, cpts)
+
     def test_joint_sums_to_one(self):
         rng = random.Random(2)
         for _ in range(10):
@@ -164,6 +176,20 @@ class TestInterventionalTable:
                         assert (model.interventional(do).tobytes()
                                 == reference_interventional(model, do)
                                 .tobytes()), (dag, do)
+
+    def test_matches_reference_bytes_once_factors_are_kept(self):
+        # the CPT factors are built by the first call, here an intervened
+        # one, and reused by every later table
+        rng = random.Random(13)
+        for n in range(2, 8):
+            dag = random_dag(rng, [f"N{i}" for i in range(n)])
+            model = DiscreteModel.random(dag, rng)
+            dos = [{dag.nodes[-1]: 1}, {}, {dag.nodes[0]: 0},
+                   {dag.nodes[0]: 1, dag.nodes[-1]: 0}]
+            for do in dos + dos:
+                assert (model.interventional(do).tobytes()
+                        == reference_interventional(model, do).tobytes()), \
+                    (dag, do)
 
     @pytest.mark.parametrize("do", [{"A": 5}, {"A": -1}, {"A": 2},
                                     {"A": "1"}, {"Q": 1}, {"A": 1, "Q": 0}])
@@ -275,6 +301,50 @@ class TestNumericGap:
                          ("marginal", 3): 0.266969288396643,
                          ("fraction", 1): 0.24180396356675038,
                          ("fraction", 3): 0.3369895070227279}[label, trials]
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_matches_reference_loop(self, trials):
+        # exact equality of (gap, dags, checks): the same models, sums and
+        # float order as the per-assignment loop, at zero and nonzero gaps
+        gaps = []
+        for g, x, y, z in random_oracle_queries(seed=5, count=30):
+            exprs = [Factor(tuple(y), tuple(x))]  # wrong wherever confounded
+            try:
+                exprs.append(cidm(g, x, y, z))
+            except NotIdentifiable:
+                pass
+            for expr in exprs:
+                got = numeric_gap(g, expr, x, y, z, random.Random(17), trials)
+                want = reference_numeric_gap(g, expr, x, y, z,
+                                             random.Random(17), trials)
+                assert got == want, (g, x, y, z, expr)
+                gaps.append(got[0])
+        assert sum(gap > 1e-3 for gap in gaps) >= 5
+        assert sum(gap <= 1e-9 for gap in gaps) >= 10
+
+    def test_sums_each_marginal_once_per_table(self, monkeypatch):
+        # every (table, assignment) pair is summed once; the tables stay
+        # referenced here, so their ids are not reused while counting
+        calls, tables = [], []
+        summed = oracle.table_probability
+
+        def counted(table, nodes, assignment):
+            tables.append(table)
+            calls.append((id(table), frozenset(assignment.items())))
+            return summed(table, nodes, assignment)
+
+        monkeypatch.setattr(oracle, "table_probability", counted)
+        for g, x, y, z in random_oracle_queries(seed=9, count=10):
+            expr = Factor(tuple(y), tuple(x))
+            calls.clear()
+            gap = numeric_gap(g, expr, x, y, z, random.Random(3), 2)
+            fast = len(calls)
+            assert fast == len(set(calls))
+            calls.clear()
+            assert reference_numeric_gap(g, expr, x, y, z,
+                                         random.Random(3), 2) == gap
+            # the reference sums the same pairs, most of them many times
+            assert fast == len(set(calls)) < len(calls)
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_rejects_no_trials(self, trials):
