@@ -6,16 +6,15 @@ counts only when it is a collider or a definite non-collider *in this
 graph*, and a collider is open only when it has a descendant (here, along
 this graph's directed edges) in the conditioning set.
 
-Two searches, the shared ones of :mod:`mpdagid.reachability`, run under
-one open-triple rule.  :func:`~mpdagid.reachability.edge_state_search`
-finds the least shortest open definite-status walk in polynomial time.
-Every path is a walk, so no walk means SEPARATED; and since the rule reads
-only ``(prev, cur, next)``, a walk that repeats no node is the least
-shortest open path, the witness.  A walk that repeats a node goes to the
-exact :func:`~mpdagid.reachability.simple_path_search`: on mutilated graphs
-an open walk can exist with no open path (it can reuse a node under two
-triples whose merged triple has no definite status).  The edge-state
-search along children gives each collider's descent into Z.
+The shared :func:`~mpdagid.reachability.path_search` runs twice under one
+open-triple rule.  Over edge states it finds the least shortest open
+definite-status walk in polynomial time.  Every path is a walk, so no walk
+means SEPARATED; and since the rule reads only ``(prev, cur, next)``, a
+walk that repeats no node is the least shortest open path, the witness.
+A walk that repeats a node sends the same rule to the exact search over
+simple paths: on mutilated graphs an open walk can exist with no open path
+(it can reuse a node under two triples whose merged triple has no definite
+status).  The search along children gives each collider's descent into Z.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import Graph
-from .reachability import ancestors, edge_state_search, simple_path_search
+from .reachability import ancestors, path_search
 
 COLLIDER = "collider"
 NONCOLLIDER = "noncollider"
@@ -66,8 +65,8 @@ def _directed_descent(graph: Graph, start: str, zset: frozenset[str]) -> tuple[s
     """Shortest directed path from ``start`` into ``zset`` (start included)."""
     if start in zset:
         return (start,)
-    descent = edge_state_search(
-        (start,), lambda _, v: graph.sorted_nodes(graph.children_of(v)), zset)[1]
+    descent = path_search(
+        (start,), lambda p: graph.sorted_nodes(graph.children_of(p[-1])), zset)[1]
     if descent is None:
         raise AssertionError(
             f"no directed path from {start!r} into the conditioning set")
@@ -82,22 +81,22 @@ def find_open_path(graph: Graph, xs: Iterable[str], ys: Iterable[str],
     open_at = _open_at(graph, z)
     order: dict[str, tuple[str, ...]] = {}
 
-    def expand(prev: str | None, cur: str) -> Iterable[str]:
+    def expand(path: tuple[str, ...]) -> Iterable[str]:
+        cur = path[-1]
         steps = order.get(cur)
         if steps is None:
             steps = order[cur] = graph.sorted_nodes(graph.neighbors_of(cur) - x)
-        if prev is None:
+        if len(path) == 1:
             return steps
+        prev = path[-2]
         return [w for w in steps if w != prev and cur
                 in open_at.get(triple_status(graph, prev, cur, w), ())]
 
     sources = graph.sorted_nodes(x)
     # no open walk means no open path; a walk with a repeat needs the exact search
-    path = edge_state_search(sources, expand, y)[1]
+    path = path_search(sources, expand, y)[1]
     if path is not None and len(set(path)) < len(path):
-        path = simple_path_search(
-            sources, lambda p: expand(p[-2] if len(p) > 1 else None, p[-1]),
-            y)[1]
+        path = path_search(sources, expand, y, simple=True)[1]
     if path is None:
         return None
     return OpenPathWitness(path, tuple(

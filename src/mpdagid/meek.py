@@ -242,8 +242,11 @@ def pattern_of(dag: Graph) -> Graph:
     """The maximally oriented graph of ``dag``'s equivalence class.
 
     Keeps the unshielded-collider edges directed, makes every other edge
-    undirected, and closes under R1-R4.
+    undirected, and closes under R1-R4.  Raises GraphError if ``dag`` is
+    not a DAG.
     """
+    if dag.classify() is not GraphClass.DAG:
+        raise GraphError("a pattern needs a DAG")
     keep: set[tuple[str, str]] = set()
     for a, b, c in dag.unshielded_colliders():
         keep.add((a, b))

@@ -14,21 +14,20 @@ The one exception is a path whose first edge must be undirected: its
 source may have a directed chord to the third node, because the shortcut
 over that chord would start with a directed edge.
 
-The two searches here serve this module and :mod:`mpdagid.dsep`; each
-caller passes its admissibility rule.  :func:`edge_state_search` enters
-each state ``(prev, cur)`` at most once, so a query costs O(sum of deg^2)
-time without recursion; :func:`simple_path_search` extends simple paths
-and is exponential in the worst case.  :func:`_search` runs the first
-through unshielded triples.  Graphs that ``classify()`` as PDAG (cyclic,
-not closed, or without a consistent extension) give no such guarantee;
-there it falls back on :func:`_walk_paths`, the second with the pairwise
-condition.
+One search, :func:`path_search`, serves this module and
+:mod:`mpdagid.dsep`; each caller passes its admissibility rule.  By
+default it enters each edge state ``(prev, cur)`` at most once, so a query
+costs O(sum of deg^2) steps without recursion; in its simple mode it keeps
+every simple path and is exponential in the worst case.  :func:`_search`
+runs the first mode through unshielded triples.  Graphs that
+``classify()`` as PDAG (cyclic, not closed, or without a consistent
+extension) give no such guarantee; there it falls back on
+:func:`_walk_paths`, the simple mode with the pairwise condition.
 All set relations (ancestors, descendants, possible variants) are reflexive.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import filterfalse
 from typing import Callable, Iterable, Sequence
 
@@ -70,59 +69,33 @@ def _steps(graph: Graph, v: str, backward: bool) -> frozenset[str]:
     return along | graph.undirected_neighbors_of(v)
 
 
-def edge_state_search(sources: Sequence[str],
-                      expand: Callable[[str | None, str], Iterable[str]],
-                      targets: frozenset[str]
-                      ) -> tuple[frozenset[str], tuple[str, ...] | None]:
-    """Breadth-first search over edge states ``(prev, cur)``.
+def path_search(sources: Sequence[str],
+                expand: Callable[[tuple[str, ...]], Iterable[str]],
+                targets: frozenset[str], *, simple: bool = False
+                ) -> tuple[frozenset[str], tuple[str, ...] | None]:
+    """Breadth-first search over paths, one length at a time.
 
-    Starts from the states ``(None, s)`` in the order of ``sources``, steps
-    to ``(cur, w)`` for each ``w`` that ``expand(prev, cur)`` yields, and
-    enters each state at most once.  With sources and expansions in node
-    order, the first walk into ``targets`` is the lexicographically least
-    shortest one.  Returns the nodes reached and that walk; when no target
-    is reached the walk is None and the reached set is complete.
+    Starts from the one-node paths of ``sources`` in their order and grows
+    each path by every node ``expand(path)`` yields.  By default a path is
+    kept only when its last step ``(path[-1], w)`` is an edge state not
+    entered before: O(sum of deg^2) steps, and the result may be a walk.
+    With ``simple`` every path that repeats no node is kept: exact, and
+    exponential in the worst case.  With sources and expansions in node
+    order, the first path into ``targets`` is the lexicographically least
+    shortest one.  Returns the nodes reached and that path; when no target
+    is reached the path is None and the reached set is complete.
     """
-    parent: dict[tuple[str | None, str], tuple[str | None, str] | None] = \
-        {(None, s): None for s in sources}
-    queue = deque(parent)
     reached = set(sources)
-    while queue:
-        state = queue.popleft()
-        prev, cur = state
-        for w in expand(prev, cur):
-            step = (cur, w)
-            if step in parent:
-                continue
-            parent[step] = state
-            if w in targets:
-                walk = []
-                at: tuple[str | None, str] | None = step
-                while at is not None:
-                    walk.append(at[1])
-                    at = parent[at]
-                return frozenset(reached), tuple(reversed(walk))
-            reached.add(w)
-            queue.append(step)
-    return frozenset(reached), None
-
-
-def simple_path_search(sources: Sequence[str],
-                       extend: Callable[[tuple[str, ...]], Iterable[str]],
-                       targets: frozenset[str]
-                       ) -> tuple[frozenset[str], tuple[str, ...] | None]:
-    """Breadth-first search over simple paths, one length at a time: each
-    path grows by every node ``extend(path)`` yields that is not on it yet.
-    Same result as :func:`edge_state_search`, a simple path in place of the
-    walk; worst case exponential."""
-    reached = set(sources)
+    entered: set[tuple[str, str]] = set()
     level = [(s,) for s in sources]
     while level:
         nxt: list[tuple[str, ...]] = []
         for path in level:
-            for w in extend(path):
-                if w in path:
+            for w in expand(path):
+                step = (path[-1], w)
+                if (w in path) if simple else (step in entered):
                     continue
+                entered.add(step)
                 if w in targets:
                     return frozenset(reached), path + (w,)
                 reached.add(w)
@@ -135,8 +108,9 @@ def _walk_paths(graph: Graph, sources: frozenset[str], backward: bool,
                 blocked: frozenset[str], targets: frozenset[str],
                 start_undirected: bool
                 ) -> tuple[frozenset[str], tuple[str, ...] | None]:
-    """Exhaustive reference, valid on any graph: :func:`simple_path_search`
-    that re-checks each new node against every node already on the path.
+    """Exhaustive reference, valid on any graph: :func:`path_search` over
+    simple paths that re-checks each new node against every node already
+    on the path.
     Same arguments and result as :func:`_search`."""
     def extend(path: tuple[str, ...]) -> Iterable[str]:
         if len(path) == 1 and start_undirected:
@@ -147,25 +121,26 @@ def _walk_paths(graph: Graph, sources: frozenset[str], backward: bool,
         # may run from w back into it; a backward one grows at its start,
         # so no edge may run from the path into w
         return [w for w in graph.sorted_nodes(steps - blocked)
-                if w not in path and not any(
-                    graph.has_directed(p, w) if backward
-                    else graph.has_directed(w, p) for p in path)]
+                if not any(graph.has_directed(p, w) if backward
+                           else graph.has_directed(w, p) for p in path)]
 
-    return simple_path_search(graph.sorted_nodes(sources), extend, targets)
+    return path_search(graph.sorted_nodes(sources), extend, targets,
+                       simple=True)
 
 
 def _search(graph: Graph, sources: frozenset[str], *, backward: bool = False,
             blocked: frozenset[str], targets: frozenset[str] = frozenset(),
             start_undirected: bool = False
             ) -> tuple[frozenset[str], tuple[str, ...] | None]:
-    """Possibly directed paths by :func:`edge_state_search` on DAGs and
-    MPDAGs, by :func:`_walk_paths` on other graphs.
+    """Possibly directed paths by :func:`path_search` over edge states on
+    DAGs and MPDAGs, by :func:`_walk_paths` on other graphs.
 
-    From ``cur`` the edge-state search steps to a neighbour ``w`` not in
-    ``blocked`` and not adjacent to ``prev``.  With ``start_undirected`` the
-    first step takes undirected edges only, and a source ``prev`` may then
-    have the directed chord ``prev -> w``: the shorter path over that chord
-    would start with a directed edge.
+    From ``cur`` the search steps to a neighbour ``w`` not in ``blocked``
+    and not adjacent to ``prev``.  With ``start_undirected`` the first step
+    takes undirected edges only, and the source ``prev`` of the second step
+    may then have the directed chord ``prev -> w``: the shorter path over
+    that chord would start with a directed edge.  Sources are blocked, so
+    no later ``prev`` is a source.
     """
     if graph.classify() is GraphClass.PDAG:
         return _walk_paths(graph, sources, backward, blocked, targets,
@@ -173,26 +148,28 @@ def _search(graph: Graph, sources: frozenset[str], *, backward: bool = False,
     order: dict[str, tuple[str, ...]] = {}
     shields: dict[str, frozenset[str]] = {}  # a node and its neighbours
 
-    def expand(prev: str | None, cur: str) -> Iterable[str]:
-        if prev is None and start_undirected:
+    def expand(path: tuple[str, ...]) -> Iterable[str]:
+        cur = path[-1]
+        if len(path) == 1 and start_undirected:
             return graph.sorted_nodes(graph.undirected_neighbors_of(cur)
                                       - blocked)
         steps = order.get(cur)
         if steps is None:
             steps = order[cur] = graph.sorted_nodes(
                 _steps(graph, cur, backward) - blocked)
-        if prev is None:
+        if len(path) == 1:
             return steps
+        prev = path[-2]
         shield = shields.get(prev)
         if shield is None:
             shield = shields[prev] = graph.neighbors_of(prev) | {prev}
-        if start_undirected and prev in sources:
+        if start_undirected and len(path) == 2:
             return [w for w in steps if w not in shield or (
                 graph.has_directed(w, prev) if backward
                 else graph.has_directed(prev, w))]
         return filterfalse(shield.__contains__, steps)
 
-    return edge_state_search(graph.sorted_nodes(sources), expand, targets)
+    return path_search(graph.sorted_nodes(sources), expand, targets)
 
 
 def _possible_relatives(graph: Graph, nodes: Iterable[str],
@@ -241,7 +218,9 @@ def find_proper_pc_path(graph: Graph, sources: Iterable[str],
 
 
 def is_possibly_directed_path(graph: Graph, path: Sequence[str]) -> bool:
-    """Check the pairwise condition on an explicit node sequence."""
+    """Check the pairwise condition on an explicit node sequence.  A
+    GraphError names the least label of ``path`` that is not a node."""
+    graph.check_nodes(path)
     n = len(path)
     if len(set(path)) != n or n == 0:
         return False

@@ -353,6 +353,8 @@ _UNKNOWN_NODE_CALLS = {
     "possible_ancestors": lambda g: mpdagid.possible_ancestors(g, {"Q"}),
     "find_proper_pc_path": lambda g: mpdagid.find_proper_pc_path(
         g, {"A"}, {"C"}, forbidden={"Q"}),
+    "is_possibly_directed_path": lambda g: mpdagid.is_possibly_directed_path(
+        g, ["A", "Q"]),
     "find_open_path": lambda g: mpdagid.find_open_path(g, {"A"}, {"C"}, {"Q"}),
     "d_separated": lambda g: mpdagid.d_separated(g, {"Q"}, {"C"}),
     "pco": lambda g: mpdagid.pco(g, {"A", "Q"}),

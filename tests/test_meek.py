@@ -186,6 +186,13 @@ class TestPattern:
             for member in members:
                 assert pattern_of(member) == cp
 
+    @pytest.mark.parametrize("text", ["A -- B\n",
+                                      "A -> B\nB -> C\nC -> A\n"])
+    def test_pattern_rejects_non_dags(self, text):
+        # an undirected edge or a directed cycle was dropped or flattened
+        with pytest.raises(GraphError, match="^a pattern needs a DAG$"):
+            pattern_of(parse_graph_text(text))
+
     def test_refine_shrinks_class(self):
         g = parse_graph_text("A -- B\nB -- C\nA -- C\n")
         h = refine(g, "A", "B")

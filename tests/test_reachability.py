@@ -4,12 +4,12 @@ import time
 
 import pytest
 
-from mpdagid import (Graph, GraphClass, ancestors, descendants,
+from mpdagid import (Graph, GraphClass, GraphError, ancestors, descendants,
                      enumerate_dags, find_proper_pc_path,
                      is_possibly_directed_path, parents, parse_graph_text,
                      possible_ancestors, possible_descendants, random_dag,
                      random_mpdag)
-from mpdagid.reachability import _walk_paths
+from mpdagid.reachability import _walk_paths, path_search
 
 from cases import shortcut_graph, small_random_graphs
 
@@ -46,6 +46,9 @@ class TestPossiblyDirected:
         assert is_possibly_directed_path(g, ("X", "V2"))
         assert not is_possibly_directed_path(g, ("X", "V2", "V3"))
         assert not is_possibly_directed_path(g, ("X", "Z"))
+        for path in (["Q"], ["X", "Q"]):
+            with pytest.raises(GraphError, match="^unknown node 'Q'$"):
+                is_possibly_directed_path(g, path)
 
     def test_dag_reduces_to_plain_reachability(self):
         rng = random.Random(9)
@@ -112,6 +115,44 @@ class TestProperPath:
             if path is not None:
                 assert is_possibly_directed_path(g, path)
                 assert path[0] == vs[0] and path[-1] == vs[1]
+
+
+# -- the search primitive in its two modes ------------------------------------
+
+
+class TestPathSearch:
+    def test_only_route_repeats_a_node(self):
+        # the walk X, A, C, R, A, S, Y of test_open_walk_with_no_open_path:
+        # each step depends on the one before, and A is entered twice
+        rule = {(None, "X"): ["A"], ("X", "A"): ["C"], ("A", "C"): ["R"],
+                ("C", "R"): ["A"], ("R", "A"): ["S"], ("A", "S"): ["Y"]}
+
+        def expand(path):
+            return rule.get((path[-2] if len(path) > 1 else None, path[-1]),
+                            [])
+
+        walk = ("X", "A", "C", "R", "A", "S", "Y")
+        assert path_search(("X",), expand, frozenset("Y")) == (
+            frozenset("XACRS"), walk)
+        assert path_search(("X",), expand, frozenset("Y"), simple=True) == (
+            frozenset("XACR"), None)
+
+    def test_modes_agree_when_the_rule_reads_the_last_node(
+            self, four_node_graphs):
+        # under such a rule the shortest walk is a path, so the edge-state
+        # mode finds what the simple mode finds
+        for g in four_node_graphs:
+            rules = (lambda p: g.sorted_nodes(g.children_of(p[-1])),
+                     lambda p: g.sorted_nodes(g.neighbors_of(p[-1])))
+            for expand in rules:
+                for v in g.nodes:
+                    for targets in [()] + [(t,) for t in g.nodes if t != v]:
+                        tgt = frozenset(targets)
+                        walk = path_search((v,), expand, tgt)
+                        path = path_search((v,), expand, tgt, simple=True)
+                        assert walk[1] == path[1], (g, v, tgt)
+                        if not tgt:
+                            assert walk[0] == path[0], (g, v)
 
 
 # -- the state search against exhaustive references ----------------------------
