@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import random
 import sys
 from dataclasses import asdict
 
 from .dsep import find_open_path
-from .graph import (Graph, GraphError, _edge_tokens, _graph_obj,
+from .graph import (Graph, GraphError, _dumps, _edge_tokens, _graph_obj,
                     graph_to_text, parse_graph_json, parse_graph_text)
 from .ident import (IdentificationError, NotIdentifiable, cidm, cidme_tree,
                     expression_to_json, render_latex, render_text)
@@ -73,7 +72,7 @@ def _path_text(graph: Graph, path: tuple[str, ...]) -> str:
 def _emit(args, payload: dict, text_lines: list[str], file=None) -> None:
     """The payload as JSON on stdout, or the text lines on ``file``."""
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         for line in text_lines:
             print(line, file=file)

@@ -42,8 +42,14 @@ def triple_status(graph: Graph, a: str, b: str, c: str) -> str | None:
     """Status of b as interior node of the path segment a, b, c.
 
     Returns "collider", "noncollider" (definite), or None when b has no
-    definite status on the segment.
+    definite status on the segment; a GraphError names an unknown label.
     """
+    graph.check_nodes((a, b, c))
+    return _triple_status(graph, a, b, c)
+
+
+def _triple_status(graph: Graph, a: str, b: str, c: str) -> str | None:
+    """:func:`triple_status` without the label check, for the searches."""
     if graph.has_directed(a, b) and graph.has_directed(c, b):
         return COLLIDER
     if graph.has_directed(b, a) or graph.has_directed(b, c):
@@ -90,7 +96,7 @@ def find_open_path(graph: Graph, xs: Iterable[str], ys: Iterable[str],
             return steps
         prev = path[-2]
         return [w for w in steps if w != prev and cur
-                in open_at.get(triple_status(graph, prev, cur, w), ())]
+                in open_at.get(_triple_status(graph, prev, cur, w), ())]
 
     sources = graph.sorted_nodes(x)
     # no open walk means no open path; a walk with a repeat needs the exact search
@@ -102,7 +108,7 @@ def find_open_path(graph: Graph, xs: Iterable[str], ys: Iterable[str],
     return OpenPathWitness(path, tuple(
         _directed_descent(graph, path[i], z)
         for i in range(1, len(path) - 1)
-        if triple_status(graph, path[i - 1], path[i], path[i + 1]) == COLLIDER))
+        if _triple_status(graph, path[i - 1], path[i], path[i + 1]) == COLLIDER))
 
 
 def d_separated(graph: Graph, xs: Iterable[str], ys: Iterable[str],
@@ -123,5 +129,5 @@ def is_open_definite_status_path(graph: Graph, path: Sequence[str],
     if not all(map(graph.adjacent, path, path[1:])):
         return False
     open_at = _open_at(graph, z)
-    return all(path[i] in open_at.get(triple_status(graph, *path[i - 1:i + 2]), ())
+    return all(path[i] in open_at.get(_triple_status(graph, *path[i - 1:i + 2]), ())
                for i in range(1, len(path) - 1))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Iterator, Sequence
 
 
@@ -481,4 +482,41 @@ def _graph_obj(graph: Graph) -> dict:
 
 
 def graph_to_json(graph: Graph) -> str:
-    return json.dumps(_graph_obj(graph), indent=2)
+    return _dumps(_graph_obj(graph))
+
+
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2)`` byte for byte, but only scalars go
+    through json (its C code: the escaper, or ``dumps`` without indent),
+    not its pure-Python indent encoder.  TypeError for what json rejects."""
+    out: list[str] = []
+
+    def emit(o, pad: str) -> None:
+        inner = pad + "  "
+        if isinstance(o, dict):
+            lead = "{" + inner
+            for k, v in o.items():
+                if k is None or isinstance(k, (int, float)):
+                    k = json.dumps(k)  # json writes such a key as a string
+                key = _json_str(k)  # a TypeError for any other non-str key
+                if isinstance(v, str):
+                    out.append(f"{lead}{key}: {_json_str(v)}")
+                else:
+                    out.append(f"{lead}{key}: ")
+                    emit(v, inner)
+                lead = "," + inner
+            out.append(pad + "}" if o else "{}")
+        elif isinstance(o, (list, tuple)):
+            try:  # the escaper raises TypeError on anything but a str
+                out.append(f"[{inner}{(',' + inner).join(map(_json_str, o))}"
+                           f"{pad}]" if o else "[]")
+            except TypeError:
+                for i, v in enumerate(o):
+                    out.append(("," if i else "[") + inner)
+                    emit(v, inner)
+                out.append(pad + "]")
+        else:
+            out.append(json.dumps(o))
+
+    emit(obj, "\n")
+    return "".join(out)

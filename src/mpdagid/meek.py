@@ -99,7 +99,7 @@ def meek_closure(graph: Graph) -> Graph:
 
 
 def _close(graph: Graph, given: list[tuple[str, str]],
-           seeds: Iterable[str]) -> Graph:
+           seeds: Iterable[str], _split: bool = False) -> Graph:
     """The rounds of :func:`meek_closure` on copies of ``graph``'s maps,
     with the undirected edges ``given`` oriented first, as listed.  The
     first round tries the undirected edges at ``seeds``.  Returns one graph
@@ -121,6 +121,12 @@ def _close(graph: Graph, given: list[tuple[str, str]],
             near |= adj[a] | adj[b] | {a, b}
         edges = _edges_at(nb, index, near)
     g = graph._derive(pa, ch, nb) if given or new else graph
+    if _split:
+        # a split of an MPDAG's undirected edge: its class orients the edge
+        # both ways (Meek, UAI 1995), so the closure is the MPDAG (or DAG)
+        # of a subclass, and the checks below cannot fail
+        g._class = GraphClass.MPDAG if any(g._nb.values()) else GraphClass.DAG
+        return g
     # g holds every directed edge of the start (graph with ``given``), so
     # the start is checked only when g has a cycle, to say whose it is
     if not g.directed_part_acyclic():
@@ -159,10 +165,10 @@ def refine(graph: Graph, a: str, b: str) -> Graph:
     ``graph`` is recorded as an MPDAG no rule applies to it, so the first
     round tries only the undirected edges next to a or b; otherwise, or
     when there is no a -- b to orient, it tries every edge."""
+    split = graph._class is GraphClass.MPDAG and graph.has_undirected(a, b)
     seeds = (graph.neighbors_of(a) | graph.neighbors_of(b) | {a, b}
-             if graph._class is GraphClass.MPDAG and graph.has_undirected(a, b)
-             else graph.nodes)
-    return _close(graph, [(a, b)], seeds)
+             if split else graph.nodes)
+    return _close(graph, [(a, b)], seeds, _split=split)
 
 
 def apply_background(graph: Graph, orientations: Iterable[tuple[str, str]]) -> Graph:

@@ -1,14 +1,16 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
-from mpdagid import Graph, graph_to_text
+from mpdagid import Graph, cli, graph_to_text
 from mpdagid.cli import main
+from mpdagid.graph import _dumps
 
 from cases import (CHAIN_TEXT, FRACTION_TEXT, MARGINAL_TEXT,
-                   UNIDENTIFIABLE_TEXT)
+                   UNIDENTIFIABLE_TEXT, small_random_graphs)
 
 
 @pytest.fixture
@@ -496,3 +498,74 @@ def test_golden_refusal(graph_file, capsys, as_json, digest):
     written, silent = (out, err) if as_json else (err, out)
     assert (code, silent) == (3, "")
     assert hashlib.sha256(written.encode()).hexdigest() == digest
+
+
+class TestJsonWriter:
+    """``graph._dumps``, the one writer of ``--json`` output and
+    ``graph_to_json``, is byte-identical to ``json.dumps(obj, indent=2)``."""
+
+    def test_matches_json_dumps(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        special = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300,
+                   1e300, 2 ** 64, -(2 ** 70)]
+        texts = st.text() | st.text(
+            alphabet='"\\/\x00\x1f\x7f\n\t é€\U0001f600')
+        scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                   | st.sampled_from(special) | texts)
+        keys = texts | st.integers() | st.floats() | st.booleans() | st.none()
+        values = st.recursive(
+            scalars, lambda inner: (st.lists(inner)
+                                    | st.lists(inner).map(tuple)
+                                    | st.dictionaries(keys, inner)),
+            max_leaves=40)
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(values)
+        def check(obj):
+            assert _dumps(obj) == json.dumps(obj, indent=2)
+
+        check()
+
+    @pytest.mark.parametrize("obj", [
+        {1, 2}, b"bytes", object(), [1, ["a", frozenset()]],
+        {"k": (1, {"v": bytearray()})}, {(1, 2): 3}, 1j,
+    ], ids=["set", "bytes", "object", "frozenset-in-list",
+            "bytearray-in-dict", "tuple-key", "complex"])
+    def test_unsupported_type_raises_type_error(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError):
+            _dumps(obj)
+
+    @pytest.mark.parametrize("command", [
+        "identify", "enumerate", "verify", "dags", "complete", "dsep",
+        "reach", "pco"])
+    def test_every_payload_matches_json_dumps(self, command, graph_file,
+                                              capsys, monkeypatch):
+        if command == "verify":
+            pytest.importorskip("numpy")
+        payloads = []
+
+        def checked(payload):
+            text = _dumps(payload)
+            assert text == json.dumps(payload, indent=2)
+            payloads.append(payload)
+            return text
+
+        monkeypatch.setattr(cli, "_dumps", checked)
+        rng = random.Random(31)
+        for g in small_random_graphs(seed=31, count=40):
+            nodes = list(g.nodes)
+            rng.shuffle(nodes)
+            x, y = nodes[:2]
+            query = ["-x", x, "-y", y,
+                     "-z", ",".join(nodes[2:2 + rng.randrange(3)])]
+            args = {"identify": query, "enumerate": query,
+                    "verify": query + ["--trials", "1"], "dags": [],
+                    "complete": [], "dsep": query, "reach": ["--nodes", x],
+                    "pco": []}[command]
+            main([command, graph_file(graph_to_text(g)), *args, "--json"])
+            capsys.readouterr()
+        # the 20 MPDAGs among the graphs give a payload, the others may not
+        assert len(payloads) >= 15

@@ -357,6 +357,7 @@ _UNKNOWN_NODE_CALLS = {
         g, ["A", "Q"]),
     "find_open_path": lambda g: mpdagid.find_open_path(g, {"A"}, {"C"}, {"Q"}),
     "d_separated": lambda g: mpdagid.d_separated(g, {"Q"}, {"C"}),
+    "triple_status": lambda g: mpdagid.triple_status(g, "A", "Q", "C"),
     "pco": lambda g: mpdagid.pco(g, {"A", "Q"}),
     "bucket_decomposition": lambda g: mpdagid.bucket_decomposition(g, {"Q"}),
     "remove_edges_into": lambda g: g.remove_edges_into({"Q"}),

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mpdagid import meek
 from mpdagid import (Graph, GraphClass, GraphError, InconsistentOrientation,
                      apply_background, consistent_extension,
                      has_consistent_extension, is_meek_closed, meek_closure,
@@ -335,6 +336,31 @@ def test_refine_matches_reference_on_every_four_node_graph(four_node_graphs):
     # both first rounds ran, and both kinds of outcome occurred
     assert {(GraphClass.MPDAG, False), (None, False), (None, True),
             (GraphClass.PDAG, True)} <= set(outcomes)
+
+
+def test_split_of_a_recorded_mpdag_runs_no_extension_search(
+        monkeypatch, four_node_graphs):
+    # Meek (1995): the closure of a split below a recorded MPDAG has a
+    # consistent extension, so refine does not search for one; a fresh
+    # copy of the same graph has no recorded class and is checked in full
+    k4 = "A -- B\nA -- C\nA -- D\nB -- C\nB -- D\nC -- D\n"
+    classified, fresh = parse_graph_text(k4), parse_graph_text(k4)
+    mpdags = [g for g in four_node_graphs
+              if g.classify() is GraphClass.MPDAG]
+    assert classified.classify() is GraphClass.MPDAG
+    calls = []
+    search = meek._extension_edges
+    monkeypatch.setattr(meek, "_extension_edges",
+                        lambda g: calls.append(g) or search(g))
+    split = refine(classified, "A", "B")
+    for g in mpdags:
+        for a, b in g.undirected_edges:
+            refine(g, a, b)
+            refine(g, b, a)
+    assert calls == [] and split._class is GraphClass.MPDAG
+    unchecked = refine(fresh, "A", "B")
+    assert len(calls) >= 1
+    assert (unchecked, unchecked._class) == (split, split._class)
 
 
 def test_refine_matches_reference_on_small_random_graphs():
