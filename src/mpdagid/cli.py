@@ -38,6 +38,7 @@ def _load_graph(source: str) -> Graph:
     else:
         with open(source) as fh:
             text = fh.read()
+    text = text.removeprefix("\ufeff")  # a byte-order mark some editors write
     if text.lstrip().startswith("{"):
         return parse_graph_json(text)
     return parse_graph_text(text)

@@ -104,29 +104,23 @@ class Graph:
             raise GraphError(f"duplicate node labels in {nodes!r}")
         index = {v: i for i, v in enumerate(nodes)}
 
-        pa: dict[str, set[str]] = {v: set() for v in nodes}
-        ch: dict[str, set[str]] = {v: set() for v in nodes}
-        nb: dict[str, set[str]] = {v: set() for v in nodes}
+        empty: frozenset[str] = frozenset()  # shared by every edgeless slot
+        pa, ch, nb = {}, {}, {}  # sets, only for the nodes an edge touches
+        for edges, ahead, back in ((directed, ch, pa), (undirected, nb, nb)):
+            for a, b in edges:
+                if a not in index or b not in index:
+                    raise GraphError(f"edge ({a}, {b}) uses undeclared node")
+                if a == b:
+                    raise GraphError(f"self loop on {a!r}")
+                if (b in pa.get(a, empty) or b in ch.get(a, empty)
+                        or b in nb.get(a, empty)):
+                    raise GraphError(
+                        f"more than one edge between {a!r} and {b!r}")
+                ahead.setdefault(a, set()).add(b)
+                back.setdefault(b, set()).add(a)
 
-        def check(a: str, b: str) -> None:
-            if a not in index or b not in index:
-                raise GraphError(f"edge ({a}, {b}) uses undeclared node")
-            if a == b:
-                raise GraphError(f"self loop on {a!r}")
-            if b in pa[a] or b in ch[a] or b in nb[a]:
-                raise GraphError(f"more than one edge between {a!r} and {b!r}")
-
-        for a, b in directed:
-            check(a, b)
-            ch[a].add(b)
-            pa[b].add(a)
-        for a, b in undirected:
-            check(a, b)
-            nb[a].add(b)
-            nb[b].add(a)
-
-        self._set(nodes, index, *({v: frozenset(s) for v, s in m.items()}
-                                  for m in (pa, ch, nb)))
+        self._set(nodes, index, *(dict.fromkeys(nodes, empty) | {
+            v: frozenset(s) for v, s in m.items()} for m in (pa, ch, nb)))
 
     def _set(self, nodes: tuple[str, ...], index: dict[str, int],
              pa: _Map, ch: _Map, nb: _Map) -> "Graph":
@@ -389,29 +383,25 @@ def parse_graph_text(text: str) -> Graph:
     order: dict[str, None] = {}  # first mention keeps its place
     directed: list[tuple[str, str]] = []
     undirected: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        parts = line.partition("#")[0].split()  # no copy without a '#'
+        if not parts:
             continue
-        parts = line.split()
         # an arrow line is an edge whatever its first token, so a node
         # named "node" can be an endpoint
-        is_edge = len(parts) == 3 and parts[1] in ("->", "--", "<-")
-        if parts[0] == "node" and not is_edge:
+        if len(parts) == 3 and parts[1] in ("->", "--", "<-"):
+            a, op, b = parts
+            order[a] = order[b] = None
+            if op == "--":
+                undirected.append((a, b))
+            else:
+                directed.append((a, b) if op == "->" else (b, a))
+        elif parts[0] == "node":
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected 'node NAME'")
             order[parts[1]] = None
-            continue
-        if not is_edge:
-            raise ParseError(f"line {lineno}: expected 'A -> B', 'A <- B' or 'A -- B'")
-        a, op, b = parts
-        order[a] = order[b] = None
-        if op == "--":
-            undirected.append((a, b))
-        elif op == "->":
-            directed.append((a, b))
         else:
-            directed.append((b, a))
+            raise ParseError(f"line {lineno}: expected 'A -> B', 'A <- B' or 'A -- B'")
     return _parsed(order, directed, undirected)
 
 

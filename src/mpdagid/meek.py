@@ -13,6 +13,7 @@ import itertools
 from typing import Iterable
 
 from .graph import Graph, GraphClass, GraphError, _orient_in_maps
+from .reachability import _closure
 
 
 class InconsistentOrientation(GraphError):
@@ -142,7 +143,8 @@ def _close(graph: Graph, given: list[tuple[str, str]],
     # its class is decided here, and Graph.classify() asks for it
     if g._class is None:
         g._class = (GraphClass.DAG if not any(g._nb.values())
-                    else GraphClass.MPDAG if has_consistent_extension(g)
+                    else GraphClass.MPDAG
+                    if _extension_edges(g, _decisive_nodes(g)) is not None
                     else GraphClass.PDAG)
     if g._class is GraphClass.PDAG:
         raise InconsistentOrientation("no consistent extension exists")
@@ -190,19 +192,42 @@ def apply_background(graph: Graph, orientations: Iterable[tuple[str, str]]) -> G
     return _close(graph, list(given), graph.nodes)
 
 
-def _extension_edges(graph: Graph) -> list[tuple[str, str]] | None:
-    """How the sink-elimination search orients the undirected edges, or
-    None if no consistent extension exists.  It repeatedly picks the first
-    node, in node order, with no outgoing directed edge whose undirected
-    neighbors are adjacent to all its other neighbors, orients its
-    undirected edges inward, and removes it.  A node that fails waits
-    outside the heap of candidate positions until one of its neighbours is
-    removed, since only that can change its verdict.  A node on a
-    directed cycle keeps a child on the cycle, so it is never removed."""
+def _decisive_nodes(graph: Graph) -> frozenset[str]:
+    """The nodes that decide whether a closed graph with an acyclic
+    directed part has a consistent extension: each node with an undirected
+    edge, and each node with such a node both among its directed ancestors
+    and among its directed descendants.
+
+    Every other node can be removed without changing the answer, one at a
+    time, and the sink search then runs on what is left.  A node with no
+    undirected edge and no child left is a sink the search may remove
+    (Dor & Tarsi 1992).  A node with no undirected edge and no parent left
+    may be removed too: a consistent extension of the rest, with the node
+    added back as a source, makes no new unshielded collider, since one
+    would need s -> c -- p with s and p nonadjacent, which R1 closure rules
+    out.  An induced subgraph of an R1-closed graph is R1-closed, so the
+    removals repeat until only these nodes are left."""
+    undirected = [v for v in graph.nodes if graph._nb[v]]
+    above = _closure(graph, undirected, graph._pa.__getitem__)
+    # a directed path from such a node to one of its ancestors runs
+    # through ancestors only
+    return _closure(graph, undirected, lambda v: graph._ch[v] & above)
+
+
+def _extension_edges(graph: Graph, among: Iterable[str]) -> list[tuple[str, str]] | None:
+    """How the sink-elimination search orients the undirected edges of the
+    subgraph that ``among`` induces, or None if it has no consistent
+    extension.  It repeatedly picks the first node, in node order, with no
+    outgoing directed edge whose undirected neighbors are adjacent to all
+    its other neighbors, orients its undirected edges inward, and removes
+    it.  A node that fails waits outside the heap of candidate positions
+    until one of its neighbours is removed, since only that can change its
+    verdict.  A node on a directed cycle keeps a child on the cycle, so it
+    is never removed."""
     nodes, index = graph.nodes, graph._index
     pa, ch, nb = graph._pa, graph._ch, graph._nb
     adj = _Adjacency(graph)
-    remaining = set(nodes)
+    remaining = set(among)
     oriented: list[tuple[str, str]] = []
 
     def sink_ok(v: str) -> bool:
@@ -213,8 +238,8 @@ def _extension_edges(graph: Graph) -> list[tuple[str, str]] | None:
         # the others not adjacent to u can only be u itself
         return all(others - adj[u] <= {u} for u in nbs)
 
-    heap = list(range(len(nodes)))
-    queued = [True] * len(nodes)
+    queued = [v in remaining for v in nodes]
+    heap = [i for i, q in enumerate(queued) if q]
     while remaining:
         if not heap:
             return None
@@ -235,13 +260,13 @@ def _extension_edges(graph: Graph) -> list[tuple[str, str]] | None:
 
 def consistent_extension(graph: Graph) -> Graph | None:
     """A DAG of ``graph``'s class (see ``enumerate_dags``), or None."""
-    oriented = _extension_edges(graph)
+    oriented = _extension_edges(graph, graph.nodes)
     return (None if oriented is None
             else graph._derive(*graph._oriented_maps(oriented)))
 
 
 def has_consistent_extension(graph: Graph) -> bool:
-    return _extension_edges(graph) is not None
+    return _extension_edges(graph, graph.nodes) is not None
 
 
 def pattern_of(dag: Graph) -> Graph:

@@ -12,10 +12,10 @@ import random
 from dataclasses import dataclass
 
 from mpdagid import (DensityExpression, DiscreteModel, Factor, Fraction,
-                     Graph, GraphClass, InconsistentOrientation, MarginalOver,
-                     Product, enumerate_dags, evaluate_expression,
-                     interventional_conditional, meek_closure, normal_form,
-                     parse_graph_text, random_mpdag)
+                     Graph, GraphClass, GraphError, InconsistentOrientation,
+                     MarginalOver, ParseError, Product, enumerate_dags,
+                     evaluate_expression, interventional_conditional,
+                     meek_closure, normal_form, parse_graph_text, random_mpdag)
 
 MARGINAL_TEXT = """\
 X -> Y
@@ -452,3 +452,96 @@ def reference_classify(graph: Graph) -> GraphClass:
             and reference_consistent_extension(graph) is not None):
         return GraphClass.MPDAG
     return GraphClass.PDAG
+
+
+def reference_decisive_nodes(graph: Graph) -> set[str]:
+    """The nodes left once nodes with no undirected edge are removed while
+    one has no child or no parent left: the removals the argument for the
+    restricted extension search licenses.  Removing nodes keeps each such
+    node a sink or a source, so each round removes them all."""
+    left = set(graph.nodes)
+    while True:
+        gone = {v for v in left if not graph.undirected_neighbors_of(v)
+                and (not graph.children_of(v) & left
+                     or not graph.parents_of(v) & left)}
+        if not gone:
+            return left
+        left -= gone
+
+
+def closed_random_pdags(seed: int, count: int) -> list[Graph]:
+    """Seeded PDAGs on 4-9 nodes with an acyclic directed part to which no
+    rule applies, some of them with no consistent extension.  Every other
+    graph has undirected edges only within the first and within the last
+    nodes of a random order, and every edge at the one or two nodes
+    between them directed, so that directed-only nodes sit between
+    undirected ones."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        layered = len(out) % 2
+        nodes = [f"N{j}" for j in range(rng.randint(6 if layered else 4,
+                                                    9 if layered else 8))]
+        order = rng.sample(nodes, len(nodes))
+        top = rng.randint(1, 4)
+        middle = range(top, top + rng.randint(1, 2))
+        p = rng.choice((0.6, 0.8) if layered else (0.3, 0.45, 0.6))
+        q = 0.8 if layered else rng.choice((0.3, 0.5, 0.7))
+        directed, undirected = [], []
+        for (i, a), (j, b) in itertools.combinations(enumerate(order), 2):
+            if rng.random() >= p:
+                continue
+            apart = layered and (i in middle or j in middle
+                                 or (i < top) != (j < top))
+            (directed if apart or rng.random() >= q else undirected
+             ).append((a, b))
+        g = Graph(nodes, directed, undirected)
+        if not _ref_rule_applications(g):
+            out.append(g)
+    return out
+
+
+def sparse_pool_graphs() -> list[Graph]:
+    """The 120 graphs of the sparse identification benchmark pool, drawn
+    as its generator draws them: ``random_mpdag`` on 40, 80 and 160 nodes
+    with expected degree about 3 and background probability 0.2."""
+    return [random_mpdag(random.Random(f"sparse_identify/s{n}-{i}"),
+                         [f"V{j}" for j in range(n)],
+                         edge_prob=3.0 / (n - 1), orient_prob=0.2)
+            for n in (40, 80, 160) for i in range(40)]
+
+
+# -- reference: the text parser as first written -------------------------------
+
+
+def reference_parse_graph_text(text: str) -> Graph:
+    """``parse_graph_text`` as first written: each line cut at '#' and
+    stripped, then split."""
+    order: dict[str, None] = {}
+    directed: list[tuple[str, str]] = []
+    undirected: list[tuple[str, str]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        is_edge = len(parts) == 3 and parts[1] in ("->", "--", "<-")
+        if parts[0] == "node" and not is_edge:
+            if len(parts) != 2:
+                raise ParseError(f"line {lineno}: expected 'node NAME'")
+            order[parts[1]] = None
+            continue
+        if not is_edge:
+            raise ParseError(f"line {lineno}: expected 'A -> B', 'A <- B' or 'A -- B'")
+        a, op, b = parts
+        order[a] = order[b] = None
+        if op == "--":
+            undirected.append((a, b))
+        elif op == "->":
+            directed.append((a, b))
+        else:
+            directed.append((b, a))
+    try:
+        return Graph(order, directed, undirected)
+    except GraphError as exc:
+        raise ParseError(str(exc)) from exc

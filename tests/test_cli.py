@@ -210,6 +210,32 @@ class TestStdin:
         assert out.strip() == "A,B"
 
 
+class TestByteOrderMark:
+    # some editors start a UTF-8 file with a byte-order mark
+    @pytest.mark.parametrize("body", [
+        "A -> B\n",
+        json.dumps({"nodes": ["A", "B"],
+                    "edges": [{"a": "A", "b": "B", "kind": "->"}]}),
+    ], ids=["text", "json"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_leading_mark_is_ignored(self, tmp_path, capsys, monkeypatch,
+                                     body, source):
+        import io
+        plain = tmp_path / "plain.txt"
+        plain.write_bytes(body.encode())
+        expected = run(capsys, "identify", str(plain), "-x", "A", "-y", "B")
+        assert expected[0] == 0
+        marked = b"\xef\xbb\xbf" + body.encode()
+        if source == "file":
+            path = tmp_path / "bom.txt"
+            path.write_bytes(marked)
+            path = str(path)
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO(marked.decode()))
+            path = "-"
+        assert run(capsys, "identify", path, "-x", "A", "-y", "B") == expected
+
+
 class TestEnumerate:
     def test_split_graph(self, graph_file, capsys):
         path = graph_file(UNIDENTIFIABLE_TEXT)

@@ -8,7 +8,7 @@ from mpdagid import (Graph, GraphClass, GraphError, InconsistentOrientation,
                      ParseError, graph_to_json, graph_to_text, meek_closure,
                      parse_graph_json, parse_graph_text, refine)
 
-from cases import small_random_graphs
+from cases import reference_parse_graph_text, small_random_graphs
 
 
 class TestConstruction:
@@ -311,6 +311,79 @@ class TestTextFormat:
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_graph_json('{"nodes": ' + "[" * 100_000 + "]" * 100_000
                              + "}")
+
+
+def _parse_outcome(parse, text):
+    """The nodes and edges ``parse`` reads from ``text``, or the error's
+    class and message."""
+    try:
+        g = parse(text)
+    except GraphError as exc:
+        return type(exc).__name__, str(exc)
+    return g.nodes, g.directed_edges, g.undirected_edges
+
+
+class TestParserMatchesReference:
+    @pytest.mark.parametrize("text", [
+        "A -> B\r\nB -- C\r\n",
+        "A\t->\tB\n\tC <-\tB\t\n",
+        "A -> B#c\n",
+        "A -> B #\nB -- C#\n#",
+        "\n\n   \n# only a comment\n  # indented comment\nA -- B\n",
+        "A -> B\x1cB -- C\x1dnode D",
+        "A -> B\u2028C -- D\u2029E <- D",
+        "A\u00a0->\u00a0B\x0bC -- B\x0c",
+        "node -> B\nnode node\nB <- node2",
+        "node\n", "node A B\n", "  node A  # c\nnode B#\n",
+        "A B\n", "A -> B C\n", "A -> B\nA -> B -> C\n", "A => B\n",
+        "A -> A\n", "A -- A\n",
+        "A -> B\nB -- A\n", "A -> B\nA -> B\n", "A -> B\nB -> A\n",
+        "\ufeffA -> B\n", "", "#", "\n", "A -> #B\n",
+    ])
+    def test_tricky_texts(self, text):
+        assert (_parse_outcome(parse_graph_text, text)
+                == _parse_outcome(reference_parse_graph_text, text))
+
+    def test_random_line_soups(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        token = st.sampled_from(["A", "B", "C", "node", "->", "--", "<-",
+                                 "=>", "#", "B#c", "#A", "\ufeff"])
+        gap = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\u3000"])
+        line = st.lists(st.tuples(gap, token), max_size=5).map(
+            lambda parts: "".join(g + t for g, t in parts))
+        brk = st.sampled_from(["\n", "\r\n", "\r", "\x1c", "\u2028",
+                               "\x0b", "\x85"])
+        soup = st.lists(st.tuples(line, gap, brk), max_size=8).map(
+            lambda lines: "".join(a + b + c for a, b, c in lines))
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(soup)
+        def check(text):
+            assert (_parse_outcome(parse_graph_text, text)
+                    == _parse_outcome(reference_parse_graph_text, text))
+
+        check()
+
+
+@pytest.mark.parametrize("directed, undirected, message", [
+    ([("A", "Z"), ("B", "B")], [], "edge (A, Z) uses undeclared node"),
+    ([("Z", "Z"), ("B", "B")], [], "edge (Z, Z) uses undeclared node"),
+    ([("B", "B"), ("A", "Z")], [], "self loop on 'B'"),
+    ([("A", "B"), ("B", "A"), ("C", "C")], [],
+     "more than one edge between 'B' and 'A'"),
+    ([("C", "C")], [("A", "B"), ("B", "A")], "self loop on 'C'"),
+    ([("A", "B")], [("B", "A"), ("Q", "A")],
+     "more than one edge between 'B' and 'A'"),
+    ([], [("A", "B"), ("Q", "A"), ("B", "A")],
+     "edge (Q, A) uses undeclared node"),
+])
+def test_first_bad_edge_names_the_error(directed, undirected, message):
+    # every directed edge is checked before the undirected ones, each in
+    # the order given, and an edge for its labels before its ends
+    with pytest.raises(GraphError) as info:
+        Graph(["A", "B", "C"], directed, undirected)
+    assert str(info.value) == message
 
 
 class TestLabels:

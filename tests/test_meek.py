@@ -10,9 +10,10 @@ from mpdagid import (Graph, GraphClass, GraphError, InconsistentOrientation,
                      parse_graph_text, pattern_of, random_dag, refine)
 
 from cases import (_ref_rule_applications, background_graphs,
-                   reference_apply_background, reference_classify,
-                   reference_consistent_extension, reference_enumerate_dags,
-                   reference_refine, small_random_graphs)
+                   closed_random_pdags, reference_apply_background,
+                   reference_classify, reference_consistent_extension,
+                   reference_decisive_nodes, reference_enumerate_dags,
+                   reference_refine, small_random_graphs, sparse_pool_graphs)
 
 
 def closure(text):
@@ -351,7 +352,7 @@ def test_split_of_a_recorded_mpdag_runs_no_extension_search(
     calls = []
     search = meek._extension_edges
     monkeypatch.setattr(meek, "_extension_edges",
-                        lambda g: calls.append(g) or search(g))
+                        lambda g, among: calls.append(g) or search(g, among))
     split = refine(classified, "A", "B")
     for g in mpdags:
         for a, b in g.undirected_edges:
@@ -409,3 +410,73 @@ def test_apply_background_matches_reference_on_every_four_node_graph(
     # both classes of result, and both kinds of error, occurred
     assert kinds == {GraphClass.DAG, GraphClass.MPDAG, "GraphError",
                      "InconsistentOrientation"}
+
+
+# -- the restricted extension search of the closure ----------------------------
+
+
+def _cycle(k, into=False, between=False, chord=False):
+    """An undirected k-cycle C0 ... C{k-1}; with ``into`` a source S -> each
+    cycle node; with ``between`` U -- W, U -> M, W -> M and M -> each cycle
+    node, so M has no undirected edge but sits between undirected ones;
+    with ``chord`` the chords C0 -- Ci that make the cycle chordal."""
+    cyc = [f"C{i}" for i in range(k)]
+    und = [(cyc[i], cyc[(i + 1) % k]) for i in range(k)]
+    und += [(cyc[0], cyc[i]) for i in range(2, k - 1)] if chord else []
+    nodes, directed = list(cyc), []
+    if into:
+        nodes.append("S")
+        directed += [("S", c) for c in cyc]
+    if between:
+        nodes += ["U", "W", "M"]
+        und.append(("U", "W"))
+        directed += [("U", "M"), ("W", "M")] + [("M", c) for c in cyc]
+    return Graph(nodes, directed, und)
+
+
+def _restricted_verdict(g):
+    return meek._extension_edges(g, meek._decisive_nodes(g)) is not None
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("into", [False, True])
+@pytest.mark.parametrize("between", [False, True])
+@pytest.mark.parametrize("chord", [False, True])
+def test_classify_on_undirected_cycles(k, into, between, chord):
+    g = _cycle(k, into, between, chord)
+    assert not _ref_rule_applications(g)
+    decisive = meek._decisive_nodes(g)
+    assert decisive == reference_decisive_nodes(g)
+    assert ("M" in decisive) == between and "S" not in decisive
+    assert has_consistent_extension(g) == _restricted_verdict(g) == chord
+    assert g.classify() is reference_classify(g) is (
+        GraphClass.MPDAG if chord else GraphClass.PDAG)
+
+
+def test_classify_on_closed_random_pdags():
+    # closed, so the restricted search applies; some have no extension,
+    # and some have directed-only nodes between undirected ones
+    graphs = closed_random_pdags(seed=41, count=1500)
+    kinds = set()
+    for g in graphs:
+        decisive = meek._decisive_nodes(g)
+        assert decisive == reference_decisive_nodes(g), g
+        extendable = has_consistent_extension(g)
+        assert _restricted_verdict(g) == extendable, g
+        assert g.classify() is reference_classify(g), g
+        kinds.add((extendable,
+                   decisive == {v for v in g.nodes if g._nb[v]}))
+    assert kinds == set(itertools.product((False, True), repeat=2))
+
+
+def test_restricted_verdict_replays_the_whole_search(four_node_graphs):
+    # the closed four-node graphs hold the four-node battery of MPDAGs
+    closed = [g for g in four_node_graphs
+              if g.directed_part_acyclic() and not _ref_rule_applications(g)]
+    graphs = sparse_pool_graphs() + closed
+    verdicts = set()
+    for g in graphs:
+        verdict = has_consistent_extension(g)
+        assert _restricted_verdict(g) == verdict, g
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
