@@ -36,7 +36,7 @@ def _load_graph(source: str) -> Graph:
     if source == "-":
         text = sys.stdin.read()
     else:
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             text = fh.read()
     text = text.removeprefix("\ufeff")  # a byte-order mark some editors write
     if text.lstrip().startswith("{"):
@@ -170,17 +170,19 @@ def cmd_identify(graph: Graph, args) -> int:
 def cmd_enumerate(graph: Graph, args) -> int:
     leaves = cidme_tree(graph, _split(args.x), _split(args.y), _split(args.z))
     rendered = [render_text(leaf.expression) for leaf in leaves]
-    payload = {"leaves": [{"graph": _graph_obj(leaf.graph),
-                           "expression": text,
-                           "latex": render_latex(leaf.expression),
-                           "ast": expression_to_json(leaf.expression)}
-                          for leaf, text in zip(leaves, rendered)],
-               "distinct_expressions": len(set(rendered))}
-    lines = [f"{len(leaves)} leaves, {len(set(rendered))} distinct expressions"]
+    distinct = len(set(rendered))
+    # each leaf is built only in the form printed
+    if args.json:
+        print(_dumps({"leaves": [{"graph": _graph_obj(leaf.graph),
+                                  "expression": text,
+                                  "latex": render_latex(leaf.expression),
+                                  "ast": expression_to_json(leaf.expression)}
+                                 for leaf, text in zip(leaves, rendered)],
+                      "distinct_expressions": distinct}))
+        return 0
+    print(f"{len(leaves)} leaves, {distinct} distinct expressions")
     for leaf, text in zip(leaves, rendered):
-        lines.append(f"[{_graph_line(leaf.graph)}]")
-        lines.append(f"  {text}")
-    _emit(args, payload, lines)
+        print(f"[{_graph_line(leaf.graph)}]\n  {text}")
     return 0
 
 

@@ -19,6 +19,7 @@ fraction.  The entry points are
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar, Union
@@ -126,6 +127,7 @@ def normal_form(expr: DensityExpression, graph: Graph) -> DensityExpression:
     return whole(fold(expr, factor, product, marginal, fraction))
 
 
+@functools.lru_cache(maxsize=4096)  # per label, not per leaf
 def _sym_latex(label: str) -> str:
     m = re.fullmatch(r"([A-Za-z]+)(\d+)", label)
     if m:

@@ -3,14 +3,13 @@
 The closure operator repeatedly applies the four rules until no undirected
 edge can be oriented.  A closed graph whose class is nonempty (it admits a
 consistent extension) is maximally oriented; inconsistent inputs raise
-:class:`InconsistentOrientation`.
+:class:`InconsistentOrientation`.  The rounds and the sink search run on
+int bit masks, bit i for node i, built per call from the edge maps.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graph import Graph, GraphClass, GraphError, _orient_in_maps
 from .reachability import _closure
@@ -20,61 +19,63 @@ class InconsistentOrientation(GraphError):
     """The requested orientations admit no consistent extension."""
 
 
-def _licensed(pa, ch, nb, adj, x: str, y: str) -> bool:
-    """True iff one of R1-R4 orients the undirected edge x -- y as x -> y.
-
-    ``pa``, ``ch`` and ``nb`` map each node to its parents, children and
-    undirected neighbours; ``adj`` maps it to all its neighbours.
-    """
-    # R1: a -> x -- y with a, y nonadjacent
-    if any(a not in adj[y] for a in pa[x]):
-        return True
-    # R2: x -> b -> y with x -- y
-    if not ch[x].isdisjoint(pa[y]):
-        return True
-    # R3: x -- c -> y and x -- d -> y with c, d nonadjacent
-    shared = nb[x] & pa[y]
-    if any(d not in adj[c] for c, d in itertools.combinations(shared, 2)):
-        return True
-    # R4: x -- d -> c -> y with d, y nonadjacent and x, c adjacent
-    for d in nb[x]:
-        if d == y or d in adj[y]:
-            continue
-        if not adj[x].isdisjoint(ch[d] & pa[y]):
-            return True
-    return False
+def _bits(m: int) -> Iterator[int]:
+    """The indices of the set bits of ``m``, low to high."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
 
-def _rule_applications(pa, ch, nb, adj, edges) -> list[tuple[str, str]]:
-    """The orientations x -> y that R1-R4 license among ``edges``, each
-    undirected edge tried as a -> b and then b -> a."""
-    return [(x, y) for a, b in edges for x, y in ((a, b), (b, a))
-            if _licensed(pa, ch, nb, adj, x, y)]
+def _masks(index: dict[str, int], pa, ch, nb,
+           at: Iterable[str] | None = None, built=None):
+    """Int bit masks, bit i for node i, of the parents, children and
+    undirected neighbours of each node in ``at`` (by default each node with
+    an undirected edge), and of its neighbours and itself, in lists by node
+    index with 0 at every other node; last, the mask of those nodes.
+    ``built`` is an earlier result on the same maps: its nodes are kept."""
+    n, get, shift = len(index), index.__getitem__, (1).__lshift__
+    mpa, mch, mnb, madj, done = (built
+                                 or ([0] * n, [0] * n, [0] * n, [0] * n, 0))
+    live = 0
+    for v in [v for v, s in nb.items() if s] if at is None else at:
+        i = index[v]
+        live |= 1 << i
+        if not done >> i & 1:
+            mpa[i] = p = sum(map(shift, map(get, pa[v])))
+            mch[i] = c = sum(map(shift, map(get, ch[v])))
+            mnb[i] = u = sum(map(shift, map(get, nb[v])))
+            madj[i] = p | c | u | 1 << i
+    return mpa, mch, mnb, madj, live
 
 
-class _Adjacency(dict):
-    """All neighbours of each node of a graph, built for a node when it is
-    first asked for.  Orienting an edge keeps the adjacencies, so one map
-    serves a whole closure.  Lazy because most nodes of a sparse graph
-    have no undirected edge: an eager map made ``classify`` about 20%
-    slower there."""
-
-    def __init__(self, graph: Graph):
-        super().__init__()
-        self._graph = graph
-
-    def __missing__(self, v: str) -> frozenset[str]:
-        g = self._graph
-        out = self[v] = g._pa[v] | g._ch[v] | g._nb[v]
-        return out
-
-
-def _edges_at(nb, index, nodes: Iterable[str]) -> list[tuple[str, str]]:
-    """The undirected edges with an endpoint in ``nodes``, in
-    ``undirected_edges`` order."""
-    return sorted({(u, w) if index[u] < index[w] else (w, u)
-                   for u in nodes for w in nb[u]},
-                  key=lambda e: (index[e[0]], index[e[1]]))
+def _applications(pa, ch, nb, adj, seeds: int) -> list[tuple[int, int]]:
+    """The orientations x -> y, as node indices, that R1-R4 license among
+    the undirected edges with an endpoint in ``seeds``, in
+    ``undirected_edges`` order (bit order is node order), each edge a -- b
+    tried as a -> b and then b -> a.  The masks are those of
+    :func:`_masks`: a premise reads the masks of endpoints of undirected
+    edges only, so masks at those nodes suffice."""
+    out = []
+    ends = seeds
+    for s in _bits(seeds):
+        ends |= nb[s]
+    for a in _bits(ends):
+        later = nb[a] >> a + 1 << a + 1
+        for b in _bits(later if seeds >> a & 1 else later & seeds):
+            for x, y in ((a, b), (b, a)):
+                py, apart = pa[y], ~adj[y]
+                shared, far = nb[x] & py, nb[x] & apart
+                # R1: p -> x -- y, p and y nonadjacent; R2: x -> c -> y;
+                # R3: x -- c -> y and x -- d -> y, c and d nonadjacent;
+                # R4: x -- d -> c -> y, d and y nonadjacent, x and c adjacent
+                if (pa[x] & apart or ch[x] & py
+                        or shared & shared - 1 and any(
+                            shared & ~adj[c] for c in _bits(shared))
+                        or far and (into := py & adj[x]) and any(
+                            ch[d] & into for d in _bits(far))):
+                    out.append((x, y))
+    return out
 
 
 def meek_closure(graph: Graph) -> Graph:
@@ -96,37 +97,41 @@ def meek_closure(graph: Graph) -> Graph:
         directed cycle or an unshielded collider the input did not have,
         or the closed graph has no consistent extension.
     """
-    return _close(graph, [], graph.nodes)
+    return _close(graph, [])
 
 
 def _close(graph: Graph, given: list[tuple[str, str]],
-           seeds: Iterable[str], _split: bool = False) -> Graph:
-    """The rounds of :func:`meek_closure` on copies of ``graph``'s maps,
-    with the undirected edges ``given`` oriented first, as listed.  The
-    first round tries the undirected edges at ``seeds``.  Returns one graph
-    derived from ``graph``, or ``graph`` itself if nothing changed."""
-    pa, ch, nb = graph._oriented_maps(given)
-    index = graph._index
-    adj = _Adjacency(graph)  # orienting keeps every adjacency
-    edges = _edges_at(nb, index, seeds)
-    new: list[tuple[str, str]] = []
-    while edges:
+           seeds: Iterable[str] | None = None, _split: bool = False) -> Graph:
+    """The rounds of :func:`meek_closure` on masks of copies of ``graph``'s
+    maps, with the undirected edges ``given`` oriented first, as listed.
+    The first round tries the undirected edges at ``seeds`` (default: at
+    every node).  Returns one graph derived from ``graph``, or ``graph``
+    itself if nothing changed."""
+    maps = graph._oriented_maps(given)
+    nodes, index = graph.nodes, graph._index
+    masks = pa, ch, nb, adj, live = _masks(index, *maps)
+    near = live if seeds is None else live & sum({1 << index[v] for v in seeds})
+    new: list[tuple[int, int]] = []
+    while near:
         oriented = []
-        for a, b in _rule_applications(pa, ch, nb, adj, edges):
-            if b in nb[a]:
-                _orient_in_maps(pa, ch, nb, a, b)
+        for a, b in _applications(pa, ch, nb, adj, near):
+            if nb[a] >> b & 1:
+                nb[a], nb[b] = nb[a] ^ 1 << b, nb[b] ^ 1 << a
+                ch[a], pa[b] = ch[a] | 1 << b, pa[b] | 1 << a
                 oriented.append((a, b))
         new += oriented
-        near: set[str] = set()
+        near = 0
         for a, b in oriented:
-            near |= adj[a] | adj[b] | {a, b}
-        edges = _edges_at(nb, index, near)
-    g = graph._derive(pa, ch, nb) if given or new else graph
+            near |= adj[a] | adj[b]
+        near &= live
+    for a, b in new:  # new sets where an edge changed; the rest stay shared
+        _orient_in_maps(*maps, nodes[a], nodes[b])
+    g = graph._derive(*maps) if given or new else graph
     if _split:
         # a split of an MPDAG's undirected edge: its class orients the edge
         # both ways (Meek, UAI 1995), so the closure is the MPDAG (or DAG)
         # of a subclass, and the checks below cannot fail
-        g._class = GraphClass.MPDAG if any(g._nb.values()) else GraphClass.DAG
+        g._class = GraphClass.MPDAG if any(nb) else GraphClass.DAG
         return g
     # g holds every directed edge of the start (graph with ``given``), so
     # the start is checked only when g has a cycle, to say whose it is
@@ -137,14 +142,14 @@ def _close(graph: Graph, given: list[tuple[str, str]],
             else "closure created a directed cycle")
     # a new unshielded collider holds a newly oriented edge u -> v and
     # another parent of v that is not adjacent to u
-    if any(p != u and p not in adj[u] for u, v in new for p in pa[v]):
+    if any(pa[v] & ~adj[u] for u, v in new):
         raise InconsistentOrientation("closure created a new unshielded collider")
     # the rounds stopped with no rule left to apply, so g is closed:
     # its class is decided here, and Graph.classify() asks for it
     if g._class is None:
-        g._class = (GraphClass.DAG if not any(g._nb.values())
+        g._class = (GraphClass.DAG if not any(nb)
                     else GraphClass.MPDAG
-                    if _extension_edges(g, _decisive_nodes(g)) is not None
+                    if _extension_edges(g, _decisive_nodes(g), masks) is not None
                     else GraphClass.PDAG)
     if g._class is GraphClass.PDAG:
         raise InconsistentOrientation("no consistent extension exists")
@@ -154,8 +159,8 @@ def _close(graph: Graph, given: list[tuple[str, str]],
 def is_meek_closed(graph: Graph) -> bool:
     """True iff none of R1-R4 can orient any undirected edge.  Nothing in
     the package calls it; ``bench/tracing.py`` wraps it by name."""
-    return not _rule_applications(graph._pa, graph._ch, graph._nb,
-                                  _Adjacency(graph), graph.undirected_edges)
+    return not _applications(*_masks(graph._index, graph._pa, graph._ch,
+                                     graph._nb))
 
 
 def refine(graph: Graph, a: str, b: str) -> Graph:
@@ -169,7 +174,7 @@ def refine(graph: Graph, a: str, b: str) -> Graph:
     when there is no a -- b to orient, it tries every edge."""
     split = graph._class is GraphClass.MPDAG and graph.has_undirected(a, b)
     seeds = (graph.neighbors_of(a) | graph.neighbors_of(b) | {a, b}
-             if split else graph.nodes)
+             if split else None)
     return _close(graph, [(a, b)], seeds, _split=split)
 
 
@@ -189,7 +194,7 @@ def apply_background(graph: Graph, orientations: Iterable[tuple[str, str]]) -> G
         given[a, b] = None
         if not graph.has_undirected(a, b):
             break  # the pair _oriented_maps rejects, before any later one
-    return _close(graph, list(given), graph.nodes)
+    return _close(graph, list(given))
 
 
 def _decisive_nodes(graph: Graph) -> frozenset[str]:
@@ -214,47 +219,39 @@ def _decisive_nodes(graph: Graph) -> frozenset[str]:
     return _closure(graph, undirected, lambda v: graph._ch[v] & above)
 
 
-def _extension_edges(graph: Graph, among: Iterable[str]) -> list[tuple[str, str]] | None:
+def _extension_edges(graph: Graph, among: Iterable[str], masks=None
+                     ) -> list[tuple[str, str]] | None:
     """How the sink-elimination search orients the undirected edges of the
     subgraph that ``among`` induces, or None if it has no consistent
     extension.  It repeatedly picks the first node, in node order, with no
     outgoing directed edge whose undirected neighbors are adjacent to all
     its other neighbors, orients its undirected edges inward, and removes
-    it.  A node that fails waits outside the heap of candidate positions
-    until one of its neighbours is removed, since only that can change its
-    verdict.  A node on a directed cycle keeps a child on the cycle, so it
-    is never removed."""
-    nodes, index = graph.nodes, graph._index
-    pa, ch, nb = graph._pa, graph._ch, graph._nb
-    adj = _Adjacency(graph)
-    remaining = set(among)
+    it.  A node that fails waits outside the mask of candidates until one
+    of its neighbours is removed, since only that can change its verdict.
+    A node on a directed cycle keeps a child on the cycle, so it is never
+    removed.  ``masks``, if given, are ``_masks`` of ``graph``'s maps."""
+    nodes = graph.nodes
+    pa, ch, nb, adj, remaining = _masks(graph._index, graph._pa, graph._ch,
+                                        graph._nb, among, masks)
     oriented: list[tuple[str, str]] = []
-
-    def sink_ok(v: str) -> bool:
-        if not ch[v].isdisjoint(remaining):
-            return False
-        nbs = nb[v] & remaining
-        others = (pa[v] & remaining) | nbs
-        # the others not adjacent to u can only be u itself
-        return all(others - adj[u] <= {u} for u in nbs)
-
-    queued = [v in remaining for v in nodes]
-    heap = [i for i, q in enumerate(queued) if q]
+    queued = remaining  # the candidates, popped lowest bit first
     while remaining:
-        if not heap:
+        if not queued:
             return None
-        i = heapq.heappop(heap)
-        queued[i] = False
-        v = nodes[i]
-        if not sink_ok(v):
+        low = queued & -queued
+        queued ^= low
+        v = low.bit_length() - 1
+        nbs = nb[v] & remaining
+        others = pa[v] & remaining | nbs
+        # a sink: no child left, and each undirected neighbour u adjacent
+        # to all of v's other neighbours (adj[u] holds u itself)
+        if ch[v] & remaining or nbs and any(others & ~adj[u]
+                                            for u in _bits(nbs)):
             continue
-        oriented += [(u, v) for u in nb[v] & remaining]
-        remaining.discard(v)
+        oriented += [(nodes[u], nodes[v]) for u in _bits(nbs)]
+        remaining ^= low
         # v has no child left, so its remaining neighbours are these
-        for u in (pa[v] | nb[v]) & remaining:
-            if not queued[index[u]]:
-                queued[index[u]] = True
-                heapq.heappush(heap, index[u])
+        queued |= others
     return oriented
 
 

@@ -442,6 +442,32 @@ def test_graph_file_is_closed(graph_file):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "A,B\n", "")
 
 
+@pytest.mark.parametrize("body, argv, out", [
+    ("X -> Y\n# caf\u00e9\n", ["identify", "-x", "X", "-y", "Y"], "f(y|x)\n"),
+    ("\u00e9 -> Y\n", ["dags", "--json"], None),
+], ids=["comment", "label"])
+def test_graph_file_is_read_as_utf8_in_any_locale(tmp_path, body, argv, out):
+    # under the POSIX locale, with UTF-8 mode off, the locale's encoding
+    # is ASCII; a graph file is UTF-8 whatever the locale
+    import os
+    import subprocess
+    import sys
+
+    import mpdagid
+    path = tmp_path / "g.txt"
+    path.write_bytes(body.encode("utf-8"))
+    src = os.path.dirname(os.path.dirname(mpdagid.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "mpdagid.cli", argv[0],
+         str(path), *argv[1:]], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src, LC_ALL="POSIX"))
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    if out is not None:
+        assert proc.stdout == out
+    else:  # json writes the label as an ASCII escape
+        assert json.loads(proc.stdout)["dags"][0]["nodes"] == ["\u00e9", "Y"]
+
+
 def _clique(k):
     nodes = [f"C{i}" for i in range(k)]
     return Graph(nodes, undirected=list(itertools.combinations(nodes, 2)))
@@ -563,6 +589,35 @@ class TestJsonWriter:
             json.dumps(obj, indent=2)
         with pytest.raises(TypeError):
             _dumps(obj)
+
+    # Repeats that a writer reusing the chunk of an earlier equal dict
+    # would get wrong if it keyed the chunk on less than the items in
+    # order, the indent and the exact types: a string-only dict at two
+    # depths, in two key orders, next to AST dicts, and scalars that
+    # compare equal but are written apart
+    @pytest.mark.parametrize("obj", [
+        # the same string-only dict at two depths
+        {"e": {"a": "A", "b": "B"}, "l": [{"a": "A", "b": "B"}],
+         "m": {"n": {"a": "A", "b": "B"}}},
+        # the same items in two key orders, the same values under other keys
+        [{"a": "A", "b": "B", "kind": "->"},
+         {"kind": "->", "b": "B", "a": "A"},
+         {"x": "A", "y": "B", "z": "->"},
+         {"a": "A", "b": "B", "kind": "->"}],
+        # a string-only dict next to AST dicts that share its "kind"
+        [{"kind": "marginal", "a": "A", "b": "B"},
+         {"kind": "marginal", "variables": ["A"], "body": {"kind": "product",
+                                                           "factors": []}},
+         {"kind": "fraction", "numerator": {"kind": "marginal", "a": "A",
+                                            "b": "B"}, "denominator": "B"},
+         {"kind": "fraction", "numerator": "A", "denominator": "B"}],
+        # values json writes alike or not, after a string-only dict
+        [{"a": "1"}, {"a": 1}, {"a": True}, {"a": 1.0}, {"a": None},
+         {"a": "true"}, {1: "a"}, {"1": "a"}, {True: "a"}, {"a": "1"}],
+        [{}, {"a": {}}, {}, [{}]],
+    ], ids=["two-depths", "key-orders", "ast-kind", "scalars", "empty"])
+    def test_repeated_dicts_match_json_dumps(self, obj):
+        assert _dumps(obj) == json.dumps(obj, indent=2)
 
     @pytest.mark.parametrize("command", [
         "identify", "enumerate", "verify", "dags", "complete", "dsep",

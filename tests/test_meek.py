@@ -9,7 +9,8 @@ from mpdagid import (Graph, GraphClass, GraphError, InconsistentOrientation,
                      has_consistent_extension, is_meek_closed, meek_closure,
                      parse_graph_text, pattern_of, random_dag, refine)
 
-from cases import (_ref_rule_applications, background_graphs,
+from cases import (_ref_r1, _ref_r2, _ref_r3, _ref_r4,
+                   _ref_rule_applications, background_graphs,
                    closed_random_pdags, reference_apply_background,
                    reference_classify, reference_consistent_extension,
                    reference_decisive_nodes, reference_enumerate_dags,
@@ -352,7 +353,8 @@ def test_split_of_a_recorded_mpdag_runs_no_extension_search(
     calls = []
     search = meek._extension_edges
     monkeypatch.setattr(meek, "_extension_edges",
-                        lambda g, among: calls.append(g) or search(g, among))
+                        lambda g, among, masks=None:
+                        calls.append(g) or search(g, among, masks))
     split = refine(classified, "A", "B")
     for g in mpdags:
         for a, b in g.undirected_edges:
@@ -480,3 +482,71 @@ def test_restricted_verdict_replays_the_whole_search(four_node_graphs):
         assert _restricted_verdict(g) == verdict, g
         verdicts.add(verdict)
     assert verdicts == {False, True}
+
+
+# -- the int-bitmask kernel ----------------------------------------------------
+
+
+def _kernel_applications(g, seeds=None):
+    """The orientations the rounds' kernel licenses on ``g``, as labels,
+    on the edges at ``seeds`` (default: every edge)."""
+    pa, ch, nb, adj, live = meek._masks(g._index, g._pa, g._ch, g._nb)
+    if seeds is not None:
+        live &= sum(1 << g.index(v) for v in seeds)
+    return [(g.nodes[x], g.nodes[y])
+            for x, y in meek._applications(pa, ch, nb, adj, live)]
+
+
+def _shuffled_pdags(seed, count):
+    """Seeded PDAGs on 9-20 nodes, cyclic or not closed as it falls, whose
+    labels V0, V1, ... are declared in a random order: bit order (node
+    index), label order and the order of the label numbers all differ."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(9, 20)
+        nodes = rng.sample([f"V{j}" for j in range(n)], n)
+        p = rng.choice((1.5, 3.0, 5.0)) / (n - 1)
+        directed, undirected = [], []
+        for a, b in itertools.combinations(nodes, 2):
+            if rng.random() < p:
+                kind = rng.randrange(3)
+                if kind == 2:
+                    undirected.append((a, b))
+                else:
+                    directed.append((a, b) if kind == 0 else (b, a))
+        out.append(Graph(nodes, directed, undirected))
+    return out
+
+
+def test_kernel_matches_reference_rules_on_every_four_node_graph(
+        four_node_graphs):
+    licensed = 0
+    for g in four_node_graphs:
+        expected = _ref_rule_applications(g)
+        assert _kernel_applications(g) == expected, g
+        # declared in reverse: node index and label order disagree
+        r = Graph(g.nodes[::-1], g.directed_edges, g.undirected_edges)
+        assert _kernel_applications(r) == _ref_rule_applications(r), r
+        licensed += bool(expected)
+    assert 0 < licensed < len(four_node_graphs)
+
+
+def test_kernel_matches_reference_rules_on_shuffled_random_pdags():
+    rng = random.Random(3)
+    rules = set()
+    for g in _shuffled_pdags(seed=17, count=300):
+        assert g.nodes != tuple(sorted(g.nodes)) and len(g.nodes) > 8
+        expected = _ref_rule_applications(g)
+        assert _kernel_applications(g) == expected, g
+        # the edges at some seeds: the reference's pairs on those edges
+        seeds = set(rng.sample(g.nodes, rng.randint(1, 4)))
+        assert _kernel_applications(g, seeds) == [
+            (x, y) for x, y in expected if {x, y} & seeds], (g, seeds)
+        for x, y in expected:
+            rules.add(next(i for i, rule in enumerate(
+                (_ref_r1, _ref_r2, _ref_r3, _ref_r4)) if rule(g, x, y)))
+        extension = reference_consistent_extension(g)
+        assert repr(consistent_extension(g)) == repr(extension), g
+    # every rule licensed some orientation first
+    assert rules == {0, 1, 2, 3}
