@@ -13,19 +13,17 @@ from .reachability import (ancestors, descendants, find_proper_pc_path,
                            possible_ancestors, possible_descendants)
 from .dsep import (OpenPathWitness, d_separated, find_open_path,
                    is_open_definite_status_path, triple_status)
-from .pco import bucket_decomposition, pco, undirected_components
+from .pco import pco, undirected_components
 from .ident import (CidmeLeaf, DensityExpression, DsepFailure, Factor,
                     FailCertificate, Fraction, IdentificationError,
                     MarginalOver, NotIdentifiable, PreconditionViolated,
-                    Product, cidm, cidme, cidme_tree, expression_to_json,
-                    fold, id_formula, normal_form, render_latex, render_text,
-                    rule1_holds, rule2_holds, rule3_holds, rule3_shortcut)
+                    Product, cidm, cidme_tree, expression_to_json, fold,
+                    id_formula, normal_form, render_latex, render_text,
+                    rule1_holds, rule2_holds, rule3_holds)
 from .oracle import (CounterexampleReport, DagNotInClass, DiscreteModel,
                      LinearGaussianSem, dag_d_separated, enumerate_dags,
-                     evaluate_expression, interventional_conditional,
-                     numeric_gap, random_dag, random_mpdag, table_conditional,
-                     table_probability, verify_counterexample,
-                     wright_covariance)
+                     evaluate_expression, numeric_gap, random_dag,
+                     random_mpdag, table_probability, verify_counterexample)
 
 __version__ = "0.1.0"
 
@@ -40,18 +38,16 @@ __all__ = [
     "possible_descendants",
     "OpenPathWitness", "d_separated", "find_open_path",
     "is_open_definite_status_path", "triple_status",
-    "bucket_decomposition", "pco", "undirected_components",
+    "pco", "undirected_components",
     "CidmeLeaf", "DensityExpression", "DsepFailure", "Factor",
     "FailCertificate", "Fraction", "IdentificationError", "MarginalOver",
-    "NotIdentifiable", "PreconditionViolated", "Product", "cidm", "cidme",
+    "NotIdentifiable", "PreconditionViolated", "Product", "cidm",
     "cidme_tree", "expression_to_json", "fold", "id_formula", "normal_form",
     "render_latex", "render_text", "rule1_holds", "rule2_holds",
-    "rule3_holds", "rule3_shortcut",
+    "rule3_holds",
     "CounterexampleReport", "DagNotInClass", "DiscreteModel",
     "LinearGaussianSem", "dag_d_separated", "enumerate_dags",
-    "evaluate_expression", "interventional_conditional", "numeric_gap",
-    "random_dag",
-    "random_mpdag", "table_conditional", "table_probability",
-    "verify_counterexample", "wright_covariance",
+    "evaluate_expression", "numeric_gap", "random_dag", "random_mpdag",
+    "table_probability", "verify_counterexample",
     "__version__",
 ]

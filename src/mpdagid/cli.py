@@ -5,8 +5,8 @@ of :func:`mpdagid.graph.parse_graph_text`, or as JSON when the input
 starts with ``{``.  Every subcommand accepts ``--json`` for structured
 output.  Exit codes: 0 on success, 1 when ``verify`` finds a numeric
 mismatch or nothing to verify, 2 on malformed input or queries, when
-numpy is missing or when ``verify``'s joint table is too large to
-allocate, 3 when ``identify`` finds the effect not identifiable.
+numpy is missing or when ``verify``'s graph has more nodes than its joint
+table allows, 3 when ``identify`` finds the effect not identifiable.
 """
 
 from __future__ import annotations

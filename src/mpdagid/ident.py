@@ -12,9 +12,9 @@ fraction.  The entry points are
   conditioning set while a do-calculus step licenses it, then finishes with
   a conditional-density off-ramp or a fraction of two formula instances,
   raising :class:`NotIdentifiable` with a certificate otherwise;
-* :func:`cidme` -- the per-class enumeration: where ``cidm`` would fail it
-  orients the first undirected edge of the offending path both ways,
-  re-closes and repeats on each side, yielding one expression per leaf class.
+* :func:`cidme_tree` -- the per-class enumeration: where ``cidm`` would
+  fail it orients the first undirected edge of the offending path both
+  ways, re-closes and repeats on each side: one expression per leaf class.
 """
 
 from __future__ import annotations
@@ -275,15 +275,6 @@ def rule3_holds(graph: Graph, xs, ys, zs, ws=()) -> bool:
 # -- identification -----------------------------------------------------------
 
 
-def rule3_shortcut(graph: Graph, xs, ys, zs=()) -> DensityExpression | None:
-    """``f(y | z)`` when neither Y nor Z can possibly descend from X."""
-    x, y, z = _validate_query(graph, xs, ys, zs)
-    pd_x = possible_descendants(graph, x)
-    if (y & pd_x) or (z & pd_x):
-        return None
-    return normal_form(Factor(tuple(y), tuple(z)), graph)
-
-
 def id_formula(graph: Graph, xs, ys, zs=()) -> DensityExpression:
     """Bucket-wise closed form for f(y | do(x), z).
 
@@ -428,8 +419,3 @@ def cidme_tree(graph: Graph, xs, ys, zs=()) -> list[CidmeLeaf]:
         stack += [(refine(g, b, a), set(x1), set(z1)),
                   (refine(g, a, b), x1, z1)]
     return leaves
-
-
-def cidme(graph: Graph, xs, ys, zs=()) -> list[DensityExpression]:
-    """The multiset of leaf expressions of :func:`cidme_tree`."""
-    return [leaf.expression for leaf in cidme_tree(graph, xs, ys, zs)]

@@ -28,6 +28,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_ENUMERABLE_UNDIRECTED = 20
+MAX_TABLE_NODES = 20  # a joint table of n binary nodes holds 2^n floats
 
 
 # -- the DAG class ------------------------------------------------------------
@@ -226,9 +227,10 @@ def table_probability(table: np.ndarray, nodes: tuple[str, ...],
 
 
 def _conditional(table: np.ndarray, nodes: tuple[str, ...]):
-    """``table_conditional`` on ``table``, each marginal summed once, in a
-    memo keyed on the assignment's items that lives in this closure with
-    the table itself (an ``id(table)`` key would outlive a freed table)."""
+    """``conditional(targets, given)``, the probability of ``targets``
+    given ``given`` under ``table``, each marginal summed once, in a memo
+    keyed on the assignment's items that lives in this closure with the
+    table itself (an ``id(table)`` key would outlive a freed table)."""
     sums: Dict[frozenset, float] = {}
 
     def probability(assignment: Mapping[str, int]) -> float:
@@ -241,12 +243,6 @@ def _conditional(table: np.ndarray, nodes: tuple[str, ...]):
         den = probability(given) if given else 1.0
         return probability({**targets, **given}) / den
     return conditional
-
-
-def table_conditional(table: np.ndarray, nodes: tuple[str, ...],
-                      targets: Mapping[str, int],
-                      given: Mapping[str, int]) -> float:
-    return _conditional(table, nodes)(targets, given)
 
 
 def _compile(expr: DensityExpression):
@@ -283,14 +279,6 @@ def evaluate_expression(expr: DensityExpression, joint: np.ndarray,
     return _compile(expr)(dict(assignment), _conditional(joint, nodes))
 
 
-def interventional_conditional(model: DiscreteModel, do: Mapping[str, int],
-                               targets: Mapping[str, int],
-                               given: Mapping[str, int]) -> float:
-    """Ground truth f(targets | do, given) from the truncated factorization."""
-    table = model.interventional(do)
-    return table_conditional(table, model.dag.nodes, targets, given)
-
-
 def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
                 y: Collection[str], z: Collection[str], rng: random.Random,
                 trials: int = 1) -> tuple[float, int, int]:
@@ -301,9 +289,12 @@ def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
     each marginal of the joint and of each do-table is summed once.
 
     Returns the worst absolute gap, the number of DAGs and the number of
-    comparisons."""
+    comparisons.  ``graph`` is capped at ``MAX_TABLE_NODES`` nodes."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if len(graph.nodes) > MAX_TABLE_NODES:
+        raise GraphError(f"{len(graph.nodes)} nodes exceeds the joint-table "
+                         f"cap ({MAX_TABLE_NODES})")
     free = graph.sorted_nodes(set(x) | set(y) | set(z))
     dags = enumerate_dags(graph)
     evaluate = _compile(expr)
@@ -401,26 +392,6 @@ class LinearGaussianSem:
         gap = np.array([given[v] for v in given]) - mu[gi]
         weights = np.linalg.solve(sigma[np.ix_(gi, gi)], sigma[gi, ti])
         return float(mu[ti] + weights @ gap)
-
-
-def wright_covariance(sem: LinearGaussianSem) -> np.ndarray:
-    """Covariance by summing directed-path coefficient products (total
-    effects) instead of inverting the system matrix:
-    Cov(Xi, Xj) = sum_k Var(eps_k) * t(k -> i) * t(k -> j)."""
-    import numpy as np
-    dag = sem.dag
-    nodes = dag.nodes
-    n = len(nodes)
-    effects = np.zeros((n, n))
-    # a column sums its parents' columns: any parents-first order is exact
-    for j_name in dag._topological_order():
-        j = nodes.index(j_name)
-        effects[j, j] = 1.0
-        for p in dag.parents_of(j_name):
-            effects[:, j] += sem.coefficients[(p, j_name)] \
-                * effects[:, nodes.index(p)]
-    d = np.array([sem.noise_variances[v] for v in nodes])
-    return effects.T @ np.diag(d) @ effects
 
 
 # -- counterexample checking ----------------------------------------------------

@@ -29,14 +29,6 @@ def undirected_components(graph: Graph) -> list[frozenset[str]]:
     return comps
 
 
-def bucket_decomposition(graph: Graph, nodes: Iterable[str]) -> list[frozenset[str]]:
-    """The nonempty intersections of ``nodes`` with the undirected components,
-    ordered by smallest member (no causal ordering implied)."""
-    d = graph.check_nodes(nodes)
-    out = [comp & d for comp in undirected_components(graph)]
-    return [b for b in out if b]
-
-
 def pco(graph: Graph, nodes: Iterable[str]) -> list[tuple[str, ...]]:
     """Partial causal ordering of ``nodes`` as a list of bucket tuples.
 

@@ -200,20 +200,18 @@ def possible_ancestors(graph: Graph, nodes: Iterable[str]) -> frozenset[str]:
 
 def find_proper_pc_path(graph: Graph, sources: Iterable[str],
                         targets: Iterable[str], *,
-                        start_undirected: bool = False,
-                        forbidden: Iterable[str] = ()) -> tuple[str, ...] | None:
+                        start_undirected: bool = False
+                        ) -> tuple[str, ...] | None:
     """Shortest proper possibly directed path from ``sources`` to ``targets``.
 
     Proper means only the first node lies in ``sources``.  With
-    ``start_undirected`` the first edge must be undirected.  No node of the
-    path lies in ``forbidden``.  Ties among shortest paths break
-    lexicographically by node index.  Returns None if no such path exists.
-    Polynomial on DAGs and MPDAGs; exhaustive on other graphs.
+    ``start_undirected`` the first edge must be undirected.  Ties among
+    shortest paths break lexicographically by node index.  Returns None if
+    no such path exists.  Polynomial on DAGs and MPDAGs; exhaustive on
+    other graphs.
     """
-    src, tgt, bad = map(frozenset, (sources, targets, forbidden))
-    graph.check_nodes(src | tgt | bad)
-    graph.check_disjoint(src, tgt)
-    return _search(graph, src - bad, blocked=src | bad, targets=tgt,
+    src, tgt = graph.check_disjoint(sources, targets)
+    return _search(graph, src, blocked=src, targets=tgt,
                    start_undirected=start_undirected)[1]
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from mpdagid import (DensityExpression, DiscreteModel, Factor, Fraction,
                      Graph, GraphClass, GraphError, InconsistentOrientation,
                      MarginalOver, ParseError, Product, enumerate_dags,
-                     evaluate_expression, interventional_conditional,
-                     meek_closure, normal_form, parse_graph_text, random_mpdag)
+                     evaluate_expression, meek_closure, normal_form,
+                     oracle, parse_graph_text, random_mpdag)
 
 MARGINAL_TEXT = """\
 X -> Y
@@ -269,6 +269,16 @@ def reference_enumerate_dags(graph: Graph) -> list[Graph]:
     return out
 
 
+def reference_interventional_conditional(model: DiscreteModel, do, targets,
+                                         given) -> float:
+    """Ground truth f(targets | do, given): two marginals of the
+    do-table from the truncated factorization, summed afresh (through
+    ``oracle.table_probability``, so a test can count the sums)."""
+    table, nodes = model.interventional(do), model.dag.nodes
+    den = oracle.table_probability(table, nodes, given) if given else 1.0
+    return oracle.table_probability(table, nodes, {**targets, **given}) / den
+
+
 def reference_numeric_gap(graph: Graph, expr: DensityExpression, x, y, z,
                           rng: random.Random, trials: int = 1
                           ) -> tuple[float, int, int]:
@@ -287,13 +297,40 @@ def reference_numeric_gap(graph: Graph, expr: DensityExpression, x, y, z,
             joint = model.joint()
             for values in itertools.product((0, 1), repeat=len(free)):
                 env = dict(zip(free, values))
-                truth = interventional_conditional(
+                truth = reference_interventional_conditional(
                     model, {v: env[v] for v in x},
                     {v: env[v] for v in y}, {v: env[v] for v in z})
                 got = evaluate_expression(expr, joint, graph.nodes, env)
                 worst = max(worst, abs(got - truth))
                 checks += 1
     return worst, len(dags), checks
+
+
+def reference_wright_covariance(sem):
+    """Covariance of a linear SEM by summing directed-path coefficient
+    products (total effects) instead of inverting the system matrix:
+    Cov(Xi, Xj) = sum_k Var(eps_k) * t(k -> i) * t(k -> j)."""
+    import numpy as np
+    dag, nodes = sem.dag, sem.dag.nodes
+    order, pending = [], {v: len(dag.parents_of(v)) for v in nodes}
+    ready = [v for v in nodes if pending[v] == 0]
+    while ready:
+        v = ready.pop()
+        order.append(v)
+        for child in dag.children_of(v):
+            pending[child] -= 1
+            if pending[child] == 0:
+                ready.append(child)
+    effects = np.zeros((len(nodes), len(nodes)))
+    # a column sums its parents' columns: any parents-first order is exact
+    for j_name in order:
+        j = nodes.index(j_name)
+        effects[j, j] = 1.0
+        for p in dag.parents_of(j_name):
+            effects[:, j] += sem.coefficients[(p, j_name)] \
+                * effects[:, nodes.index(p)]
+    d = np.array([sem.noise_variances[v] for v in nodes])
+    return effects.T @ np.diag(d) @ effects
 
 
 def random_oracle_queries(seed: int, count: int):

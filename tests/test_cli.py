@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -284,13 +285,24 @@ class TestVerify:
             assert "trials" in err
 
     def test_joint_table_too_large_exits_two(self, graph_file, capsys):
-        # the (2,)*56 joint table of a 56-node chain: numpy refuses it
-        # before allocating (MemoryError, or ValueError past 32 dimensions
-        # on numpy < 2)
+        # the (2,)*56 joint table of a 56-node chain: the node cap refuses
+        # it before numpy would (MemoryError, or ValueError past 32
+        # dimensions on numpy < 2)
         path = graph_file("".join(f"V{i} -> V{i + 1}\n" for i in range(55)))
         code, out, err = run(capsys, "verify", path, "-x", "V0", "-y", "V1")
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_graph_past_the_node_cap_exits_two_at_once(self, graph_file,
+                                                       capsys):
+        # a 26-node chain: its joint table of 2^26 floats (512 MB) can be
+        # allocated, and building and summing it would take minutes
+        path = graph_file("".join(f"V{i} -> V{i + 1}\n" for i in range(25)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", path, "-x", "V0", "-y", "V25")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == "error: 26 nodes exceeds the joint-table cap (20)\n"
 
 
 class TestMalformedJson:

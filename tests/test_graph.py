@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 
@@ -418,6 +419,21 @@ class TestLabels:
         assert "\n" not in str(info.value)
 
 
+def test_public_names():
+    # __all__ lists each public name once and every one resolves, so
+    # ``from mpdagid import *`` works; and every name the package imports
+    # into its namespace is listed
+    assert len(set(mpdagid.__all__)) == len(mpdagid.__all__)
+    for name in mpdagid.__all__:
+        assert hasattr(mpdagid, name), name
+    namespace = {}
+    exec("from mpdagid import *", namespace)
+    assert set(mpdagid.__all__) <= namespace.keys()
+    imported = {name for name, value in vars(mpdagid).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert imported == set(mpdagid.__all__) - {"__version__"}
+
+
 _UNKNOWN_NODE_CALLS = {
     "parents": lambda g: mpdagid.parents(g, {"A", "Q"}),
     "ancestors": lambda g: mpdagid.ancestors(g, {"Q"}),
@@ -425,14 +441,13 @@ _UNKNOWN_NODE_CALLS = {
     "possible_descendants": lambda g: mpdagid.possible_descendants(g, {"Q"}),
     "possible_ancestors": lambda g: mpdagid.possible_ancestors(g, {"Q"}),
     "find_proper_pc_path": lambda g: mpdagid.find_proper_pc_path(
-        g, {"A"}, {"C"}, forbidden={"Q"}),
+        g, {"A"}, {"C", "Q"}),
     "is_possibly_directed_path": lambda g: mpdagid.is_possibly_directed_path(
         g, ["A", "Q"]),
     "find_open_path": lambda g: mpdagid.find_open_path(g, {"A"}, {"C"}, {"Q"}),
     "d_separated": lambda g: mpdagid.d_separated(g, {"Q"}, {"C"}),
     "triple_status": lambda g: mpdagid.triple_status(g, "A", "Q", "C"),
     "pco": lambda g: mpdagid.pco(g, {"A", "Q"}),
-    "bucket_decomposition": lambda g: mpdagid.bucket_decomposition(g, {"Q"}),
     "remove_edges_into": lambda g: g.remove_edges_into({"Q"}),
     "remove_edges_out_of": lambda g: g.remove_edges_out_of({"A", "Q"}),
     "induced_subgraph": lambda g: g.induced_subgraph({"A", "Q"}),

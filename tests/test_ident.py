@@ -5,17 +5,17 @@ import pytest
 
 from mpdagid import (Factor, Fraction, GraphClass, GraphError, MarginalOver,
                      NotIdentifiable, PreconditionViolated, Product, cidm,
-                     cidme, cidme_tree, enumerate_dags, evaluate_expression,
+                     cidme_tree, enumerate_dags, evaluate_expression,
                      expression_to_json, fold, id_formula,
                      is_open_definite_status_path, is_possibly_directed_path,
                      normal_form, numeric_gap, parse_graph_text, random_mpdag,
                      render_latex, render_text, rule1_holds, rule2_holds,
-                     rule3_holds, rule3_shortcut)
+                     rule3_holds)
 
 from cases import (absorb_graph, chain_graph, fraction_graph,
                    identification_cases, marginal_graph,
-                   reference_enumerate_dags, shortcut_graph,
-                   small_random_graphs, unidentifiable_graph)
+                   reference_enumerate_dags, small_random_graphs,
+                   unidentifiable_graph)
 
 
 class TestNormalForm:
@@ -211,16 +211,6 @@ class TestRulePredicates:
                    for d in enumerate_dags(g))
 
 
-class TestShortcut:
-    def test_applies(self):
-        g = shortcut_graph()
-        assert rule3_shortcut(g, {"X"}, {"Y"}, {"Z"}) == Factor(("Y",), ("Z",))
-
-    def test_refuses_when_outcome_possibly_descends(self):
-        g = chain_graph()
-        assert rule3_shortcut(g, {"X"}, {"Y"}, ()) is None
-
-
 class TestCidm:
     @pytest.mark.parametrize("case", identification_cases(),
                              ids=lambda c: c.label)
@@ -300,8 +290,6 @@ class TestCidme:
         assert len(leaves) == 2
         assert leaves[0].graph.has_directed("X", "Z")
         assert leaves[1].graph.has_directed("Z", "X")
-        exprs = cidme(g, {"X"}, {"Y"}, {"Z"})
-        assert [l.expression for l in leaves] == exprs
 
     def test_identifiable_input_gives_singleton(self):
         for case in identification_cases():

@@ -9,14 +9,14 @@ from mpdagid import (CounterexampleReport, DagNotInClass, DiscreteModel,
                      Factor, Graph, GraphError, LinearGaussianSem,
                      MarginalOver, NotIdentifiable, Product, cidm,
                      dag_d_separated, enumerate_dags, evaluate_expression,
-                     interventional_conditional, numeric_gap, oracle,
-                     parse_graph_text, random_dag, random_mpdag,
-                     table_conditional, table_probability,
-                     verify_counterexample, wright_covariance)
+                     numeric_gap, oracle, parse_graph_text, random_dag,
+                     random_mpdag, table_probability, verify_counterexample)
 
 from cases import (counterexample_one, counterexample_two,
                    identification_cases, random_oracle_queries,
-                   reference_enumerate_dags, reference_numeric_gap,
+                   reference_enumerate_dags,
+                   reference_interventional_conditional,
+                   reference_numeric_gap, reference_wright_covariance,
                    small_random_graphs)
 
 
@@ -136,7 +136,7 @@ class TestDiscreteModel:
         model = DiscreteModel(g, {"A": np.array(0.5),
                                   "B": np.array([0.1, 0.8])})
         joint = model.joint()
-        got = table_conditional(joint, g.nodes, {"B": 1}, {"A": 0})
+        got = oracle._conditional(joint, g.nodes)({"B": 1}, {"A": 0})
         assert abs(got - 0.1) < 1e-12
 
 
@@ -199,7 +199,7 @@ class TestInterventionalTable:
         with pytest.raises(ValueError):
             model.interventional(do)
         with pytest.raises(ValueError):
-            interventional_conditional(model, do, {"B": 1}, {})
+            reference_interventional_conditional(model, do, {"B": 1}, {})
 
     def test_tables_are_kept_per_assignment(self):
         g = parse_graph_text("A -> B\nB -> C\nA -> C\n")
@@ -236,11 +236,10 @@ class TestEvaluateExpression:
         joint = model.joint()
         expr = MarginalOver(("B",), Product((
             Factor(("B",), ("A",)), Factor(("C",), ("B",)))))
+        conditional = oracle._conditional(joint, g.nodes)
         for a, c in itertools.product((0, 1), repeat=2):
-            want = sum(
-                table_conditional(joint, g.nodes, {"B": b}, {"A": a})
-                * table_conditional(joint, g.nodes, {"C": c}, {"B": b})
-                for b in (0, 1))
+            want = sum(conditional({"B": b}, {"A": a})
+                       * conditional({"C": c}, {"B": b}) for b in (0, 1))
             got = evaluate_expression(expr, joint, g.nodes, {"A": a, "C": c})
             assert abs(got - want) < 1e-12
 
@@ -253,15 +252,15 @@ class TestEvaluateExpression:
         chain = [Factor(("A",)), Factor(("B",), ("A",)),
                  Factor(("C",), ("B",)), Factor(("D",), ("C",))]
         expr = MarginalOver(("A", "B", "C"), Product(tuple(chain)))
+        conditional = oracle._conditional(joint, g.nodes)
         for d in (0, 1):
             want = 0.0
             for a, b, c in itertools.product((0, 1), repeat=3):
                 env = {"A": a, "B": b, "C": c, "D": d}
                 term = 1.0
                 for f in chain:
-                    term *= table_conditional(
-                        joint, g.nodes, {v: env[v] for v in f.targets},
-                        {v: env[v] for v in f.given})
+                    term *= conditional({v: env[v] for v in f.targets},
+                                        {v: env[v] for v in f.given})
                 want += term
             assert evaluate_expression(expr, joint, g.nodes, {"D": d}) == want
 
@@ -273,7 +272,8 @@ class TestEvaluateExpression:
         expr = MarginalOver(("V",), Product((
             Factor(("Y",), ("X", "V"), fixed=("X",)), Factor(("V",)))))
         for x, y in itertools.product((0, 1), repeat=2):
-            truth = interventional_conditional(model, {"X": x}, {"Y": y}, {})
+            truth = reference_interventional_conditional(
+                model, {"X": x}, {"Y": y}, {})
             got = evaluate_expression(expr, joint, g.nodes,
                                       {"X": x, "Y": y})
             assert abs(got - truth) < 1e-12
@@ -354,6 +354,30 @@ class TestNumericGap:
                         random.Random(0), trials)
 
 
+    def test_table_cap_refuses_before_any_work(self, monkeypatch):
+        # one node past the cap is refused before a DAG is enumerated or a
+        # model drawn; a graph at the cap passes the check
+        def work(*args):
+            raise AssertionError("work before the cap check")
+
+        monkeypatch.setattr(oracle, "enumerate_dags", work)
+        monkeypatch.setattr(DiscreteModel, "random", work)
+        expr = Factor(("V1",), ("V0",))
+        for n in (oracle.MAX_TABLE_NODES + 1, 56):
+            nodes = [f"V{i}" for i in range(n)]
+            g = Graph(nodes, directed=list(zip(nodes, nodes[1:])))
+            start = time.perf_counter()
+            with pytest.raises(GraphError, match=rf"^{n} nodes exceeds the "
+                               r"joint-table cap \(20\)$"):
+                numeric_gap(g, expr, ("V0",), ("V1",), (), random.Random(0))
+            assert time.perf_counter() - start < 0.5
+        monkeypatch.setattr(oracle, "enumerate_dags", lambda graph: [])
+        nodes = [f"V{i}" for i in range(oracle.MAX_TABLE_NODES)]
+        g = Graph(nodes, directed=list(zip(nodes, nodes[1:])))
+        assert numeric_gap(g, expr, ("V0",), ("V1",), (),
+                           random.Random(0)) == (0.0, 0, 0)
+
+
 class TestLinearGaussian:
     def test_hand_covariance(self):
         g = parse_graph_text("A -> B\n")
@@ -393,41 +417,8 @@ class TestLinearGaussian:
             coefs = {e: rng.uniform(-2, 2) for e in dag.directed_edges}
             noise = {v: rng.uniform(0.2, 2.0) for v in dag.nodes}
             sem = LinearGaussianSem(dag, coefs, noise)
-            assert np.allclose(wright_covariance(sem), sem.covariance(),
-                               atol=1e-9)
-
-    def test_wright_matches_reference_exactly(self):
-        # any order with every parent first sums each column in the same
-        # float order, so the values equal the first version's bit for bit
-        def reference(sem):
-            dag, nodes = sem.dag, sem.dag.nodes
-            order, pending = [], {v: len(dag.parents_of(v)) for v in nodes}
-            ready = [v for v in nodes if pending[v] == 0]
-            while ready:
-                v = ready.pop()
-                order.append(v)
-                for child in dag.children_of(v):
-                    pending[child] -= 1
-                    if pending[child] == 0:
-                        ready.append(child)
-            effects = np.zeros((len(nodes), len(nodes)))
-            for j_name in order:
-                j = nodes.index(j_name)
-                effects[j, j] = 1.0
-                for p in dag.parents_of(j_name):
-                    effects[:, j] += sem.coefficients[(p, j_name)] \
-                        * effects[:, nodes.index(p)]
-            d = np.array([sem.noise_variances[v] for v in nodes])
-            return effects.T @ np.diag(d) @ effects
-
-        rng = random.Random(43)
-        for _ in range(60):
-            dag = random_dag(rng, [f"N{i}" for i in range(rng.randint(3, 9))],
-                             rng.choice((0.3, 0.5, 0.8)))
-            coefs = {e: rng.uniform(-2, 2) for e in dag.directed_edges}
-            noise = {v: rng.uniform(0.2, 2.0) for v in dag.nodes}
-            sem = LinearGaussianSem(dag, coefs, noise)
-            assert np.array_equal(wright_covariance(sem), reference(sem))
+            assert np.allclose(reference_wright_covariance(sem),
+                               sem.covariance(), atol=1e-9)
 
 
 class TestVerifyCounterexample:

@@ -3,9 +3,8 @@ import time
 
 import pytest
 
-from mpdagid import (GraphError, bucket_decomposition, meek_closure,
-                     parse_graph_text, pco, random_mpdag,
-                     undirected_components)
+from mpdagid import (GraphError, meek_closure, parse_graph_text, pco,
+                     random_mpdag, undirected_components)
 
 from cases import background_graphs, fraction_graph, marginal_graph
 
@@ -42,11 +41,6 @@ def reference_pco(graph, nodes):
 def test_undirected_components():
     g = parse_graph_text("A -- B\nB -- C\nD -> A\nnode E\n")
     assert undirected_components(g) == [{"A", "B", "C"}, {"D"}, {"E"}]
-
-
-def test_bucket_decomposition():
-    g = parse_graph_text("A -- B\nB -- C\nD -> A\nnode E\n")
-    assert bucket_decomposition(g, {"B", "C", "E"}) == [{"B", "C"}, {"E"}]
 
 
 class TestPco:
