@@ -19,8 +19,8 @@ import sys
 from dataclasses import asdict
 
 from .dsep import find_open_path
-from .graph import (Graph, GraphError, _dumps, _edge_tokens, _graph_obj,
-                    graph_to_text, parse_graph_json, parse_graph_text)
+from .graph import (Graph, GraphError, _dumps, _edge_tokens, graph_to_text,
+                    parse_graph_json, parse_graph_text)
 from .ident import (IdentificationError, NotIdentifiable, cidm, cidme_tree,
                     expression_to_json, render_latex, render_text)
 from .meek import apply_background
@@ -70,7 +70,7 @@ def _path_text(graph: Graph, path: tuple[str, ...]) -> str:
     return " ".join(out)
 
 
-def _emit(args, payload: dict, text_lines: list[str], file=None) -> None:
+def _emit(args, payload, text_lines: list[str], file=None) -> None:
     """The payload as JSON on stdout, or the text lines on ``file``."""
     if args.json:
         print(_dumps(payload))
@@ -95,14 +95,13 @@ def cmd_complete(graph: Graph, args) -> int:
             a, b = token.split(">", 1)
             pairs.append((a.strip(), b.strip()))
     closed = apply_background(graph, pairs)
-    _emit(args, _graph_obj(closed), [graph_to_text(closed)])
+    _emit(args, closed, [graph_to_text(closed)])
     return 0
 
 
 def cmd_dags(graph: Graph, args) -> int:
     dags = enumerate_dags(graph)
-    _emit(args,
-          {"count": len(dags), "dags": [_graph_obj(d) for d in dags]},
+    _emit(args, {"count": len(dags), "dags": dags},
           [f"{len(dags)} DAGs in the class"] + [_graph_line(d) for d in dags])
     return 0
 
@@ -173,7 +172,7 @@ def cmd_enumerate(graph: Graph, args) -> int:
     distinct = len(set(rendered))
     # each leaf is built only in the form printed
     if args.json:
-        print(_dumps({"leaves": [{"graph": _graph_obj(leaf.graph),
+        print(_dumps({"leaves": [{"graph": leaf.graph,
                                   "expression": text,
                                   "latex": render_latex(leaf.expression),
                                   "ast": expression_to_json(leaf.expression)}

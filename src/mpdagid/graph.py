@@ -461,25 +461,38 @@ def parse_graph_json(text: str) -> Graph:
     return _parsed(nodes, directed, undirected)
 
 
-def _graph_obj(graph: Graph) -> dict:
-    """The JSON form as a dict, for callers that embed it in a larger
-    document."""
-    return {
-        "nodes": list(graph.nodes),
-        "edges": [{"a": a, "b": b, "kind": kind}
-                  for a, kind, b in _edge_tokens(graph)],
-    }
-
-
 def graph_to_json(graph: Graph) -> str:
-    return _dumps(_graph_obj(graph))
+    return _dumps(graph)
 
 
 def _dumps(obj) -> str:
-    """``json.dumps(obj, indent=2)`` byte for byte, but only scalars go
-    through json (its C code: the escaper, or ``dumps`` without indent),
-    not its pure-Python indent encoder.  TypeError for what json rejects."""
+    """``json.dumps(obj, indent=2, default=...)`` byte for byte, the default
+    giving a :class:`Graph` as ``parse_graph_json`` reads it, with only
+    scalars through json's C code, not its pure-Python indent encoder.  Per
+    call, a graph's nodes array is built once per node tuple and indent, an
+    edge once per edge and indent.  TypeError for what json rejects."""
     out: list[str] = []
+    chunks: dict[str, tuple[dict, dict]] = {}  # per indent: nodes, edges
+
+    def block(items: list[str], pad: str, ends: str = "[]") -> str:
+        inner = pad + "  "
+        return (f"{ends[0]}{inner}{(',' + inner).join(items)}{pad}{ends[1]}"
+                if items else ends)
+
+    def graph(g: Graph, pad: str) -> None:
+        inner, item = pad + "  ", pad + "    "
+        nodes_at, edges_at = chunks.setdefault(pad, ({}, {}))
+        if g._nodes not in nodes_at:
+            nodes_at[g._nodes] = block([*map(_json_str, g._nodes)], inner)
+        edges = []
+        for token in _edge_tokens(g):
+            if token not in edges_at:
+                a, kind, b = map(_json_str, token)
+                edges_at[token] = block([f'"a": {a}', f'"b": {b}',
+                                         f'"kind": {kind}'], item, "{}")
+            edges.append(edges_at[token])
+        out.append(block([f'"nodes": {nodes_at[g._nodes]}',
+                          f'"edges": {block(edges, inner)}'], pad, "{}"))
 
     def emit(o, pad: str) -> None:
         inner = pad + "  "
@@ -498,13 +511,14 @@ def _dumps(obj) -> str:
             out.append(pad + "}" if o else "{}")
         elif isinstance(o, (list, tuple)):
             try:  # the escaper raises TypeError on anything but a str
-                out.append(f"[{inner}{(',' + inner).join(map(_json_str, o))}"
-                           f"{pad}]" if o else "[]")
+                out.append(block(list(map(_json_str, o)), pad))
             except TypeError:
                 for i, v in enumerate(o):
                     out.append(("," if i else "[") + inner)
                     emit(v, inner)
                 out.append(pad + "]")
+        elif isinstance(o, Graph):  # after the containers: scalars only
+            graph(o, pad)
         else:
             out.append(json.dumps(o))
 

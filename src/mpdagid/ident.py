@@ -287,13 +287,7 @@ def id_formula(graph: Graph, xs, ys, zs=()) -> DensityExpression:
         undirected edge (the effect is then not identifiable).
     """
     x, y, z = _validate_query(graph, xs, ys, zs)
-    return _id_formula(graph, x, y, z, possible_descendants(graph, x))
-
-
-def _id_formula(graph: Graph, x: frozenset[str], y: frozenset[str],
-                z: frozenset[str], pd_x: frozenset[str]) -> DensityExpression:
-    """The body of :func:`id_formula` on a validated query, given
-    ``pd_x``, the possible descendants of X."""
+    pd_x = possible_descendants(graph, x)
     if z & pd_x:
         raise PreconditionViolated(
             "conditioning set intersects possible descendants of the treatments")
@@ -303,17 +297,21 @@ def _id_formula(graph: Graph, x: frozenset[str], y: frozenset[str],
             "a proper possibly directed path from the treatments to the outcomes "
             f"starts with an undirected edge: {' - '.join(path)}",
             FailCertificate(path, graph.sorted_nodes(x), graph.sorted_nodes(z)))
+    return _id_formula(graph, x, y, z, pd_x, possible_ancestors(graph, z))
 
+
+def _id_formula(graph: Graph, x, y, z, pd_x, pan_z) -> DensityExpression:
+    """The body of :func:`id_formula` without its checks, given the possible
+    descendants ``pd_x`` of X and the possible ancestors ``pan_z`` of Z."""
     # the ancestors of Y in G - X: a directed closure that never enters X
     anc = _closure(graph, y, lambda v: graph._pa[v] - x)
     buckets = pco(graph, anc - z)
     integrate_over = anc - (z | y)
-    # a bucket has a possibly directed path into Z iff it meets PossAn(Z)
-    pan_z = possible_ancestors(graph, z)
 
     factors: list[Factor] = []
     prev: set[str] = set()
     for bucket in buckets:
+        # a bucket has a possibly directed path into Z iff it meets PossAn(Z)
         if pan_z.isdisjoint(bucket):
             pa = parents(graph, bucket)
             factors.append(Factor(bucket, graph.sorted_nodes(pa),
@@ -350,24 +348,21 @@ def _absorb(graph: Graph, x1: set[str], y: frozenset[str], z1: set[str]):
 def _finish(graph: Graph, x1: set[str], y: frozenset[str],
             z1: set[str]) -> DensityExpression:
     """Post-loop identification: the rule-3 off-ramp ``f(y | z1)``, else a
-    fraction of two formula instances over the conditioning split."""
+    fraction of two formula instances over the conditioning split.  The
+    loop's exit proves :func:`id_formula`'s checks: no proper possibly
+    directed path that starts with an undirected edge leads from X1 into
+    Y | Z1, which holds both target sets, and z_rest avoids PossDe(X1)."""
     if rule3_holds(graph, (), y, x1, z1):
         return normal_form(Factor(tuple(y), tuple(z1)), graph)
     pd_x1 = possible_descendants(graph, x1)
     z_desc = z1 & pd_x1
     z_rest = frozenset(z1) - pd_x1
-    try:
-        numerator = _id_formula(
-            graph, *_validate_query(graph, x1, y | z_desc, z_rest), pd_x1)
-        if not z_desc:
-            return numerator
-        denominator = _id_formula(
-            graph, *_validate_query(graph, x1, z_desc, z_rest), pd_x1)
-    except IdentificationError as exc:  # pragma: no cover - loop exit forbids it
-        raise AssertionError(
-            "absorption loop exited but the closed form was rejected; "
-            f"this contradicts the loop invariant: {exc}") from exc
-    return Fraction(numerator, denominator)
+    pan_z = possible_ancestors(graph, z_rest)
+    numerator = _id_formula(graph, x1, y | z_desc, z_rest, pd_x1, pan_z)
+    if not z_desc:
+        return numerator
+    return Fraction(numerator,
+                    _id_formula(graph, x1, z_desc, z_rest, pd_x1, pan_z))
 
 
 def cidm(graph: Graph, xs, ys, zs=()) -> DensityExpression:

@@ -106,7 +106,7 @@ def _close(graph: Graph, given: list[tuple[str, str]],
     maps, with the undirected edges ``given`` oriented first, as listed.
     The first round tries the undirected edges at ``seeds`` (default: at
     every node).  Returns one graph derived from ``graph``, or ``graph``
-    itself if nothing changed."""
+    itself if nothing changed; with ``_split``, built without any check."""
     maps = graph._oriented_maps(given)
     nodes, index = graph.nodes, graph._index
     masks = pa, ch, nb, adj, live = _masks(index, *maps)
@@ -126,13 +126,14 @@ def _close(graph: Graph, given: list[tuple[str, str]],
         near &= live
     for a, b in new:  # new sets where an edge changed; the rest stay shared
         _orient_in_maps(*maps, nodes[a], nodes[b])
-    g = graph._derive(*maps) if given or new else graph
     if _split:
         # a split of an MPDAG's undirected edge: its class orients the edge
         # both ways (Meek, UAI 1995), so the closure is the MPDAG (or DAG)
-        # of a subclass, and the checks below cannot fail
+        # of a subclass: neither _derive's map check nor those below fail
+        g = Graph.__new__(Graph)._set(nodes, index, *maps)
         g._class = GraphClass.MPDAG if any(nb) else GraphClass.DAG
         return g
+    g = graph._derive(*maps) if given or new else graph
     # g holds every directed edge of the start (graph with ``given``), so
     # the start is checked only when g has a cycle, to say whose it is
     if not g.directed_part_acyclic():

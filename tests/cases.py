@@ -582,3 +582,21 @@ def reference_parse_graph_text(text: str) -> Graph:
         return Graph(order, directed, undirected)
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
+
+
+# -- reference: a graph's JSON form --------------------------------------------
+
+
+def reference_graph_obj(graph) -> dict:
+    """A graph's JSON form as a dict: with it as ``default``,
+    ``json.dumps(payload, indent=2, default=reference_graph_obj)`` is the
+    reference for every ``--json`` payload and ``graph_to_json``.  Like any
+    ``default``, it raises TypeError on what it cannot write."""
+    if not isinstance(graph, Graph):
+        raise TypeError(f"Object of type {type(graph).__name__} "
+                        "is not JSON serializable")
+    return {"nodes": list(graph.nodes),
+            "edges": [{"a": a, "b": b, "kind": "->"}
+                      for a, b in graph.directed_edges]
+                     + [{"a": a, "b": b, "kind": "--"}
+                        for a, b in graph.undirected_edges]}

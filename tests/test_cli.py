@@ -6,12 +6,13 @@ import time
 
 import pytest
 
-from mpdagid import Graph, cli, graph_to_text
+from mpdagid import Graph, cli, graph_to_json, graph_to_text, parse_graph_text
 from mpdagid.cli import main
 from mpdagid.graph import _dumps
 
 from cases import (CHAIN_TEXT, FRACTION_TEXT, MARGINAL_TEXT,
-                   UNIDENTIFIABLE_TEXT, small_random_graphs)
+                   UNIDENTIFIABLE_TEXT, reference_graph_obj,
+                   small_random_graphs)
 
 
 @pytest.fixture
@@ -566,7 +567,8 @@ def test_golden_refusal(graph_file, capsys, as_json, digest):
 
 class TestJsonWriter:
     """``graph._dumps``, the one writer of ``--json`` output and
-    ``graph_to_json``, is byte-identical to ``json.dumps(obj, indent=2)``."""
+    ``graph_to_json``, is byte-identical to ``json.dumps(obj, indent=2)``,
+    with ``cases.reference_graph_obj`` as the default that writes a graph."""
 
     def test_matches_json_dumps(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -631,6 +633,26 @@ class TestJsonWriter:
     def test_repeated_dicts_match_json_dumps(self, obj):
         assert _dumps(obj) == json.dumps(obj, indent=2)
 
+    def test_graphs_match_json_dumps(self):
+        # the writer renders each "nodes" array once per node tuple and
+        # indent and each edge once per edge and indent: keyed without the
+        # indent, or on the node set, it would reuse a wrong chunk here
+        g = parse_graph_text("A -> B\nB -- C\nC -- D\nnode E\n")
+        shared = [g.orient("B", "C"), g.remove_edges_into({"B"})]
+        assert all(h.nodes is g.nodes for h in shared)
+        sub = g.induced_subgraph({"B", "C", "D"})  # a node tuple of its own
+        reordered = Graph(g.nodes[::-1], g.directed_edges, g.undirected_edges)
+        edgeless, empty = Graph(["A", "B"]), Graph([])
+        graphs = [g, *shared, sub, reordered, edgeless, empty]
+        payload = {"graph": g,
+                   "leaves": [{"graph": h, "all": [h, g]} for h in graphs],
+                   "deep": {"er": [[reordered, sub, g]]}, "dags": graphs}
+        assert _dumps(payload) == json.dumps(payload, indent=2,
+                                             default=reference_graph_obj)
+        for h in graphs:
+            assert graph_to_json(h) == json.dumps(
+                reference_graph_obj(h), indent=2)
+
     @pytest.mark.parametrize("command", [
         "identify", "enumerate", "verify", "dags", "complete", "dsep",
         "reach", "pco"])
@@ -642,7 +664,8 @@ class TestJsonWriter:
 
         def checked(payload):
             text = _dumps(payload)
-            assert text == json.dumps(payload, indent=2)
+            assert text == json.dumps(payload, indent=2,
+                                      default=reference_graph_obj)
             payloads.append(payload)
             return text
 

@@ -3,12 +3,15 @@ import random
 
 import pytest
 
+from mpdagid import ident
 from mpdagid import (Factor, Fraction, GraphClass, GraphError, MarginalOver,
                      NotIdentifiable, PreconditionViolated, Product, cidm,
                      cidme_tree, enumerate_dags, evaluate_expression,
-                     expression_to_json, fold, id_formula,
+                     expression_to_json, find_proper_pc_path, fold,
+                     id_formula,
                      is_open_definite_status_path, is_possibly_directed_path,
-                     normal_form, numeric_gap, parse_graph_text, random_mpdag,
+                     normal_form, numeric_gap, parse_graph_text,
+                     possible_descendants, random_mpdag,
                      render_latex, render_text, rule1_holds, rule2_holds,
                      rule3_holds)
 
@@ -323,3 +326,59 @@ class TestCidme:
             gap, _, _ = numeric_gap(leaf.graph, leaf.expression, ("X",),
                                     ("Y",), ("Z",), rng)
             assert gap < 1e-9
+
+
+def test_leaf_formula_matches_checked_route(battery, monkeypatch):
+    # a leaf takes the absorption loop's exit as the proof of id_formula's
+    # checks and runs the formula body alone; every leaf of cidme_tree and
+    # every answer of cidm must equal what the public, checked id_formula
+    # gives on the same split of the conditioning set
+    finished = []
+    finish = ident._finish
+
+    def recorded(g, x1, y, z1):
+        expr = finish(g, x1, y, z1)
+        finished.append((g, frozenset(x1), y, frozenset(z1), expr))
+        return expr
+
+    monkeypatch.setattr(ident, "_finish", recorded)
+    rng = random.Random(19)
+    graphs = [g for g, _ in battery] + [
+        g for g in small_random_graphs(seed=19, count=60)
+        if g.classify() is not GraphClass.PDAG]
+    formulas = fractions = 0
+    for g in graphs:
+        for _ in range(6):
+            vs = list(g.nodes)
+            rng.shuffle(vs)
+            nx, ny = rng.choice((1, 2)), rng.choice((1, 2))
+            x, y = vs[:nx], vs[nx:nx + ny]
+            z = vs[nx + ny:nx + ny + rng.randint(0, len(vs) - nx - ny)]
+            del finished[:]
+            leaves = cidme_tree(g, x, y, z)
+            assert [(leaf.graph, leaf.expression) for leaf in leaves] == \
+                [(h, expr) for h, *_, expr in finished]
+            # cidm answers iff the tree does not split its input, and then
+            # with the one leaf's expression, which is checked below
+            if len(leaves) == 1 and leaves[0].graph is g:
+                assert cidm(g, x, y, z) == leaves[0].expression
+                finished.pop()
+            else:
+                with pytest.raises(NotIdentifiable):
+                    cidm(g, x, y, z)
+            for h, x1, y1, z1, expr in finished:
+                assert find_proper_pc_path(h, x1, y1 | z1,
+                                           start_undirected=True) is None
+                if (expr == normal_form(Factor(tuple(y1), tuple(z1)), h)
+                        and rule3_holds(h, (), y1, x1, z1)):
+                    continue  # the off-ramp f(y | z1) runs no formula
+                pd_x1 = possible_descendants(h, x1)
+                z_desc, z_rest = z1 & pd_x1, z1 - pd_x1
+                expected = id_formula(h, x1, y1 | z_desc, z_rest)
+                if z_desc:
+                    expected = Fraction(expected,
+                                        id_formula(h, x1, z_desc, z_rest))
+                    fractions += 1
+                assert expr == expected, (h, x, y, z)
+                formulas += 1
+    assert formulas > 10000 and fractions > 3000
