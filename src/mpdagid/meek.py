@@ -100,17 +100,24 @@ def meek_closure(graph: Graph) -> Graph:
     return _close(graph, [])
 
 
-def _close(graph: Graph, given: list[tuple[str, str]],
-           seeds: Iterable[str] | None = None, _split: bool = False) -> Graph:
+def _close(graph: Graph, given: list[tuple[str, str]]) -> Graph:
     """The rounds of :func:`meek_closure` on masks of copies of ``graph``'s
     maps, with the undirected edges ``given`` oriented first, as listed.
-    The first round tries the undirected edges at ``seeds`` (default: at
-    every node).  Returns one graph derived from ``graph``, or ``graph``
-    itself if nothing changed; with ``_split``, built without any check."""
+    Returns one graph derived from ``graph``, or ``graph`` itself if
+    nothing changed.  A split, one pair below a graph recorded as an
+    MPDAG, first tries only the undirected edges next to the pair, since
+    no rule applies to an MPDAG, and its result is recorded as an MPDAG or
+    a DAG without the checks: the class holds DAGs with the edge each way,
+    so the closure is the MPDAG of a subclass (Meek, UAI 1995)."""
     maps = graph._oriented_maps(given)
     nodes, index = graph.nodes, graph._index
     masks = pa, ch, nb, adj, live = _masks(index, *maps)
-    near = live if seeds is None else live & sum({1 << index[v] for v in seeds})
+    near = live
+    split = graph._class is GraphClass.MPDAG and len(given) == 1
+    if split:
+        a, b = given[0]
+        near &= sum({1 << index[v] for v in
+                     graph.neighbors_of(a) | graph.neighbors_of(b) | {a, b}})
     new: list[tuple[int, int]] = []
     while near:
         oriented = []
@@ -126,14 +133,10 @@ def _close(graph: Graph, given: list[tuple[str, str]],
         near &= live
     for a, b in new:  # new sets where an edge changed; the rest stay shared
         _orient_in_maps(*maps, nodes[a], nodes[b])
-    if _split:
-        # a split of an MPDAG's undirected edge: its class orients the edge
-        # both ways (Meek, UAI 1995), so the closure is the MPDAG (or DAG)
-        # of a subclass: neither _derive's map check nor those below fail
-        g = Graph.__new__(Graph)._set(nodes, index, *maps)
+    g = graph._derive(*maps) if given or new else graph
+    if split:
         g._class = GraphClass.MPDAG if any(nb) else GraphClass.DAG
         return g
-    g = graph._derive(*maps) if given or new else graph
     # g holds every directed edge of the start (graph with ``given``), so
     # the start is checked only when g has a cycle, to say whose it is
     if not g.directed_part_acyclic():
@@ -169,20 +172,17 @@ def refine(graph: Graph, a: str, b: str) -> Graph:
 
     The result, its class and every error are those of
     ``meek_closure(graph.orient(a, b))``, but the rounds start from a -> b
-    applied to copies of ``graph``'s maps and build one graph.  When
-    ``graph`` is recorded as an MPDAG no rule applies to it, so the first
-    round tries only the undirected edges next to a or b; otherwise, or
-    when there is no a -- b to orient, it tries every edge."""
-    split = graph._class is GraphClass.MPDAG and graph.has_undirected(a, b)
-    seeds = (graph.neighbors_of(a) | graph.neighbors_of(b) | {a, b}
-             if split else None)
-    return _close(graph, [(a, b)], seeds, _split=split)
+    applied to copies of ``graph``'s maps and build one graph; below a
+    graph recorded as an MPDAG it is a split (see :func:`_close`)."""
+    return _close(graph, [(a, b)])
 
 
 def apply_background(graph: Graph, orientations: Iterable[tuple[str, str]]) -> Graph:
     """Orient each listed undirected edge, then close under R1-R4.  A pair
     already directed, in ``graph`` or by an earlier pair, is skipped, or
-    raises if directed the other way; the first bad pair names the error."""
+    raises if directed the other way; the first bad pair names the error.
+    One pair to orient below a graph recorded as an MPDAG is a split, as
+    in :func:`refine`."""
     orientations = list(orientations)
     graph.check_nodes(v for pair in orientations for v in pair)
     given: dict[tuple[str, str], None] = {}

@@ -6,7 +6,8 @@ import pytest
 
 import mpdagid
 from mpdagid import (Graph, GraphClass, GraphError, InconsistentOrientation,
-                     ParseError, graph_to_json, graph_to_text, meek_closure,
+                     ParseError, apply_background, consistent_extension,
+                     graph_to_json, graph_to_text, meek_closure,
                      parse_graph_json, parse_graph_text, refine)
 
 from cases import reference_parse_graph_text, small_random_graphs
@@ -102,8 +103,9 @@ class TestSurgery:
 def _derived_graphs(g, cut_at):
     """Every kind of derived graph of ``g``: each undirected edge oriented
     both ways, directed edges cut at each node of ``cut_at``, each of them
-    dropped, the same for two sets of nodes, and the closure and its
-    refinements on its first undirected edge when the closure exists."""
+    dropped, the same for two sets of nodes, and, when the closure
+    exists, the closure, its consistent extension, and its refinements
+    and one-pair background on its first undirected edge."""
     out = [g.orient(x, y) for a, b in g.undirected_edges
            for x, y in ((a, b), (b, a))]
     for v in cut_at:
@@ -116,8 +118,9 @@ def _derived_graphs(g, cut_at):
         closed = meek_closure(g)
     except InconsistentOrientation:
         return out
-    out.append(closed)
+    out += [closed, consistent_extension(closed)]
     for a, b in closed.undirected_edges[:1]:
+        out.append(apply_background(closed, [(a, b)]))
         for x, y in ((a, b), (b, a)):
             try:
                 out.append(refine(closed, x, y))
@@ -163,33 +166,6 @@ class TestDerivation:
         assert h._nodes is g._nodes and h._index is g._index
         assert h._pa["A"] is g._pa["A"] and h._nb["D"] is g._nb["D"]
         assert g.remove_edges_into({"C"}) is g  # nothing to cut
-
-    @pytest.mark.parametrize("pa, ch, nb, message", [
-        ({"A": frozenset("A"), "B": frozenset()},
-         {"A": frozenset("A"), "B": frozenset()},
-         {"A": frozenset(), "B": frozenset()}, "self loop"),
-        # a pair both directed and undirected
-        ({"A": frozenset(), "B": frozenset("A")},
-         {"A": frozenset("B"), "B": frozenset()},
-         {"A": frozenset("B"), "B": frozenset("A")}, "more than one edge"),
-        ({"A": frozenset(), "B": frozenset("Z")},
-         {"A": frozenset(), "B": frozenset()},
-         {"A": frozenset(), "B": frozenset()}, "undeclared"),
-        # A -> B held as B's parent but not as A's child
-        ({"A": frozenset(), "B": frozenset("A")},
-         {"A": frozenset(), "B": frozenset()},
-         {"A": frozenset(), "B": frozenset()}, "both ends"),
-        ({"A": frozenset()}, {"A": frozenset()}, {"A": frozenset()},
-         "match the nodes"),
-        # A -- B held at A only
-        ({"A": frozenset(), "B": frozenset()},
-         {"A": frozenset(), "B": frozenset()},
-         {"A": frozenset("B"), "B": frozenset()}, "both ends"),
-    ])
-    def test_derived_maps_are_checked(self, pa, ch, nb, message):
-        g = Graph(["A", "B"])
-        with pytest.raises(GraphError, match=message):
-            g._derive(pa, ch, nb)
 
 
 def _assert_edge_order(graphs, rng):

@@ -318,8 +318,8 @@ def _assert_refine_matches_reference(graphs):
     """Every undirected edge of every graph oriented both ways, on a fresh
     copy (no class recorded: the first round tries every edge) and on a
     classified one (an MPDAG first tries the edges next to the new one).
-    A split of a classified MPDAG is built without the map check, which
-    must still pass on it."""
+    A split of a classified MPDAG is built without a check, so its maps
+    must equal those of the Graph(...) rebuild of its edges."""
     outcomes = []
     for g in graphs:
         fresh = Graph(g.nodes, g.directed_edges, g.undirected_edges)
@@ -333,7 +333,11 @@ def _assert_refine_matches_reference(graphs):
                         (g, x, y, start._class)
                     outcomes.append((start._class, isinstance(expected[1], str)))
                 if classified._class is GraphClass.MPDAG:
-                    refine(classified, x, y)._check_maps()
+                    h = refine(classified, x, y)
+                    rebuilt = Graph(h.nodes, h.directed_edges,
+                                    h.undirected_edges)
+                    assert ((h._pa, h._ch, h._nb)
+                            == (rebuilt._pa, rebuilt._ch, rebuilt._nb))
     return outcomes
 
 
@@ -347,8 +351,9 @@ def test_refine_matches_reference_on_every_four_node_graph(four_node_graphs):
 def test_split_of_a_recorded_mpdag_runs_no_extension_search(
         monkeypatch, four_node_graphs):
     # Meek (1995): the closure of a split below a recorded MPDAG has a
-    # consistent extension, so refine does not search for one; a fresh
-    # copy of the same graph has no recorded class and is checked in full
+    # consistent extension, so neither refine nor a one-pair
+    # apply_background searches for one; a fresh copy of the same graph
+    # has no recorded class and is checked in full
     k4 = "A -- B\nA -- C\nA -- D\nB -- C\nB -- D\nC -- D\n"
     classified, fresh = parse_graph_text(k4), parse_graph_text(k4)
     mpdags = [g for g in four_node_graphs
@@ -362,8 +367,11 @@ def test_split_of_a_recorded_mpdag_runs_no_extension_search(
     split = refine(classified, "A", "B")
     for g in mpdags:
         for a, b in g.undirected_edges:
-            refine(g, a, b)
-            refine(g, b, a)
+            for x, y in ((a, b), (b, a)):
+                background = apply_background(g, [(x, y)])
+                refined = refine(g, x, y)
+                assert ((background, background._class)
+                        == (refined, refined._class)), (g, x, y)
     assert calls == [] and split._class is GraphClass.MPDAG
     unchecked = refine(fresh, "A", "B")
     assert len(calls) >= 1
