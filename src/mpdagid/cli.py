@@ -84,16 +84,11 @@ def _emit(args, payload, text_lines: list[str], file=None) -> None:
 
 def cmd_complete(graph: Graph, args) -> int:
     pairs = []
-    for chunk in args.orient or []:
-        for token in chunk.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if ">" not in token:
-                raise ValueError(f"orientation {token!r} is not of the "
-                                 "form A>B")
-            a, b = token.split(">", 1)
-            pairs.append((a.strip(), b.strip()))
+    for token in _split(",".join(args.orient or [])):
+        a, sep, b = token.partition(">")
+        if not sep:
+            raise ValueError(f"orientation {token!r} is not of the form A>B")
+        pairs.append((a.strip(), b.strip()))
     closed = apply_background(graph, pairs)
     _emit(args, closed, [graph_to_text(closed)])
     return 0

@@ -276,24 +276,19 @@ class Graph:
 
     # -- structure queries ------------------------------------------------
 
-    def _topological_order(self) -> list[str] | None:
-        """Every node after its parents (Kahn's algorithm on a stack), or
-        None if the directed edges contain a cycle."""
+    def directed_part_acyclic(self) -> bool:
+        """True iff the directed edges alone contain no cycle: Kahn's
+        algorithm on a stack pops every node."""
         indeg = {v: len(self._pa[v]) for v in self._nodes}
         stack = [v for v in self._nodes if indeg[v] == 0]
-        order = []
+        popped = 0
         while stack:
-            v = stack.pop()
-            order.append(v)
-            for c in self._ch[v]:
+            popped += 1
+            for c in self._ch[stack.pop()]:
                 indeg[c] -= 1
                 if indeg[c] == 0:
                     stack.append(c)
-        return order if len(order) == len(self._nodes) else None
-
-    def directed_part_acyclic(self) -> bool:
-        """True iff the directed edges alone contain no cycle."""
-        return self._topological_order() is not None
+        return popped == len(self._nodes)
 
     def unshielded_colliders(self) -> frozenset[tuple[str, str, str]]:
         """Triples (a, b, c) with a -> b <- c, a and c nonadjacent, a before c."""

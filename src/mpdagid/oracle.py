@@ -131,9 +131,9 @@ class DiscreteModel:
     parents in graph node order.  ``cpts[v]`` has shape ``(2,) * k`` and
     stores P(v = 1 | parent values).
 
-    The model keeps read-only copies of the CPTs and builds each node's
-    CPT factor and each do-assignment's joint table once, so a table it
-    has handed out can never go stale."""
+    The model keeps read-only copies of the CPTs, places each node's CPT
+    factor when it is made, and builds each do-assignment's joint table
+    once, so a table it has handed out can never go stale."""
 
     def __init__(self, dag: Graph, cpts: Mapping[str, np.ndarray]):
         import numpy as np
@@ -153,8 +153,12 @@ class DiscreteModel:
                 raise ValueError(f"CPT for {v!r} must lie strictly in (0, 1)")
             table.flags.writeable = False
             self.cpts[v] = table
+        n = len(dag.nodes)
+        self._factors = [
+            _place(np.stack([1.0 - self.cpts[v], self.cpts[v]]),
+                   [i] + [dag.index(p) for p in self.parent_order[v]], n)
+            for i, v in enumerate(dag.nodes)]
         self._tables: Dict[tuple, np.ndarray] = {}
-        self._factors: list[np.ndarray] = []
 
     @classmethod
     def random(cls, dag: Graph, rng: random.Random) -> "DiscreteModel":
@@ -175,11 +179,11 @@ class DiscreteModel:
         nodes become point masses, every other factor is kept.
 
         The table is a product taken in graph node order from a tensor of
-        ones, one broadcast factor per node: the node's CPT, stacked as
-        ``(1 - p1, p1)`` on its own axis and laid onto its parents' axes,
-        or, for an intervened node, the indicator of its set value.  The
-        result is read-only and kept per do-assignment, so a repeated
-        call returns the same array.  Only the indicators are built per call.
+        ones, one broadcast factor per node: the CPT factor placed when
+        the model was made, or, for an intervened node, the indicator of
+        its set value (a row of ``np.eye(2)``).  The result is read-only
+        and kept per do-assignment, so a repeated call returns the same
+        array.
 
         Raises ``ValueError`` when a key of ``do`` is not a node or a
         value is not 0 or 1.
@@ -192,28 +196,22 @@ class DiscreteModel:
         key = tuple(sorted(do.items()))
         if key not in self._tables:
             import numpy as np
-            nodes = self.dag.nodes
-
-            def place(factor, axes):
-                # move each axis of the factor to its node's place
-                shape = [2 if ax in axes else 1 for ax in range(len(nodes))]
-                return factor.transpose(np.argsort(axes)).reshape(shape)
-
-            if not self._factors:
-                self._factors = [
-                    place(np.stack([1.0 - self.cpts[v], self.cpts[v]]),
-                          [i] + [self.dag.index(p) for p in self.parent_order[v]])
-                    for i, v in enumerate(nodes)]
-            table = np.ones((2,) * len(nodes))
-            for i, v in enumerate(nodes):
-                factor = self._factors[i]
-                if v in do:
-                    factor = place(np.array([do[v] == 0, do[v] == 1],
-                                            dtype=float), [i])
-                table = table * factor
+            n = len(self.dag.nodes)
+            table = np.ones((2,) * n)
+            for i, v in enumerate(self.dag.nodes):
+                table = table * (_place(np.eye(2)[int(do[v])], [i], n)
+                                 if v in do else self._factors[i])
             table.flags.writeable = False
             self._tables[key] = table
         return self._tables[key]
+
+
+def _place(factor: np.ndarray, axes: list[int], n: int) -> np.ndarray:
+    """``factor`` with its k-th axis moved to place ``axes[k]`` of ``n``,
+    every other place of length 1, so that it broadcasts onto a table."""
+    import numpy as np
+    shape = [2 if ax in axes else 1 for ax in range(n)]
+    return factor.transpose(np.argsort(axes)).reshape(shape)
 
 
 def table_probability(table: np.ndarray, nodes: tuple[str, ...],
@@ -285,8 +283,9 @@ def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
     """Check ``expr`` as f(y | do(x), z) against truncated factorization:
     on every DAG in ``graph``'s class, draw ``trials`` random binary models
     from ``rng`` and compare at every binary assignment of X, Y and Z.
-    ``expr`` is folded once, each model builds its CPT factors once, and
-    each marginal of the joint and of each do-table is summed once.
+    Each assignment of X (a set) makes its do-table's conditional once and
+    is compared at every assignment of (Y | Z) - X; ``expr`` is folded once
+    and each marginal of each table is summed once.
 
     Returns the worst absolute gap, the number of DAGs and the number of
     comparisons.  ``graph`` is capped at ``MAX_TABLE_NODES`` nodes."""
@@ -295,28 +294,24 @@ def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
     if len(graph.nodes) > MAX_TABLE_NODES:
         raise GraphError(f"{len(graph.nodes)} nodes exceeds the joint-table "
                          f"cap ({MAX_TABLE_NODES})")
-    free = graph.sorted_nodes(set(x) | set(y) | set(z))
+    xs = graph.sorted_nodes(set(x))
+    rest = graph.sorted_nodes((set(y) | set(z)) - set(x))
     dags = enumerate_dags(graph)
     evaluate = _compile(expr)
     worst = 0.0
-    checks = 0
     for dag in dags:
         for _ in range(trials):
             model = DiscreteModel.random(dag, rng)
             observed = _conditional(model.joint(), graph.nodes)
-            truths = {}  # one conditional per do-assignment
-            for values in itertools.product((0, 1), repeat=len(free)):
-                env = dict(zip(free, values))
-                do = {v: env[v] for v in x}
-                key = tuple(do.values())
-                if key not in truths:
-                    truths[key] = _conditional(model.interventional(do),
-                                               dag.nodes)
-                truth = truths[key]({v: env[v] for v in y},
-                                    {v: env[v] for v in z})
-                worst = max(worst, abs(evaluate(env, observed) - truth))
-                checks += 1
-    return worst, len(dags), checks
+            for do_values in itertools.product((0, 1), repeat=len(xs)):
+                do = dict(zip(xs, do_values))
+                truth = _conditional(model.interventional(do), dag.nodes)
+                for values in itertools.product((0, 1), repeat=len(rest)):
+                    env = {**do, **dict(zip(rest, values))}
+                    gap = evaluate(env, observed) - truth(
+                        {v: env[v] for v in y}, {v: env[v] for v in z})
+                    worst = max(worst, abs(gap))
+    return worst, len(dags), len(dags) * trials * 2 ** (len(xs) + len(rest))
 
 
 # -- linear Gaussian structural equation models ---------------------------------

@@ -61,6 +61,20 @@ class TestComplete:
         assert (code, out, err) == (2, "", "error: edge between 'B' and 'A' "
                                     "already oriented the other way\n")
 
+    def test_orient_without_arrow_is_input_error(self, graph_file, capsys):
+        path = graph_file("A -- B\nB -- C\n")
+        code, out, err = run(capsys, "complete", path, "--orient", "AB")
+        assert (code, out, err) == (2, "", "error: orientation 'AB' is not "
+                                    "of the form A>B\n")
+
+    def test_orient_skips_empty_tokens(self, graph_file, capsys):
+        path = graph_file("A -- B\nB -- C\n")
+        want = run(capsys, "complete", path, "--orient", "A>B")
+        assert want[0] == 0
+        assert run(capsys, "complete", path, "--orient", "A>B,,") == want
+        assert run(capsys, "complete", path, "--orient", " , A>B",
+                   "--orient", ",") == want
+
     def test_json_round_trips(self, graph_file, capsys):
         path = graph_file("A -- B\n")
         code, out, _ = run(capsys, "complete", path, "--json")
@@ -312,6 +326,9 @@ class TestMalformedJson:
         {"nodes": [["a"]]},
         {"nodes": ["a", "b"], "edges": [{"a": ["a"], "b": "b", "kind": "->"}]},
         {"nodes": ["a"], "edges": 5},
+        {"edges": []},
+        {"nodes": ["a"], "edges": [1]},
+        {"nodes": ["a", "b"], "edges": [{"a": "a", "b": "b", "kind": "<-"}]},
     ])
     def test_exit_two_with_one_line_error(self, blob, capsys, monkeypatch):
         import io

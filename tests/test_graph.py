@@ -61,6 +61,11 @@ class TestConstruction:
         assert g.sorted_nodes({"A", "B", "C"}) == ("C", "A", "B")
         assert g.sorted_nodes(["B", "C"]) == ("C", "B")
 
+    def test_sorted_nodes_rejects_unknown_label(self):
+        g = Graph(["C", "A", "B"])
+        with pytest.raises(GraphError, match="^unknown node 'Q'$"):
+            g.sorted_nodes(["A", "Q"])
+
 
 class TestSurgery:
     def test_orient(self):
@@ -209,6 +214,15 @@ class TestStructure:
                     directed=[("A", "B"), ("B", "C"), ("C", "A")])
         assert good.directed_part_acyclic()
         assert not bad.directed_part_acyclic()
+        # a node of two parents is popped once both are; undirected edges
+        # are not part of the directed cycle test
+        assert Graph(["A", "B", "C", "D"],
+                     directed=[("A", "B"), ("A", "C"), ("B", "C")],
+                     undirected=[("C", "D"), ("D", "A")]
+                     ).directed_part_acyclic()
+        assert not Graph(["A", "B", "C", "D"],
+                         directed=[("A", "B"), ("B", "C"), ("C", "A")],
+                         undirected=[("D", "A")]).directed_part_acyclic()
 
     def test_unshielded_colliders(self):
         g = Graph(["A", "B", "C"], directed=[("A", "B"), ("C", "B")])
@@ -244,6 +258,11 @@ class TestStructure:
         assert g == h
         assert hash(g) == hash(h)
         assert g != Graph(["A", "B", "C"], directed=[("A", "B")])
+
+    def test_never_equals_a_non_graph(self):
+        g = Graph(["A", "B"], directed=[("A", "B")])
+        assert g.__eq__(1) is NotImplemented
+        assert (g == 1) is False and g != 1
 
 
 class TestTextFormat:

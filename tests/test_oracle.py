@@ -91,12 +91,39 @@ class TestDagDsep:
         g = parse_graph_text("A -> C\nB -> C\nC -> D\n")
         assert not dag_d_separated(g, {"A"}, {"B"}, {"D"})
 
+    def test_rejects_empty_endpoints_and_non_dags(self):
+        dag = parse_graph_text("A -> B\n")
+        for xs, ys in (((), ("B",)), (("A",), ())):
+            with pytest.raises(ValueError, match="^d-separation needs "
+                               "nonempty endpoint sets$"):
+                dag_d_separated(dag, xs, ys)
+        with pytest.raises(GraphError, match="^moralization test requires "
+                           "a DAG$"):
+            dag_d_separated(parse_graph_text("A -- B\n"), ("A",), ("B",))
+
 
 class TestDiscreteModel:
     def test_cpt_validation(self):
         g = parse_graph_text("A -> B\n")
         with pytest.raises(ValueError):
             DiscreteModel(g, {"A": np.array(0.0), "B": np.array([0.3, 0.7])})
+
+    def test_rejects_non_dag(self):
+        g = parse_graph_text("A -- B\n")
+        with pytest.raises(GraphError, match="^a discrete model needs a DAG$"):
+            DiscreteModel(g, {"A": np.array(0.5), "B": np.array([0.3, 0.7])})
+
+    def test_rejects_cpt_of_wrong_shape(self):
+        # the shape check runs before the factors are placed, so a CPT
+        # that could not be placed still gets its own message
+        g = parse_graph_text("A -> B\n")
+        for cpts, msg in (({"A": np.array([0.5, 0.5]), "B": np.array([0.3, 0.7])},
+                           r"^CPT for 'A' has shape \(2,\), expected \(\)$"),
+                          ({"A": np.array(0.5), "B": np.array([[0.3, 0.7]])},
+                           r"^CPT for 'B' has shape \(1, 2\), "
+                           r"expected \(2,\)$")):
+            with pytest.raises(ValueError, match=msg):
+                DiscreteModel(g, cpts)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("node", ["A", "B"])
@@ -178,8 +205,8 @@ class TestInterventionalTable:
                                 .tobytes()), (dag, do)
 
     def test_matches_reference_bytes_once_factors_are_kept(self):
-        # the CPT factors are built by the first call, here an intervened
-        # one, and reused by every later table
+        # the CPT factors are placed when the model is made and reused by
+        # every table, the first one here an intervened one
         rng = random.Random(13)
         for n in range(2, 8):
             dag = random_dag(rng, [f"N{i}" for i in range(n)])
@@ -200,6 +227,16 @@ class TestInterventionalTable:
             model.interventional(do)
         with pytest.raises(ValueError):
             reference_interventional_conditional(model, do, {"B": 1}, {})
+
+    @pytest.mark.parametrize("one", [1, True, 1.0, np.int64(1)])
+    def test_values_equal_to_one_pick_the_same_indicator(self, one):
+        # the validation lets through any value equal to 0 or 1; the first
+        # table a fresh model builds for it is the one built for the int
+        g = parse_graph_text("A -> B\nB -> C\n")
+        model = DiscreteModel.random(g, random.Random(4))
+        assert (model.interventional({"B": one, "A": 1 - one}).tobytes()
+                == reference_interventional(model, {"A": 0, "B": 1})
+                .tobytes())
 
     def test_tables_are_kept_per_assignment(self):
         g = parse_graph_text("A -> B\nB -> C\nA -> C\n")
@@ -353,6 +390,26 @@ class TestNumericGap:
             numeric_gap(g, Factor(("Y",), ("X",)), ("X",), ("Y",), (),
                         random.Random(0), trials)
 
+    @pytest.mark.parametrize("shape", ["X twice", "X meets Z", "X empty"])
+    def test_inputs_taken_as_given(self, shape):
+        # numeric_gap does not check that X lists each label once, that X
+        # and Z are disjoint or that X is nonempty; each node of X, Y and Z
+        # still takes one value per comparison, as in the reference loop
+        gaps = []
+        for g, x, y, z in random_oracle_queries(seed=23, count=12):
+            x, z = {"X twice": (x + x[:1], z),
+                    "X meets Z": (x, z + x[:1]),
+                    "X empty": ([], z + x)}[shape]
+            given = tuple(dict.fromkeys(x + z))
+            for expr in (Factor(tuple(y), given), Factor(tuple(y), ())):
+                got = numeric_gap(g, expr, x, y, z, random.Random(7), 2)
+                want = reference_numeric_gap(g, expr, x, y, z,
+                                             random.Random(7), 2)
+                assert got == want, (g, x, y, z, expr)
+                assert got[2] == got[1] * 2 * 2 ** len({*x, *y, *z})
+                gaps.append(got[0])
+        assert sum(gap > 1e-3 for gap in gaps) >= 5
+
 
     def test_table_cap_refuses_before_any_work(self, monkeypatch):
         # one node past the cap is refused before a DAG is enumerated or a
@@ -394,6 +451,23 @@ class TestLinearGaussian:
             LinearGaussianSem(g, {("B", "A"): 1.0}, {"A": 1.0, "B": 1.0})
         with pytest.raises(ValueError):
             LinearGaussianSem(g, {}, {"A": 1.0, "B": 1.0})
+
+    def test_rejects_non_dag_and_bad_noise(self):
+        with pytest.raises(GraphError, match="^a linear SEM needs a DAG$"):
+            LinearGaussianSem(parse_graph_text("A -- B\n"), {},
+                              {"A": 1.0, "B": 1.0})
+        g = parse_graph_text("A -> B\n")
+        for noise, msg in (({"A": 1.0}, "^every node needs a noise variance$"),
+                           ({"A": 1.0, "B": -0.5},
+                            "^noise variances must be nonnegative$")):
+            with pytest.raises(ValueError, match=msg):
+                LinearGaussianSem(g, {("A", "B"): 2.0}, noise)
+
+    def test_conditional_expectation_given_nothing_is_the_mean(self):
+        g = parse_graph_text("A -> B\n")
+        sem = LinearGaussianSem(g, {("A", "B"): 2.0}, {"A": 1.0, "B": 0.5},
+                                {"A": 1.5, "B": -1.0})
+        assert sem.conditional_expectation("B", {}) == 2.0
 
     def test_intervened(self):
         g = parse_graph_text("A -> B\n")
@@ -452,6 +526,15 @@ class TestVerifyCounterexample:
             dict(sem2.noise_variances))
         with pytest.raises(ValueError):
             verify_counterexample(g, sem1, broken, {"X": 1.0}, "Y",
+                                  {"Z": 0.0})
+
+    def test_rejects_nonzero_intercept(self):
+        g, sem1, sem2 = counterexample_one()
+        shifted = LinearGaussianSem(sem2.dag, sem2.coefficients,
+                                    sem2.noise_variances, {"X": 0.5})
+        with pytest.raises(ValueError, match="^observational SEMs must be "
+                           "zero-mean$"):
+            verify_counterexample(g, sem1, shifted, {"X": 1.0}, "Y",
                                   {"Z": 0.0})
 
     def test_second_frozen_pair(self):

@@ -50,6 +50,13 @@ class TestPossiblyDirected:
             with pytest.raises(GraphError, match="^unknown node 'Q'$"):
                 is_possibly_directed_path(g, path)
 
+    def test_validator_rejects_repeated_node_and_empty_path(self):
+        # X -- V2 -- X meets every edge and pairwise condition; only the
+        # repeat rules it out
+        g = shortcut_graph()
+        assert not is_possibly_directed_path(g, ("X", "V2", "X"))
+        assert not is_possibly_directed_path(g, ())
+
     def test_dag_reduces_to_plain_reachability(self):
         rng = random.Random(9)
         for _ in range(50):
