@@ -142,6 +142,10 @@ class DiscreteModel:
         self.dag = dag
         self.parent_order = {v: dag.sorted_nodes(dag.parents_of(v))
                              for v in dag.nodes}
+        for v in (*dag.nodes, *cpts):
+            if v not in cpts or v not in self.parent_order:
+                raise ValueError(f"no CPT for {v!r}" if v not in cpts
+                                 else f"CPT for {v!r}, which is not a node")
         self.cpts: Dict[str, np.ndarray] = {}
         for v in dag.nodes:
             table = np.array(cpts[v], dtype=float)
@@ -190,9 +194,7 @@ class DiscreteModel:
         """
         for v, value in do.items():
             self.dag.index(v)
-            if value not in (0, 1):
-                raise ValueError(f"do value for {v!r} must be 0 or 1, "
-                                 f"got {value!r}")
+            _binary(v, value, "do")
         key = tuple(sorted(do.items()))
         if key not in self._tables:
             import numpy as np
@@ -212,6 +214,14 @@ def _place(factor: np.ndarray, axes: list[int], n: int) -> np.ndarray:
     import numpy as np
     shape = [2 if ax in axes else 1 for ax in range(n)]
     return factor.transpose(np.argsort(axes)).reshape(shape)
+
+
+def _binary(v: str, value, kind: str) -> int:
+    """``value``, equal to 0 or 1 (``True`` and ``1.0`` are), as an int."""
+    if value not in (0, 1):
+        raise ValueError(f"{kind} value for {v!r} must be 0 or 1, "
+                         f"got {value!r}")
+    return int(value)
 
 
 def table_probability(table: np.ndarray, nodes: tuple[str, ...],
@@ -243,38 +253,78 @@ def _conditional(table: np.ndarray, nodes: tuple[str, ...]):
     return conditional
 
 
-def _compile(expr: DensityExpression):
-    """``expr`` folded once into a function of ``(env, conditional)``:
-    products multiply left to right from 1, marginals sum in
-    ``itertools.product`` order, a ``Factor`` is ``conditional``."""
+def _compile(expr: DensityExpression, nodes: tuple[str, ...]):
+    """``expr`` folded once into ``build(cond, env)``, an array with an
+    axis per node, of length 2 where the node is free in ``expr`` and not
+    pinned by ``env``.  A cell is the float one assignment's loop gives: a
+    ``Factor`` cell is ``cond(targets, given)``; a product multiplies left
+    to right from ones (``math.prod``); a marginal lays its axes last in
+    ``variables`` order, flattens them in ``itertools.product`` order and
+    keeps the last sum of ``np.cumsum``, which adds strictly left to
+    right; a fraction divides cell by cell."""
+    import numpy as np
+    n = len(nodes)
 
     def factor(f: Factor):
-        return lambda env, cond: cond({v: env[v] for v in f.targets},
-                                      {v: env[v] for v in f.given})
+        def build(cond, env):
+            free = [v for v in dict.fromkeys(f.targets + f.given)
+                    if v not in env]
+            cells = []
+            for values in itertools.product((0, 1), repeat=len(free)):
+                at = {**env, **dict(zip(free, values))}
+                cells.append(cond({v: at[v] for v in f.targets},
+                                  {v: at[v] for v in f.given}))
+            return _place(np.reshape(cells, (2,) * len(free)),
+                          [nodes.index(v) for v in free], n)
+        return build
 
     def product(parts):
-        return lambda env, cond: math.prod(part(env, cond) for part in parts)
+        return lambda cond, env: math.prod(
+            (part(cond, env) for part in parts), start=np.ones((1,) * n))
 
     def marginal(variables, body):
-        def ev(env: Dict[str, int], cond) -> float:
-            total = 0.0
-            for values in itertools.product((0, 1), repeat=len(variables)):
-                total += body({**env, **dict(zip(variables, values))}, cond)
-            return total
-        return ev
+        def build(cond, env):
+            value = body(cond, {v: env[v] for v in env if v not in variables})
+            axes, k = [nodes.index(v) for v in variables], len(variables)
+            value = np.moveaxis(value * _place(np.ones((2,) * k), axes, n),
+                                axes, range(n - k, n))
+            total = np.cumsum(value.reshape(value.shape[:n - k] + (-1,)), -1)
+            return np.expand_dims(total[..., -1], sorted(axes))
+        return build
 
     def fraction(numerator, denominator):
-        return lambda env, cond: numerator(env, cond) / denominator(env, cond)
+        def build(cond, env):
+            top, bottom = numerator(cond, env), denominator(cond, env)
+            if not bottom.all():  # as Python's float division raises
+                raise ZeroDivisionError("float division by zero")
+            return top / bottom
+        return build
 
     return fold(expr, factor, product, marginal, fraction)
+
+
+def _cells(value: np.ndarray, nodes: tuple[str, ...]):
+    """The free nodes of a built expression, those whose axis has length
+    2, in node order, and its cells keyed by the tuple of their values."""
+    free = [v for v, size in zip(nodes, value.shape) if size == 2]
+    return free, dict(zip(itertools.product((0, 1), repeat=len(free)),
+                          value.ravel().tolist()))
 
 
 def evaluate_expression(expr: DensityExpression, joint: np.ndarray,
                         nodes: tuple[str, ...],
                         assignment: Mapping[str, int]) -> float:
     """Value of a density expression under an observational joint table,
-    at a (binary) assignment of every free variable of the expression."""
-    return _compile(expr)(dict(assignment), _conditional(joint, nodes))
+    at a binary assignment of every free variable of the expression (more
+    keys are allowed), built with the assigned nodes pinned.  A value not
+    0 or 1, or a free variable with none, raises ``ValueError``."""
+    build = _compile(expr, nodes)
+    env = {v: _binary(v, value, "assignment")
+           for v, value in assignment.items()}
+    free, cells = _cells(build(_conditional(joint, nodes), env), nodes)
+    if free:
+        raise ValueError(f"no value for free node {free[0]!r}")
+    return cells[()]
 
 
 def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
@@ -283,9 +333,10 @@ def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
     """Check ``expr`` as f(y | do(x), z) against truncated factorization:
     on every DAG in ``graph``'s class, draw ``trials`` random binary models
     from ``rng`` and compare at every binary assignment of X, Y and Z.
-    Each assignment of X (a set) makes its do-table's conditional once and
-    is compared at every assignment of (Y | Z) - X; ``expr`` is folded once
-    and each marginal of each table is summed once.
+    ``expr`` is built once per model, one array read a cell per
+    comparison.  Each assignment of X (a set) makes its do-table's
+    conditional once and is compared at every assignment of (Y | Z) - X;
+    each marginal of each table is summed once.
 
     Returns the worst absolute gap, the number of DAGs and the number of
     comparisons.  ``graph`` is capped at ``MAX_TABLE_NODES`` nodes."""
@@ -297,18 +348,19 @@ def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
     xs = graph.sorted_nodes(set(x))
     rest = graph.sorted_nodes((set(y) | set(z)) - set(x))
     dags = enumerate_dags(graph)
-    evaluate = _compile(expr)
+    build = _compile(expr, graph.nodes)
     worst = 0.0
     for dag in dags:
         for _ in range(trials):
             model = DiscreteModel.random(dag, rng)
             observed = _conditional(model.joint(), graph.nodes)
+            free, cells = _cells(build(observed, {}), graph.nodes)
             for do_values in itertools.product((0, 1), repeat=len(xs)):
                 do = dict(zip(xs, do_values))
                 truth = _conditional(model.interventional(do), dag.nodes)
                 for values in itertools.product((0, 1), repeat=len(rest)):
                     env = {**do, **dict(zip(rest, values))}
-                    gap = evaluate(env, observed) - truth(
+                    gap = cells[tuple(env[v] for v in free)] - truth(
                         {v: env[v] for v in y}, {v: env[v] for v in z})
                     worst = max(worst, abs(gap))
     return worst, len(dags), len(dags) * trials * 2 ** (len(xs) + len(rest))

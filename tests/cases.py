@@ -8,14 +8,15 @@ brute-force oracle, so a regression in either direction gets caught.
 """
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
 from mpdagid import (DensityExpression, DiscreteModel, Factor, Fraction,
                      Graph, GraphClass, GraphError, InconsistentOrientation,
-                     MarginalOver, ParseError, Product, enumerate_dags,
-                     evaluate_expression, meek_closure, normal_form,
-                     oracle, parse_graph_text, random_mpdag)
+                     MarginalOver, ParseError, Product, enumerate_dags, fold,
+                     meek_closure, normal_form, oracle, parse_graph_text,
+                     random_mpdag)
 
 MARGINAL_TEXT = """\
 X -> Y
@@ -279,14 +280,47 @@ def reference_interventional_conditional(model: DiscreteModel, do, targets,
     return oracle.table_probability(table, nodes, {**targets, **given}) / den
 
 
+def reference_evaluate_expression(expr: DensityExpression, joint, nodes,
+                                  assignment) -> float:
+    """``evaluate_expression`` as first written: ``expr`` folded into
+    Python functions of one assignment; a product multiplies with
+    ``math.prod``, a marginal adds its body at each assignment of its
+    variables in ``itertools.product`` order from 0.0, and every factor is
+    the table's conditional, summed afresh for each call.
+    ``oracle._compile`` builds one array of every assignment instead, and
+    each of its cells must equal this to the last bit."""
+    cond = oracle._conditional(joint, nodes)
+
+    def factor(f):
+        return lambda env: cond({v: env[v] for v in f.targets},
+                                {v: env[v] for v in f.given})
+
+    def product(parts):
+        return lambda env: math.prod(part(env) for part in parts)
+
+    def marginal(variables, body):
+        def ev(env):
+            total = 0.0
+            for values in itertools.product((0, 1), repeat=len(variables)):
+                total += body({**env, **dict(zip(variables, values))})
+            return total
+        return ev
+
+    def fraction(numerator, denominator):
+        return lambda env: numerator(env) / denominator(env)
+
+    return fold(expr, factor, product, marginal, fraction)(dict(assignment))
+
+
 def reference_numeric_gap(graph: Graph, expr: DensityExpression, x, y, z,
                           rng: random.Random, trials: int = 1
                           ) -> tuple[float, int, int]:
     """``numeric_gap`` as first written: the same models from the same
-    ``rng``, but every assignment folds the expression again and sums its
-    marginals afresh.  ``oracle.numeric_gap`` folds once and sums each
-    marginal of a table once per model, and must give the same result to
-    the last bit."""
+    ``rng``, but every assignment evaluates the expression afresh through
+    ``reference_evaluate_expression`` and sums its marginals afresh.
+    ``oracle.numeric_gap`` builds the expression once per model and sums
+    each marginal of a table once, and must give the same result to the
+    last bit."""
     free = graph.sorted_nodes(set(x) | set(y) | set(z))
     dags = enumerate_dags(graph)
     worst = 0.0
@@ -300,7 +334,8 @@ def reference_numeric_gap(graph: Graph, expr: DensityExpression, x, y, z,
                 truth = reference_interventional_conditional(
                     model, {v: env[v] for v in x},
                     {v: env[v] for v in y}, {v: env[v] for v in z})
-                got = evaluate_expression(expr, joint, graph.nodes, env)
+                got = reference_evaluate_expression(expr, joint,
+                                                    graph.nodes, env)
                 worst = max(worst, abs(got - truth))
                 checks += 1
     return worst, len(dags), checks

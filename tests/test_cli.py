@@ -320,6 +320,19 @@ class TestVerify:
         assert err == "error: 26 nodes exceeds the joint-table cap (20)\n"
 
 
+    def test_chain_at_the_node_cap_verifies_fast(self, graph_file, capsys):
+        # the 20-node chain's expression sums over 18 nodes: built once per
+        # model as an array, not once per assignment, it takes well under
+        # a second, where the per-assignment loop took about a minute
+        path = graph_file("".join(f"V{i} -> V{i + 1}\n" for i in range(19)))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", path, "-x", "V0", "-y", "V19",
+                           "--json")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        assert json.loads(out)["verified"] is True
+
+
 class TestMalformedJson:
     @pytest.mark.parametrize("blob", [
         {"nodes": 5},

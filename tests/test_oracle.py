@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -6,15 +7,16 @@ import numpy as np
 import pytest
 
 from mpdagid import (CounterexampleReport, DagNotInClass, DiscreteModel,
-                     Factor, Graph, GraphError, LinearGaussianSem,
-                     MarginalOver, NotIdentifiable, Product, cidm,
-                     dag_d_separated, enumerate_dags, evaluate_expression,
-                     numeric_gap, oracle, parse_graph_text, random_dag,
-                     random_mpdag, table_probability, verify_counterexample)
+                     Factor, Fraction, Graph, GraphClass, GraphError,
+                     IdentificationError, LinearGaussianSem, MarginalOver,
+                     NotIdentifiable, Product, cidm, dag_d_separated,
+                     enumerate_dags, evaluate_expression, fold, numeric_gap,
+                     oracle, parse_graph_text, random_dag, random_mpdag,
+                     table_probability, verify_counterexample)
 
 from cases import (counterexample_one, counterexample_two,
                    identification_cases, random_oracle_queries,
-                   reference_enumerate_dags,
+                   reference_enumerate_dags, reference_evaluate_expression,
                    reference_interventional_conditional,
                    reference_numeric_gap, reference_wright_covariance,
                    small_random_graphs)
@@ -107,6 +109,16 @@ class TestDiscreteModel:
         g = parse_graph_text("A -> B\n")
         with pytest.raises(ValueError):
             DiscreteModel(g, {"A": np.array(0.0), "B": np.array([0.3, 0.7])})
+
+    @pytest.mark.parametrize("cpts, msg", [
+        ({"A": np.array(0.5)}, "^no CPT for 'B'$"),
+        ({"B": np.array([0.3, 0.7])}, "^no CPT for 'A'$"),
+        ({"A": np.array(0.5), "B": np.array([0.3, 0.7]), "Q": np.array(0.5)},
+         "^CPT for 'Q', which is not a node$"),
+    ], ids=["missing", "missing-root", "not-a-node"])
+    def test_cpt_keys_are_the_nodes(self, cpts, msg):
+        with pytest.raises(ValueError, match=msg):
+            DiscreteModel(parse_graph_text("A -> B\n"), cpts)
 
     def test_rejects_non_dag(self):
         g = parse_graph_text("A -- B\n")
@@ -314,6 +326,100 @@ class TestEvaluateExpression:
             got = evaluate_expression(expr, joint, g.nodes,
                                       {"X": x, "Y": y})
             assert abs(got - truth) < 1e-12
+
+    def test_every_cell_matches_reference_loop(self, battery):
+        # the array one build gives holds at each cell the float that the
+        # per-assignment loop gives there, to the last bit, on seeded
+        # identifiable queries; a build pinned at an assignment gives it too
+        rng = random.Random(41)
+        graphs = [g for g in small_random_graphs(seed=11, count=300)
+                  if g.classify() is not GraphClass.PDAG]
+        graphs += [g for g, _ in battery[::20]]
+        kinds, cells = collections.Counter(), 0
+        for g in graphs:
+            nodes = list(g.nodes)
+            rng.shuffle(nodes)
+            a, b = rng.choice((1, 2)), rng.choice((1, 2))
+            c = rng.randint(0, min(2, len(nodes) - a - b))
+            x, y, z = nodes[:a], nodes[a:a + b], nodes[a + b:a + b + c]
+            try:
+                expr = cidm(g, x, y, z)
+            except IdentificationError:
+                continue
+            kinds["fraction" if isinstance(expr, Fraction) else
+                  "off-ramp" if isinstance(expr, Factor)
+                  and not set(x) <= set(expr.given) else
+                  "marginal" if fold(expr, lambda f: False, any,
+                                     lambda v, body: True, max) else
+                  "other"] += 1
+            joint = DiscreteModel.random(rng.choice(enumerate_dags(g)),
+                                         rng).joint()
+            value = oracle._compile(expr, g.nodes)(
+                oracle._conditional(joint, g.nodes), {})
+            free = [v for v, size in zip(g.nodes, value.shape) if size == 2]
+            assert set(y) <= set(free) <= {*x, *y, *z}, (g, x, y, z, expr)
+            assert value.shape == tuple(2 if v in free else 1
+                                        for v in g.nodes)
+            for values in itertools.product((0, 1), repeat=len(free)):
+                env = dict(zip(free, values))
+                want = reference_evaluate_expression(expr, joint, g.nodes,
+                                                     env)
+                assert float(value[tuple(env.get(v, 0) for v in g.nodes)]) \
+                    == want, (g, x, y, z, expr, env)
+                got = evaluate_expression(expr, joint, g.nodes, env)
+                assert type(got) is float and got == want
+                cells += 1
+        assert min(kinds[k] for k in ("fraction", "off-ramp", "marginal")) \
+            >= 10, kinds
+        assert cells >= 1000, cells
+
+    def test_zero_denominator_raises_where_it_is_read(self):
+        # a joint with P(A = 1) = 0: the fraction is read at A = 0 and
+        # raises at A = 1, as the per-assignment loop does
+        g = parse_graph_text("A -> B\n")
+        joint = np.array([[0.3, 0.2], [0.0, 0.0]])
+        expr = Fraction(Factor(("B",)), Factor(("A",)))
+        for judge in (evaluate_expression, reference_evaluate_expression):
+            assert judge(expr, joint, g.nodes, {"A": 0, "B": 1}) == 0.4
+            with pytest.raises(ZeroDivisionError):
+                judge(expr, joint, g.nodes, {"A": 1, "B": 1})
+
+    CHAIN = MarginalOver(("B",), Product((
+        Factor(("B",), ("A",)), Factor(("C",), ("B",)))))
+
+    @pytest.mark.parametrize("assignment, msg", [
+        ({"A": -1, "C": 0}, r"^assignment value for 'A' must be 0 or 1, "
+                            r"got -1$"),
+        ({"A": 2, "C": 0}, r"^assignment value for 'A' must be 0 or 1, "
+                           r"got 2$"),
+        ({"A": 1, "C": "0"}, r"^assignment value for 'C' must be 0 or 1, "
+                             r"got '0'$"),
+        ({"A": 1, "C": 0.5}, r"^assignment value for 'C' must be 0 or 1, "
+                             r"got 0.5$"),
+        ({"A": 1, "C": 0, "Q": 3}, r"^assignment value for 'Q' must be 0 "
+                                   r"or 1, got 3$"),
+        ({"C": 0}, r"^no value for free node 'A'$"),
+        ({"A": 1, "B": 0}, r"^no value for free node 'C'$"),
+    ], ids=["minus-one", "two", "string", "half", "extra-key-bad-value",
+            "missing-A", "summed-node-given"])
+    def test_rejects_bad_assignment(self, assignment, msg):
+        g = parse_graph_text("A -> B\nB -> C\n")
+        joint = DiscreteModel.random(g, random.Random(3)).joint()
+        with pytest.raises(ValueError, match=msg):
+            evaluate_expression(self.CHAIN, joint, g.nodes, assignment)
+
+    @pytest.mark.parametrize("one", [1, True, 1.0, np.int64(1)])
+    def test_values_equal_to_one_are_accepted(self, one):
+        # as do-values are; keys that are not free nodes, the summed B and
+        # a label outside the graph among them, are allowed
+        g = parse_graph_text("A -> B\nB -> C\n")
+        joint = DiscreteModel.random(g, random.Random(3)).joint()
+        want = reference_evaluate_expression(self.CHAIN, joint, g.nodes,
+                                             {"A": 1, "C": 0})
+        for extra in ({}, {"B": 1}, {"Q": 0}):
+            got = evaluate_expression(self.CHAIN, joint, g.nodes,
+                                      {"A": one, "C": 1 - one, **extra})
+            assert type(got) is float and got == want
 
 
 class TestNumericGap:
