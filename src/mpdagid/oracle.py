@@ -10,6 +10,7 @@ factorization or interventional Gaussian conditioning.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -131,9 +132,10 @@ class DiscreteModel:
     parents in graph node order.  ``cpts[v]`` has shape ``(2,) * k`` and
     stores P(v = 1 | parent values).
 
-    The model keeps read-only copies of the CPTs, places each node's CPT
-    factor when it is made, and builds each do-assignment's joint table
-    once, so a table it has handed out can never go stale."""
+    The model keeps read-only copies of the CPTs, checked node by node,
+    shape before range, with every range compared at once.  It places each
+    node's CPT factor when it is made, and builds each do-assignment's
+    joint table once, so a table it has handed out can never go stale."""
 
     def __init__(self, dag: Graph, cpts: Mapping[str, np.ndarray]):
         import numpy as np
@@ -146,22 +148,27 @@ class DiscreteModel:
             if v not in cpts or v not in self.parent_order:
                 raise ValueError(f"no CPT for {v!r}" if v not in cpts
                                  else f"CPT for {v!r}, which is not a node")
+        tables = [np.array(cpts[v], dtype=float) for v in dag.nodes]
+        cells = np.concatenate([table.ravel() for table in tables])
+        in_range = np.all((cells > 0.0) & (cells < 1.0))  # NaN fails too
         self.cpts: Dict[str, np.ndarray] = {}
-        for v in dag.nodes:
-            table = np.array(cpts[v], dtype=float)
+        for v, table in zip(dag.nodes, tables):
             want = (2,) * len(self.parent_order[v])
             if table.shape != want:
                 raise ValueError(f"CPT for {v!r} has shape {table.shape}, "
                                  f"expected {want}")
-            if not np.all((table > 0.0) & (table < 1.0)):  # NaN fails too
+            if not (in_range or np.all((table > 0.0) & (table < 1.0))):
                 raise ValueError(f"CPT for {v!r} must lie strictly in (0, 1)")
             table.flags.writeable = False
             self.cpts[v] = table
         n = len(dag.nodes)
-        self._factors = [
-            _place(np.stack([1.0 - self.cpts[v], self.cpts[v]]),
-                   [i] + [dag.index(p) for p in self.parent_order[v]], n)
-            for i, v in enumerate(dag.nodes)]
+        self._factors = []
+        for i, v in enumerate(dag.nodes):
+            axes = [dag.index(p) for p in self.parent_order[v]]
+            self._factors.append(np.stack(
+                [1.0 - self.cpts[v], self.cpts[v]],
+                axis=sum(ax < i for ax in axes)).reshape(
+                    [2 if j == i or j in axes else 1 for j in range(n)]))
         self._tables: Dict[tuple, np.ndarray] = {}
 
     @classmethod
@@ -185,9 +192,10 @@ class DiscreteModel:
         The table is a product taken in graph node order from a tensor of
         ones, one broadcast factor per node: the CPT factor placed when
         the model was made, or, for an intervened node, the indicator of
-        its set value (a row of ``np.eye(2)``).  The result is read-only
-        and kept per do-assignment, so a repeated call returns the same
-        array.
+        its set value (a row of ``np.eye(2)``, placed once per axis, value
+        and node count and shared read-only by every table).  The result
+        is read-only and kept per do-assignment, so a repeated call
+        returns the same array.
 
         Raises ``ValueError`` when a key of ``do`` is not a node or a
         value is not 0 or 1.
@@ -201,7 +209,7 @@ class DiscreteModel:
             n = len(self.dag.nodes)
             table = np.ones((2,) * n)
             for i, v in enumerate(self.dag.nodes):
-                table = table * (_place(np.eye(2)[int(do[v])], [i], n)
+                table = table * (_indicator(i, int(do[v]), n)
                                  if v in do else self._factors[i])
             table.flags.writeable = False
             self._tables[key] = table
@@ -216,6 +224,15 @@ def _place(factor: np.ndarray, axes: list[int], n: int) -> np.ndarray:
     return factor.transpose(np.argsort(axes)).reshape(shape)
 
 
+@functools.cache
+def _indicator(i: int, value: int, n: int) -> np.ndarray:
+    """The point mass at ``value`` on axis ``i`` of ``n``, read-only."""
+    import numpy as np
+    out = _place(np.eye(2)[value], [i], n)
+    out.flags.writeable = False
+    return out
+
+
 def _binary(v: str, value, kind: str) -> int:
     """``value``, equal to 0 or 1 (``True`` and ``1.0`` are), as an int."""
     if value not in (0, 1):
@@ -224,14 +241,35 @@ def _binary(v: str, value, kind: str) -> int:
     return int(value)
 
 
+def _index(n: int, pinned: Iterable[tuple[int, int]]) -> tuple:
+    """The index of a table with ``n`` axes that pins axis i to value v for
+    each (i, v) of ``pinned`` and keeps every other axis whole."""
+    index: list = [slice(None)] * n
+    for i, v in pinned:
+        index[i] = v
+    return tuple(index)
+
+
+def _sums(table: np.ndarray, indices: Iterable[tuple]) -> list[float]:
+    """The sum of ``table[ix]`` for each index tuple, the one place the
+    oracle sums a table, by the reduction ``ndarray.sum()`` runs."""
+    import numpy as np
+    return [float(np.add.reduce(table[ix], axis=None)) for ix in indices]
+
+
 def table_probability(table: np.ndarray, nodes: tuple[str, ...],
                       assignment: Mapping[str, int]) -> float:
-    """Marginal probability of a partial assignment under a joint table."""
+    """Marginal probability of a partial assignment under a joint table
+    whose axes are ``nodes``.  A label that is not in ``nodes``, or a value
+    other than 0 or 1 (``True``, ``1.0`` and ``np.int64(1)`` are 1), raises
+    ``ValueError``."""
     import numpy as np
-    index = [slice(None)] * len(nodes)
-    for v, val in assignment.items():
-        index[nodes.index(v)] = val
-    return float(np.asarray(table)[tuple(index)].sum())
+    pinned = []
+    for v, value in assignment.items():
+        if v not in nodes:
+            raise ValueError(f"unknown node {v!r}")
+        pinned.append((nodes.index(v), _binary(v, value, "assignment")))
+    return _sums(np.asarray(table), [_index(len(nodes), pinned)])[0]
 
 
 def _conditional(table: np.ndarray, nodes: tuple[str, ...]):
@@ -239,12 +277,14 @@ def _conditional(table: np.ndarray, nodes: tuple[str, ...]):
     given ``given`` under ``table``, each marginal summed once, in a memo
     keyed on the assignment's items that lives in this closure with the
     table itself (an ``id(table)`` key would outlive a freed table)."""
+    pos = {v: i for i, v in enumerate(nodes)}
     sums: Dict[frozenset, float] = {}
 
     def probability(assignment: Mapping[str, int]) -> float:
         key = frozenset(assignment.items())
         if key not in sums:
-            sums[key] = table_probability(table, nodes, assignment)
+            sums[key] = _sums(table, [_index(
+                len(nodes), ((pos[v], value) for v, value in key))])[0]
         return sums[key]
 
     def conditional(targets, given):
@@ -261,11 +301,16 @@ def _compile(expr: DensityExpression, nodes: tuple[str, ...]):
     to right from ones (``math.prod``); a marginal lays its axes last in
     ``variables`` order, flattens them in ``itertools.product`` order and
     keeps the last sum of ``np.cumsum``, which adds strictly left to
-    right; a fraction divides cell by cell."""
+    right; a fraction divides cell by cell.  A label that is not in
+    ``nodes``, or a marginal that lists a label twice, raises
+    ``ValueError`` while folding."""
     import numpy as np
-    n = len(nodes)
+    n, pos = len(nodes), {v: i for i, v in enumerate(nodes)}
+    groups = []  # label tuples, checked once the fold has met every node
 
     def factor(f: Factor):
+        groups.append(tuple(dict.fromkeys(f.targets + f.given)))
+
         def build(cond, env):
             free = [v for v in dict.fromkeys(f.targets + f.given)
                     if v not in env]
@@ -275,7 +320,7 @@ def _compile(expr: DensityExpression, nodes: tuple[str, ...]):
                 cells.append(cond({v: at[v] for v in f.targets},
                                   {v: at[v] for v in f.given}))
             return _place(np.reshape(cells, (2,) * len(free)),
-                          [nodes.index(v) for v in free], n)
+                          [pos[v] for v in free], n)
         return build
 
     def product(parts):
@@ -283,13 +328,15 @@ def _compile(expr: DensityExpression, nodes: tuple[str, ...]):
             (part(cond, env) for part in parts), start=np.ones((1,) * n))
 
     def marginal(variables, body):
+        groups.append(variables)
+
         def build(cond, env):
             value = body(cond, {v: env[v] for v in env if v not in variables})
-            axes, k = [nodes.index(v) for v in variables], len(variables)
-            value = np.moveaxis(value * _place(np.ones((2,) * k), axes, n),
-                                axes, range(n - k, n))
+            summed, k = [pos[v] for v in variables], len(variables)
+            value = np.moveaxis(value * _place(np.ones((2,) * k), summed, n),
+                                summed, range(n - k, n))
             total = np.cumsum(value.reshape(value.shape[:n - k] + (-1,)), -1)
-            return np.expand_dims(total[..., -1], sorted(axes))
+            return np.expand_dims(total[..., -1], sorted(summed))
         return build
 
     def fraction(numerator, denominator):
@@ -300,15 +347,14 @@ def _compile(expr: DensityExpression, nodes: tuple[str, ...]):
             return top / bottom
         return build
 
-    return fold(expr, factor, product, marginal, fraction)
-
-
-def _cells(value: np.ndarray, nodes: tuple[str, ...]):
-    """The free nodes of a built expression, those whose axis has length
-    2, in node order, and its cells keyed by the tuple of their values."""
-    free = [v for v, size in zip(nodes, value.shape) if size == 2]
-    return free, dict(zip(itertools.product((0, 1), repeat=len(free)),
-                          value.ravel().tolist()))
+    build = fold(expr, factor, product, marginal, fraction)
+    for labels in groups:
+        for i, v in enumerate(labels):
+            if v not in pos or v in labels[:i]:
+                raise ValueError(f"unknown node {v!r} in the expression"
+                                 if v not in pos else
+                                 f"marginal lists {v!r} twice")
+    return build
 
 
 def evaluate_expression(expr: DensityExpression, joint: np.ndarray,
@@ -321,10 +367,11 @@ def evaluate_expression(expr: DensityExpression, joint: np.ndarray,
     build = _compile(expr, nodes)
     env = {v: _binary(v, value, "assignment")
            for v, value in assignment.items()}
-    free, cells = _cells(build(_conditional(joint, nodes), env), nodes)
-    if free:
-        raise ValueError(f"no value for free node {free[0]!r}")
-    return cells[()]
+    value = build(_conditional(joint, nodes), env)
+    if 2 in value.shape:
+        raise ValueError(
+            f"no value for free node {nodes[value.shape.index(2)]!r}")
+    return value.item()
 
 
 def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
@@ -333,10 +380,10 @@ def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
     """Check ``expr`` as f(y | do(x), z) against truncated factorization:
     on every DAG in ``graph``'s class, draw ``trials`` random binary models
     from ``rng`` and compare at every binary assignment of X, Y and Z.
-    ``expr`` is built once per model, one array read a cell per
-    comparison.  Each assignment of X (a set) makes its do-table's
-    conditional once and is compared at every assignment of (Y | Z) - X;
-    each marginal of each table is summed once.
+    The sums are planned once per call: the index tuples of Y | Z and Z
+    at each assignment of X (a set), shared where X pins them alike.  Per
+    model ``expr`` is built once, X's axes first so that its cells come in
+    comparison order, and each do-table sums each planned marginal once.
 
     Returns the worst absolute gap, the number of DAGs and the number of
     comparisons.  ``graph`` is capped at ``MAX_TABLE_NODES`` nodes."""
@@ -345,24 +392,47 @@ def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
     if len(graph.nodes) > MAX_TABLE_NODES:
         raise GraphError(f"{len(graph.nodes)} nodes exceeds the joint-table "
                          f"cap ({MAX_TABLE_NODES})")
+    import numpy as np
+    nodes, pos = graph.nodes, {v: i for i, v in enumerate(graph.nodes)}
     xs = graph.sorted_nodes(set(x))
     rest = graph.sorted_nodes((set(y) | set(z)) - set(x))
+    up, down = graph.sorted_nodes({*y, *z}), graph.sorted_nodes(set(z))
     dags = enumerate_dags(graph)
-    build = _compile(expr, graph.nodes)
+    build = _compile(expr, nodes)
+    shared: Dict[tuple, tuple] = {}
+    plan = []  # per assignment of X: do, index tuples, (num, den) slots
+    for do_values in itertools.product((0, 1), repeat=len(xs)):
+        do = dict(zip(xs, do_values))
+        pinned = tuple(do[v] for v in xs if v in up)
+        if pinned not in shared:
+            slots: Dict[tuple, int] = {}
+            rows = []
+            for values in itertools.product((0, 1), repeat=len(rest)):
+                env = {**do, **dict(zip(rest, values))}
+                num, den = (tuple((pos[v], env[v]) for v in part)
+                            for part in (up, down))
+                rows.append((slots.setdefault(num, len(slots)),
+                             slots.setdefault(den, len(slots)) if down else -1))
+            shared[pinned] = [_index(len(nodes), key) for key in slots], rows
+        plan.append((do, *shared[pinned]))
+    shape = [2 if v in xs or v in rest else 1 for v in nodes]
+    xaxes = [pos[v] for v in xs]
     worst = 0.0
     for dag in dags:
         for _ in range(trials):
             model = DiscreteModel.random(dag, rng)
-            observed = _conditional(model.joint(), graph.nodes)
-            free, cells = _cells(build(observed, {}), graph.nodes)
-            for do_values in itertools.product((0, 1), repeat=len(xs)):
-                do = dict(zip(xs, do_values))
-                truth = _conditional(model.interventional(do), dag.nodes)
-                for values in itertools.product((0, 1), repeat=len(rest)):
-                    env = {**do, **dict(zip(rest, values))}
-                    gap = cells[tuple(env[v] for v in free)] - truth(
-                        {v: env[v] for v in y}, {v: env[v] for v in z})
-                    worst = max(worst, abs(gap))
+            value = build(_conditional(model.joint(), nodes), {})
+            for v, size, want in zip(nodes, value.shape, shape):
+                if size > want:
+                    raise ValueError(f"free node {v!r} of the expression "
+                                     "is not in X, Y or Z")
+            cells = np.moveaxis(np.broadcast_to(value, shape), xaxes,
+                                range(len(xs))).reshape(len(plan), -1)
+            for (do, indices, rows), row_cells in zip(plan, cells.tolist()):
+                sums = _sums(model.interventional(do), indices) + [1.0]
+                for cell, (num, den) in zip(row_cells, rows):
+                    # slot -1 is the 1.0 that an empty Z divides by
+                    worst = max(worst, abs(cell - sums[num] / sums[den]))
     return worst, len(dags), len(dags) * trials * 2 ** (len(xs) + len(rest))
 
 

@@ -274,7 +274,8 @@ def reference_interventional_conditional(model: DiscreteModel, do, targets,
                                          given) -> float:
     """Ground truth f(targets | do, given): two marginals of the
     do-table from the truncated factorization, summed afresh (through
-    ``oracle.table_probability``, so a test can count the sums)."""
+    ``oracle.table_probability``, whose sum a test can count at
+    ``oracle._sums``, as it counts ``numeric_gap``'s planned sums)."""
     table, nodes = model.interventional(do), model.dag.nodes
     den = oracle.table_probability(table, nodes, given) if given else 1.0
     return oracle.table_probability(table, nodes, {**targets, **given}) / den

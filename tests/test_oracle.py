@@ -137,6 +137,21 @@ class TestDiscreteModel:
             with pytest.raises(ValueError, match=msg):
                 DiscreteModel(g, cpts)
 
+    @pytest.mark.parametrize("cpts, msg", [
+        ({"A": np.array(1.5), "B": np.array([[0.3, 0.7]])},
+         r"^CPT for 'A' must lie strictly in \(0, 1\)$"),
+        ({"A": np.array([0.5, 0.5]), "B": np.array([0.3, 1.2])},
+         r"^CPT for 'A' has shape \(2,\), expected \(\)$"),
+        ({"A": np.array(0.5), "B": np.array([[1.3, 0.7]])},
+         r"^CPT for 'B' has shape \(1, 2\), expected \(2,\)$"),
+    ], ids=["range-before-later-shape", "shape-before-later-range",
+            "shape-before-own-range"])
+    def test_first_bad_node_is_named(self, cpts, msg):
+        # every range is compared at once, yet the checks still read as
+        # node by node, shape before range: the first node to fail is named
+        with pytest.raises(ValueError, match=msg):
+            DiscreteModel(parse_graph_text("A -> B\n"), cpts)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("node", ["A", "B"])
     def test_rejects_nan_and_inf(self, bad, node):
@@ -169,6 +184,30 @@ class TestDiscreteModel:
         assert abs(table_probability(cut, g.nodes, {"A": 1, "B": 1})
                    - 0.9) < 1e-12
         assert table_probability(cut, g.nodes, {"A": 0, "B": 1}) == 0.0
+
+    @pytest.mark.parametrize("assignment, msg", [
+        ({"A": -1}, r"^assignment value for 'A' must be 0 or 1, got -1$"),
+        ({"A": 2}, r"^assignment value for 'A' must be 0 or 1, got 2$"),
+        ({"A": 0.5}, r"^assignment value for 'A' must be 0 or 1, got 0.5$"),
+        ({"B": 1, "Q": 0}, r"^unknown node 'Q'$"),
+    ], ids=["minus-one", "two", "half", "unknown-label"])
+    def test_table_probability_rejects_bad_assignment(self, assignment, msg):
+        # -1 read P(A = 1), 2 and 0.5 raised a bare IndexError, and an
+        # unknown label tuple.index's message
+        g = parse_graph_text("A -> B\n")
+        joint = DiscreteModel.random(g, random.Random(5)).joint()
+        with pytest.raises(ValueError, match=msg):
+            table_probability(joint, g.nodes, assignment)
+
+    @pytest.mark.parametrize("one", [True, 1.0, np.int64(1)])
+    def test_table_probability_values_equal_to_one(self, one):
+        # True was read as a mask and gave the whole table's mass, 1.0
+        g = parse_graph_text("A -> B\n")
+        joint = DiscreteModel.random(g, random.Random(5)).joint()
+        want = table_probability(joint, g.nodes, {"A": 1})
+        assert want == float(joint[1].sum()) and want < 1.0
+        got = table_probability(joint, g.nodes, {"A": one})
+        assert type(got) is float and got == want
 
     def test_conditional(self):
         g = parse_graph_text("A -> B\n")
@@ -266,6 +305,9 @@ class TestInterventionalTable:
                 table[0, 0] = 0.5
         with pytest.raises(ValueError):
             model.cpts["B"][0] = 0.5
+        # the indicator of A = 0 is placed once and shared by every table
+        with pytest.raises(ValueError):
+            oracle._indicator(0, 0, 2)[0, 0] = 0.5
 
     def test_caller_cpts_are_copied(self):
         g = parse_graph_text("A -> B\n")
@@ -408,6 +450,29 @@ class TestEvaluateExpression:
         with pytest.raises(ValueError, match=msg):
             evaluate_expression(self.CHAIN, joint, g.nodes, assignment)
 
+    @pytest.mark.parametrize("expr, msg", [
+        (Factor(("B",), ("Q",)), r"^unknown node 'Q' in the expression$"),
+        (MarginalOver(("Q",), Factor(("B",), ("A",))),
+         r"^unknown node 'Q' in the expression$"),
+        (MarginalOver(("B", "B"), Factor(("B",), ("A",))),
+         r"^marginal lists 'B' twice$"),
+    ], ids=["factor-label", "marginal-label", "marginal-twice"])
+    def test_bad_label_is_named_while_folding(self, expr, msg):
+        # raised by the fold, before the joint is read: numpy's reshape
+        # error and tuple.index's message named no label
+        class Unread:
+            def __getattr__(self, name):
+                raise AssertionError("the joint was read")
+
+            def __getitem__(self, index):
+                raise AssertionError("the joint was read")
+
+        g = parse_graph_text("A -> B\n")
+        with pytest.raises(ValueError, match=msg):
+            evaluate_expression(expr, Unread(), g.nodes, {"A": 0, "B": 0})
+        with pytest.raises(ValueError, match=msg):
+            numeric_gap(g, expr, ("A",), ("B",), (), random.Random(0))
+
     @pytest.mark.parametrize("one", [1, True, 1.0, np.int64(1)])
     def test_values_equal_to_one_are_accepted(self, one):
         # as do-values are; keys that are not free nodes, the summed B and
@@ -465,18 +530,37 @@ class TestNumericGap:
         assert sum(gap > 1e-3 for gap in gaps) >= 5
         assert sum(gap <= 1e-9 for gap in gaps) >= 10
 
+    def test_matches_reference_with_eight_rest_nodes(self):
+        # |(Y | Z) - X| = 8: 256 comparisons per do-table, each with its own
+        # numerator and denominator slots, held to the loop bit for bit;
+        # Z adjusts for the confounding, so only the second one is wrong
+        zs, ys = [f"Z{i}" for i in range(4)], [f"Y{i}" for i in range(4)]
+        edges = [(z, "X") for z in zs] + [("X", y) for y in ys]
+        edges += [(z, y) for z, y in zip(zs, ys)]
+        g = Graph(["X", *zs, *ys], directed=edges)
+        gaps = []
+        for expr in (cidm(g, ["X"], ys, zs), Factor(tuple(ys), ("X",))):
+            got = numeric_gap(g, expr, ["X"], ys, zs, random.Random(19), 2)
+            want = reference_numeric_gap(g, expr, ["X"], ys, zs,
+                                         random.Random(19), 2)
+            assert got == want and got[2] == 2 * 2 ** 9
+            gaps.append(got[0])
+        assert gaps[0] <= 1e-9 < 1e-3 < gaps[1]
+
     def test_sums_each_marginal_once_per_table(self, monkeypatch):
-        # every (table, assignment) pair is summed once; the tables stay
-        # referenced here, so their ids are not reused while counting
+        # every (table, assignment) pair is summed once, counted at the one
+        # helper every sum goes through; the tables stay referenced here,
+        # so their ids are not reused while counting
         calls, tables = [], []
-        summed = oracle.table_probability
+        summed = oracle._sums
 
-        def counted(table, nodes, assignment):
+        def counted(table, indices):
+            indices = list(indices)
             tables.append(table)
-            calls.append((id(table), frozenset(assignment.items())))
-            return summed(table, nodes, assignment)
+            calls.extend((id(table), repr(ix)) for ix in indices)
+            return summed(table, indices)
 
-        monkeypatch.setattr(oracle, "table_probability", counted)
+        monkeypatch.setattr(oracle, "_sums", counted)
         for g, x, y, z in random_oracle_queries(seed=9, count=10):
             expr = Factor(tuple(y), tuple(x))
             calls.clear()
@@ -488,6 +572,15 @@ class TestNumericGap:
                                          random.Random(3), 2) == gap
             # the reference sums the same pairs, most of them many times
             assert fast == len(set(calls)) < len(calls)
+
+    def test_free_node_outside_query_is_named(self):
+        # the expression's cells are read at the assignments of X, Y and Z
+        # alone, so a free node outside them has no value to be read at
+        g = parse_graph_text("A -> B\nB -> C\n")
+        with pytest.raises(ValueError, match=r"^free node 'B' of the "
+                           r"expression is not in X, Y or Z$"):
+            numeric_gap(g, Factor(("C",), ("B",)), ["A"], ["C"], [],
+                        random.Random(0))
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_rejects_no_trials(self, trials):
