@@ -6,7 +6,9 @@ starts with ``{``.  Every subcommand accepts ``--json`` for structured
 output.  Exit codes: 0 on success, 1 when ``verify`` finds a numeric
 mismatch or nothing to verify, 2 on malformed input or queries, when
 numpy is missing or when ``verify``'s graph has more nodes than its joint
-table allows, 3 when ``identify`` finds the effect not identifiable.
+table allows, 3 when ``identify`` finds the effect not identifiable, 141
+when stdout is closed before the output is written (as a shell reports
+SIGPIPE), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .dsep import find_open_path
 from .graph import (Graph, GraphError, _dumps, _edge_tokens, graph_to_text,
                     parse_graph_json, parse_graph_text)
 from .ident import (IdentificationError, NotIdentifiable, cidm, cidme_tree,
-                    expression_to_json, render_latex, render_text)
+                    render_latex, render_text)
 from .meek import apply_background
 from .oracle import enumerate_dags, numeric_gap
 from .pco import pco
@@ -155,7 +157,7 @@ def cmd_identify(graph: Graph, args) -> int:
               lines, sys.stderr)
         return 3
     payload = {"identifiable": True, "expression": render_text(expr),
-               "latex": render_latex(expr), "ast": expression_to_json(expr)}
+               "latex": render_latex(expr), "ast": expr}
     _emit(args, payload,
           [render_latex(expr) if args.latex else render_text(expr)])
     return 0
@@ -170,7 +172,7 @@ def cmd_enumerate(graph: Graph, args) -> int:
         print(_dumps({"leaves": [{"graph": leaf.graph,
                                   "expression": text,
                                   "latex": render_latex(leaf.expression),
-                                  "ast": expression_to_json(leaf.expression)}
+                                  "ast": leaf.expression}
                                  for leaf, text in zip(leaves, rendered)],
                       "distinct_expressions": distinct}))
         return 0
@@ -291,7 +293,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         graph = _load_graph(args.graph)
-        return args.func(graph, args)
+        code = args.func(graph, args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away, as in `| head`: exit quietly as a shell
+        # reports SIGPIPE, with stdout on devnull so that exit's flush
+        # cannot fail again (Python's documentation on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (GraphError, IdentificationError, ValueError, OSError,
             ModuleNotFoundError,  # numpy, which verify loads
             MemoryError) as exc:  # a joint table too large to allocate

@@ -84,10 +84,13 @@ def find_open_path(graph: Graph, xs: Iterable[str], ys: Iterable[str],
     """Lexicographically first shortest open definite-status path X to Y
     given Z, or None if X and Y are d-separated given Z."""
     x, y, z = graph.check_disjoint(xs, ys, zs)
-    open_at = _open_at(graph, z)
+    pa, ch, nb = graph._pa, graph._ch, graph._nb
+    an_z, empty = ancestors(graph, z), frozenset()
     order: dict[str, tuple[str, ...]] = {}
 
     def expand(path: tuple[str, ...]) -> Iterable[str]:
+        # the w for which cur is open on (prev, cur, w) given Z, by the
+        # edge between prev and cur: what _triple_status and _open_at give
         cur = path[-1]
         steps = order.get(cur)
         if steps is None:
@@ -95,8 +98,16 @@ def find_open_path(graph: Graph, xs: Iterable[str], ys: Iterable[str],
         if len(path) == 1:
             return steps
         prev = path[-2]
-        return [w for w in steps if w != prev and cur
-                in open_at.get(_triple_status(graph, prev, cur, w), ())]
+        if prev in pa[cur]:  # an open collider, or a non-collider outside Z
+            near = ((pa[cur] if cur in an_z else empty)
+                    | (empty if cur in z else ch[cur]))
+        elif cur in z:
+            return ()
+        elif prev in ch[cur]:
+            return [w for w in steps if w != prev]
+        else:  # a child, or an undirected neighbour not adjacent to prev
+            near = ch[cur] | (nb[cur] - pa[prev] - ch[prev] - nb[prev])
+        return [w for w in steps if w in near and w != prev]
 
     sources = graph.sorted_nodes(x)
     # no open walk means no open path; a walk with a repeat needs the exact search

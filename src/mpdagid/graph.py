@@ -87,7 +87,8 @@ class Graph:
     graph with the ``Graph(...)`` rebuild of its edges.
     """
 
-    __slots__ = ("_nodes", "_index", "_pa", "_ch", "_nb", "_hash", "_class")
+    __slots__ = ("_nodes", "_index", "_pa", "_ch", "_nb", "_hash", "_class",
+                 "_closed_masks")
 
     def __init__(self, nodes: Sequence[str],
                  directed: Iterable[tuple[str, str]] = (),
@@ -128,10 +129,11 @@ class Graph:
     def _set(self, nodes: tuple[str, ...], index: dict[str, int],
              pa: _Map, ch: _Map, nb: _Map) -> "Graph":
         """The one constructor tail, for ``__init__`` and every derived
-        graph: keeps the node order and the edge maps."""
+        graph: keeps the node order and the edge maps.  ``_closed_masks``
+        is set by :mod:`mpdagid.meek` on a split result only."""
         self._nodes, self._index = nodes, index
         self._pa, self._ch, self._nb = pa, ch, nb
-        self._hash = self._class = None
+        self._hash = self._class = self._closed_masks = None
         return self
 
     def _derive(self, pa: _Map, ch: _Map, nb: _Map) -> "Graph":
@@ -437,12 +439,15 @@ def graph_to_json(graph: Graph) -> str:
 
 def _dumps(obj) -> str:
     """``json.dumps(obj, indent=2, default=...)`` byte for byte, the default
-    giving a :class:`Graph` as ``parse_graph_json`` reads it, with only
-    scalars through json's C code, not its pure-Python indent encoder.  Per
-    call, a graph's nodes array is built once per node tuple and indent, an
-    edge once per edge and indent.  TypeError for what json rejects."""
+    giving a :class:`Graph` as ``parse_graph_json`` reads it and an
+    expression of :mod:`mpdagid.ident` as ``expression_to_json`` does, with
+    only scalars through json's C code, not its pure-Python indent encoder.
+    Per call, a graph's nodes array is built once per node tuple and
+    indent, an edge once per edge and indent, and a factor once per
+    targets, given, fixed and indent.  TypeError for what json rejects."""
     out: list[str] = []
     chunks: dict[str, tuple[dict, dict]] = {}  # per indent: nodes, edges
+    factors: dict[tuple, str] = {}  # no None key: non-factors miss
 
     def block(items: list[str], pad: str, ends: str = "[]") -> str:
         inner = pad + "  "
@@ -463,6 +468,30 @@ def _dumps(obj) -> str:
             edges.append(edges_at[token])
         out.append(block([f'"nodes": {nodes_at[g._nodes]}',
                           f'"edges": {block(edges, inner)}'], pad, "{}"))
+
+    def expression(e, pad: str) -> str:
+        # its kind, then each field in order: a tuple of labels, a tuple
+        # of expressions or one expression; a factor is keyed on all its
+        # fields, since fixed is left out of its equality
+        key = ((e.targets, e.given, e.fixed, pad)
+               if e._json_kind == "factor" else None)
+        if key in factors:
+            return factors[key]
+        inner = pad + "  "
+        items = [f'"kind": "{e._json_kind}"']
+        for name in e.__dataclass_fields__:
+            v = getattr(e, name)
+            if not isinstance(v, tuple):
+                v = expression(v, inner)
+            elif v and not isinstance(v[0], str):
+                v = block([expression(f, inner + "  ") for f in v], inner)
+            else:
+                v = block([*map(_json_str, v)], inner)
+            items.append(f'"{name}": {v}')
+        chunk = block(items, pad, "{}")
+        if key:
+            factors[key] = chunk
+        return chunk
 
     def emit(o, pad: str) -> None:
         inner = pad + "  "
@@ -489,6 +518,8 @@ def _dumps(obj) -> str:
                 out.append(pad + "]")
         elif isinstance(o, Graph):  # after the containers: scalars only
             graph(o, pad)
+        elif hasattr(o, "_json_kind"):  # an expression of mpdagid.ident
+            out.append(expression(o, pad))
         else:
             out.append(json.dumps(o))
 

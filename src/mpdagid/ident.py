@@ -43,6 +43,7 @@ class Factor:
     it is presentation metadata and excluded from equality.
     """
 
+    _json_kind = "factor"  # for graph._dumps, as expression_to_json writes
     targets: tuple[str, ...]
     given: tuple[str, ...] = ()
     fixed: tuple[str, ...] = field(default=(), compare=False)
@@ -50,17 +51,20 @@ class Factor:
 
 @dataclass(frozen=True)
 class Product:
+    _json_kind = "product"
     factors: tuple["DensityExpression", ...]
 
 
 @dataclass(frozen=True)
 class MarginalOver:
+    _json_kind = "marginal"
     variables: tuple[str, ...]
     body: "DensityExpression"
 
 
 @dataclass(frozen=True)
 class Fraction:
+    _json_kind = "fraction"
     numerator: "DensityExpression"
     denominator: "DensityExpression"
 
@@ -268,7 +272,13 @@ def rule3_holds(graph: Graph, xs, ys, zs, ws=()) -> bool:
     taken out of the graph."""
     x, y, z, w = graph.check_disjoint(xs, ys, zs, ws)
     sub = graph.induced_subgraph(set(graph.nodes) - x)
-    z_prime = z - possible_ancestors(sub, w)
+    return _rule3(graph, x, y, z, w, possible_ancestors(sub, w))
+
+
+def _rule3(graph: Graph, x, y, z, w, pan_w) -> bool:
+    """The premise of :func:`rule3_holds`, given the possible ancestors
+    ``pan_w`` of W in the graph without X."""
+    z_prime = z - pan_w
     return d_separated(graph.remove_edges_into(x | z_prime), y, z, x | w)
 
 
@@ -300,12 +310,20 @@ def id_formula(graph: Graph, xs, ys, zs=()) -> DensityExpression:
     return _id_formula(graph, x, y, z, pd_x, possible_ancestors(graph, z))
 
 
-def _id_formula(graph: Graph, x, y, z, pd_x, pan_z) -> DensityExpression:
+def _id_formula(graph: Graph, x, y, z, pd_x, pan_z,
+                order=None) -> DensityExpression:
     """The body of :func:`id_formula` without its checks, given the possible
-    descendants ``pd_x`` of X and the possible ancestors ``pan_z`` of Z."""
+    descendants ``pd_x`` of X and the possible ancestors ``pan_z`` of Z.
+    ``order``, if given, is ``pco(graph, graph.nodes)``, whose buckets are
+    cut down to the nodes ordered.  The result is in normal form."""
     # the ancestors of Y in G - X: a directed closure that never enters X
     anc = _closure(graph, y, lambda v: graph._pa[v] - x)
-    buckets = pco(graph, anc - z)
+    d = anc - z
+    if order is None:
+        buckets = pco(graph, d)
+    else:
+        buckets = [b for b in (tuple(v for v in bucket if v in d)
+                               for bucket in order) if b]
     integrate_over = anc - (z | y)
 
     factors: list[Factor] = []
@@ -321,11 +339,14 @@ def _id_formula(graph: Graph, x, y, z, pd_x, pan_z) -> DensityExpression:
             factors.append(Factor(bucket, graph.sorted_nodes(given)))
         prev |= set(bucket)
 
+    # normal_form's order: the buckets are sorted and disjoint, so their
+    # first targets decide it
+    factors.sort(key=lambda f: graph._index[f.targets[0]])
     body: DensityExpression = factors[0] if len(factors) == 1 \
         else Product(tuple(factors))
     if integrate_over:
         body = MarginalOver(graph.sorted_nodes(integrate_over), body)
-    return normal_form(body, graph)
+    return body
 
 
 def _absorb(graph: Graph, x1: set[str], y: frozenset[str], z1: set[str]):
@@ -351,18 +372,22 @@ def _finish(graph: Graph, x1: set[str], y: frozenset[str],
     fraction of two formula instances over the conditioning split.  The
     loop's exit proves :func:`id_formula`'s checks: no proper possibly
     directed path that starts with an undirected edge leads from X1 into
-    Y | Z1, which holds both target sets, and z_rest avoids PossDe(X1)."""
-    if rule3_holds(graph, (), y, x1, z1):
-        return normal_form(Factor(tuple(y), tuple(z1)), graph)
+    Y | Z1, which holds both target sets, and z_rest avoids PossDe(X1).
+    PossAn(Z1) serves the off-ramp, and PossAn(z_rest) when z_rest is Z1;
+    the fraction's two formulas share one ``pco`` order."""
+    pan_z = possible_ancestors(graph, z1)
+    if _rule3(graph, frozenset(), y, x1, z1, pan_z):
+        return Factor(graph.sorted_nodes(y), graph.sorted_nodes(z1))
     pd_x1 = possible_descendants(graph, x1)
     z_desc = z1 & pd_x1
+    if not z_desc:
+        return _id_formula(graph, x1, y, z1, pd_x1, pan_z)
     z_rest = frozenset(z1) - pd_x1
     pan_z = possible_ancestors(graph, z_rest)
-    numerator = _id_formula(graph, x1, y | z_desc, z_rest, pd_x1, pan_z)
-    if not z_desc:
-        return numerator
-    return Fraction(numerator,
-                    _id_formula(graph, x1, z_desc, z_rest, pd_x1, pan_z))
+    order = pco(graph, graph.nodes)
+    return Fraction(
+        _id_formula(graph, x1, y | z_desc, z_rest, pd_x1, pan_z, order),
+        _id_formula(graph, x1, z_desc, z_rest, pd_x1, pan_z, order))
 
 
 def cidm(graph: Graph, xs, ys, zs=()) -> DensityExpression:

@@ -4,7 +4,8 @@ The closure operator repeatedly applies the four rules until no undirected
 edge can be oriented.  A closed graph whose class is nonempty (it admits a
 consistent extension) is maximally oriented; inconsistent inputs raise
 :class:`InconsistentOrientation`.  The rounds and the sink search run on
-int bit masks, bit i for node i, built per call from the edge maps.
+int bit masks, bit i for node i, built from the edge maps or, below a
+split result, copied from the masks it keeps.
 """
 
 from __future__ import annotations
@@ -84,11 +85,13 @@ def meek_closure(graph: Graph) -> Graph:
     The rules run in rounds on a copy of the edge maps.  Each round
     finds every orientation the rules license on the graph as the round
     starts, in ``undirected_edges`` order, and then applies them in that
-    order.  A rule's premise for x -> y reads only the edges at x, at y and
-    at the neighbours of x, so after the first round only the undirected
-    edges with an endpoint next to an edge the last round oriented are
-    tried again; every other edge still licenses nothing.  The result's
-    class, DAG or MPDAG, is recorded on it for ``classify``.
+    order.  Undirected premises only disappear and adjacency never
+    changes, so only a rule with a new u -> v among its premises can fire
+    anew: R1 as v -> y, R2 as u -> y or x -> v, R3 as x -> v, R4 as x -> v
+    or x -> y with x -- u.  So later rounds try only the undirected edges
+    with an endpoint in {u, v} or in nb(u), for each u -> v the last round
+    oriented (semi-naive evaluation; Bancilhon & Ramakrishnan, SIGMOD
+    1986).  The result's class, DAG or MPDAG, is recorded for ``classify``.
 
     Raises
     ------
@@ -104,20 +107,27 @@ def _close(graph: Graph, given: list[tuple[str, str]]) -> Graph:
     """The rounds of :func:`meek_closure` on masks of copies of ``graph``'s
     maps, with the undirected edges ``given`` oriented first, as listed.
     Returns one graph derived from ``graph``, or ``graph`` itself if
-    nothing changed.  A split, one pair below a graph recorded as an
-    MPDAG, first tries only the undirected edges next to the pair, since
+    nothing changed.  A split, one pair a -> b below a graph recorded as
+    an MPDAG, first tries only the edges a new a -> b can license, since
     no rule applies to an MPDAG, and its result is recorded as an MPDAG or
     a DAG without the checks: the class holds DAGs with the edge each way,
-    so the closure is the MPDAG of a subclass (Meek, UAI 1995)."""
+    so the closure is the MPDAG of a subclass (Meek, UAI 1995).  It keeps
+    its final masks, for a split of it to copy."""
     maps = graph._oriented_maps(given)
     nodes, index = graph.nodes, graph._index
-    masks = pa, ch, nb, adj, live = _masks(index, *maps)
-    near = live
     split = graph._class is GraphClass.MPDAG and len(given) == 1
+    kept = graph._closed_masks if split else None
+    if kept is None:
+        masks = pa, ch, nb, adj, live = _masks(index, *maps)
+    else:  # adjacency never changes, so adj is shared
+        masks = pa, ch, nb, adj, live = (*map(list.copy, kept[:3]), *kept[3:])
+    near = live
     if split:
-        a, b = given[0]
-        near &= sum({1 << index[v] for v in
-                     graph.neighbors_of(a) | graph.neighbors_of(b) | {a, b}})
+        a, b = map(index.__getitem__, given[0])
+        if kept is not None:
+            nb[a], nb[b] = nb[a] ^ 1 << b, nb[b] ^ 1 << a
+            ch[a], pa[b] = ch[a] | 1 << b, pa[b] | 1 << a
+        near = 1 << a | 1 << b | nb[a]
     new: list[tuple[int, int]] = []
     while near:
         oriented = []
@@ -129,13 +139,13 @@ def _close(graph: Graph, given: list[tuple[str, str]]) -> Graph:
         new += oriented
         near = 0
         for a, b in oriented:
-            near |= adj[a] | adj[b]
-        near &= live
+            near |= 1 << a | 1 << b | nb[a]
     for a, b in new:  # new sets where an edge changed; the rest stay shared
         _orient_in_maps(*maps, nodes[a], nodes[b])
     g = graph._derive(*maps) if given or new else graph
     if split:
         g._class = GraphClass.MPDAG if any(nb) else GraphClass.DAG
+        g._closed_masks = masks
         return g
     # g holds every directed edge of the start (graph with ``given``), so
     # the start is checked only when g has a cycle, to say whose it is

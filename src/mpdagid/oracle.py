@@ -165,9 +165,11 @@ class DiscreteModel:
         self._factors = []
         for i, v in enumerate(dag.nodes):
             axes = [dag.index(p) for p in self.parent_order[v]]
-            self._factors.append(np.stack(
-                [1.0 - self.cpts[v], self.cpts[v]],
-                axis=sum(ax < i for ax in axes)).reshape(
+            # v's axis moves from the front to its place among the parents
+            k = sum(ax < i for ax in axes)
+            perm = [*range(1, k + 1), 0, *range(k + 1, len(axes) + 1)]
+            self._factors.append(np.array(
+                [1.0 - self.cpts[v], self.cpts[v]]).transpose(perm).reshape(
                     [2 if j == i or j in axes else 1 for j in range(n)]))
         self._tables: Dict[tuple, np.ndarray] = {}
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from mpdagid import (DensityExpression, DiscreteModel, Factor, Fraction,
                      Graph, GraphClass, GraphError, InconsistentOrientation,
-                     MarginalOver, ParseError, Product, enumerate_dags, fold,
-                     meek_closure, normal_form, oracle, parse_graph_text,
-                     random_mpdag)
+                     MarginalOver, ParseError, Product, enumerate_dags,
+                     expression_to_json, fold, meek_closure, normal_form,
+                     oracle, parse_graph_text, random_mpdag)
 
 MARGINAL_TEXT = """\
 X -> Y
@@ -620,14 +620,17 @@ def reference_parse_graph_text(text: str) -> Graph:
         raise ParseError(str(exc)) from exc
 
 
-# -- reference: a graph's JSON form --------------------------------------------
+# -- reference: the JSON form of a graph or an expression ----------------------
 
 
 def reference_graph_obj(graph) -> dict:
-    """A graph's JSON form as a dict: with it as ``default``,
+    """A graph's JSON form as a dict, and an expression's as
+    ``expression_to_json`` gives it: with this as ``default``,
     ``json.dumps(payload, indent=2, default=reference_graph_obj)`` is the
     reference for every ``--json`` payload and ``graph_to_json``.  Like any
     ``default``, it raises TypeError on what it cannot write."""
+    if isinstance(graph, (Factor, Product, MarginalOver, Fraction)):
+        return expression_to_json(graph)
     if not isinstance(graph, Graph):
         raise TypeError(f"Object of type {type(graph).__name__} "
                         "is not JSON serializable")

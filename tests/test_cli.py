@@ -6,7 +6,9 @@ import time
 
 import pytest
 
-from mpdagid import Graph, cli, graph_to_json, graph_to_text, parse_graph_text
+from mpdagid import (Factor, Fraction, Graph, MarginalOver, Product, cli,
+                     graph_to_json, graph_to_text, parse_graph_text)
+from mpdagid import graph as graph_module
 from mpdagid.cli import main
 from mpdagid.graph import _dumps
 
@@ -485,6 +487,37 @@ def test_graph_file_is_closed(graph_file):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "A,B\n", "")
 
 
+@pytest.mark.parametrize("argv", [
+    ["reach", "--nodes", "C0"],
+    ["enumerate", "-x", "C0,C1", "-y", "C4", "-z", "C2", "--json"],
+], ids=["flushed-at-the-end", "larger-than-the-buffer"])
+def test_closed_stdout_exits_quietly(graph_file, argv):
+    # the read end is closed before the child writes, as `| head` may do:
+    # the BrokenPipeError is neither malformed input (exit 2 with an
+    # error line) nor an exception at exit's flush; the exit status is
+    # the one a shell reports for SIGPIPE.  stdout is block-buffered, as
+    # in a shell, so a short output is written only when it is flushed
+    import os
+    import subprocess
+    import sys
+
+    import mpdagid
+    path = graph_file("".join(f"C{a} -- C{b}\n" for a, b
+                              in itertools.combinations(range(5), 2)))
+    src = os.path.dirname(os.path.dirname(mpdagid.__file__))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpdagid.cli", argv[0], path, *argv[1:]],
+            stdout=write, stderr=subprocess.PIPE, timeout=60,
+            env={**{k: v for k, v in os.environ.items()
+                    if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": src})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 @pytest.mark.parametrize("body, argv, out", [
     ("X -> Y\n# caf\u00e9\n", ["identify", "-x", "X", "-y", "Y"], "f(y|x)\n"),
     ("\u00e9 -> Y\n", ["dags", "--json"], None),
@@ -682,6 +715,34 @@ class TestJsonWriter:
         for h in graphs:
             assert graph_to_json(h) == json.dumps(
                 reference_graph_obj(h), indent=2)
+
+    def test_expressions_match_json_dumps(self):
+        # a factor's chunk is kept per targets, given, fixed and indent:
+        # keyed on the Factor, whose equality leaves fixed out, or without
+        # the indent, the writer would reuse a wrong chunk here
+        f = Factor(("A",), ("B", "C"), ("B",))
+        unfixed = Factor(("A",), ("B", "C"))
+        assert f == unfixed
+        expr = Fraction(MarginalOver(("C",), Product((f, Factor(("C",))))),
+                        unfixed)
+        payload = {"ast": expr, "leaves": [{"ast": f}, {"ast": unfixed},
+                                           {"deep": [expr, [f]]}],
+                   "bare": Factor(("A",)), "pair": [unfixed, f]}
+        assert _dumps(payload) == json.dumps(payload, indent=2,
+                                             default=reference_graph_obj)
+
+    def test_repeated_factors_hit_the_chunk_memo(self, monkeypatch):
+        # each label is escaped once, for the first chunk of its factor;
+        # the 49 repeats at the same indent reuse the chunks
+        escaped = []
+        escape = graph_module._json_str
+        monkeypatch.setattr(graph_module, "_json_str",
+                            lambda s: (escape(s), escaped.append(s))[0])
+        payload = [Product((Factor(("A",), ("B", "C")), Factor(("D",))))
+                   for _ in range(50)]
+        assert _dumps(payload) == json.dumps(payload, indent=2,
+                                             default=reference_graph_obj)
+        assert sorted(escaped) == ["A", "B", "C", "D"]
 
     @pytest.mark.parametrize("command", [
         "identify", "enumerate", "verify", "dags", "complete", "dsep",

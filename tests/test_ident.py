@@ -382,3 +382,40 @@ def test_leaf_formula_matches_checked_route(battery, monkeypatch):
                 assert expr == expected, (h, x, y, z)
                 formulas += 1
     assert formulas > 10000 and fractions > 3000
+
+
+def test_formula_body_is_in_normal_form(battery, monkeypatch):
+    # _id_formula sorts its factors by their first target instead of
+    # running normal_form; what it returns, numerators and denominators
+    # that share one pco order included, must be its own normal form, and
+    # fixed too, which Factor equality leaves out: the JSON forms hold it
+    made = []
+    body = ident._id_formula
+
+    def recorded(g, *args):
+        expr = body(g, *args)
+        made.append((g, expr))
+        return expr
+
+    monkeypatch.setattr(ident, "_id_formula", recorded)
+    rng = random.Random(29)
+    graphs = [g for g, _ in battery] + [
+        random_mpdag(rng, [f"N{i}" for i in range(rng.randint(6, 9))],
+                     rng.choice((0.3, 0.45, 0.6)), rng.choice((0.0, 0.3)))
+        for _ in range(150)]
+    for g in graphs:
+        for _ in range(2):
+            vs = list(g.nodes)
+            rng.shuffle(vs)
+            nx, ny = rng.choice((1, 2)), rng.choice((1, 2))
+            z = vs[nx + ny:nx + ny + rng.randint(0, len(vs) - nx - ny)]
+            cidme_tree(g, vs[:nx], vs[nx:nx + ny], z)
+    for g, expr in made:
+        assert (expression_to_json(expr)
+                == expression_to_json(normal_form(expr, g))), (g, expr)
+    shapes = {type(expr.body if isinstance(expr, MarginalOver) else expr)
+              for _, expr in made}
+    assert shapes == {Factor, Product} and len(made) > 5000
+    assert any(f.fixed for _, expr in made for f in fold(
+        expr, lambda f: [f], lambda parts: sum(parts, []),
+        lambda _, body: body, lambda n, d: n + d))

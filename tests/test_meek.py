@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from mpdagid import meek
+from mpdagid import ident, meek, oracle
 from mpdagid import (Graph, GraphClass, GraphError, InconsistentOrientation,
-                     apply_background, consistent_extension,
-                     has_consistent_extension, is_meek_closed, meek_closure,
-                     parse_graph_text, pattern_of, random_dag, refine)
+                     apply_background, cidme_tree, consistent_extension,
+                     enumerate_dags, has_consistent_extension, is_meek_closed,
+                     meek_closure, parse_graph_text, pattern_of, random_dag,
+                     random_mpdag, refine)
 
 from cases import (_ref_r1, _ref_r2, _ref_r3, _ref_r4,
                    _ref_rule_applications, background_graphs,
@@ -562,3 +563,91 @@ def test_kernel_matches_reference_rules_on_shuffled_random_pdags():
         assert repr(consistent_extension(g)) == repr(extension), g
     # every rule licensed some orientation first
     assert rules == {0, 1, 2, 3}
+
+
+def _clique(k):
+    nodes = [f"C{i}" for i in range(k)]
+    return Graph(nodes, undirected=list(itertools.combinations(nodes, 2)))
+
+
+def _seeded_mpdags(seed, count):
+    """Seeded MPDAGs with 6-9 nodes, dense ones (chordal components with
+    many undirected edges) and ones with background orientations."""
+    rng = random.Random(seed)
+    return [random_mpdag(rng, [f"N{i}" for i in range(rng.randint(6, 9))],
+                         rng.choice((0.3, 0.45, 0.6)), rng.choice((0.0, 0.3)))
+            for _ in range(count)]
+
+
+def test_every_split_keeps_the_masks_of_its_maps(battery, monkeypatch):
+    # a split keeps the masks its rounds ended with, and a split of it
+    # starts from a copy with one pair flipped instead of building them
+    # from the maps: along every split of both trees they must equal the
+    # masks built from the result's maps at its nodes with an undirected
+    # edge, and no other node may keep an undirected bit
+    splits, copied = [], 0
+
+    def recorded(g, a, b):
+        nonlocal copied
+        copied += g._closed_masks is not None
+        h = refine(g, a, b)
+        splits.append(h)
+        return h
+
+    monkeypatch.setattr(ident, "refine", recorded)
+    monkeypatch.setattr(oracle, "refine", recorded)
+    rng = random.Random(37)
+    for g in [g for g, _ in battery] + _seeded_mpdags(37, 60):
+        enumerate_dags(g)
+        vs = list(g.nodes)
+        rng.shuffle(vs)
+        cidme_tree(g, vs[:2], vs[2:3], vs[3:4])
+    for h in splits:
+        pa, ch, nb, adj, _ = h._closed_masks
+        fresh = meek._masks(h._index, h._pa, h._ch, h._nb)
+        for i in meek._bits(fresh[4]):
+            assert ((pa[i], ch[i], nb[i], adj[i])
+                    == tuple(m[i] for m in fresh[:4])), (h, i)
+        assert nb == fresh[2], h
+    assert len(splits) > 5000 and copied > 2000
+
+
+def _assert_split_matches_reference(g, a, b):
+    """``refine(g, a, b)``, which starts from ``g``'s kept masks when ``g``
+    is a split result, against the closure of the oriented graph."""
+    h, expected = refine(g, a, b), reference_refine(g, a, b)
+    assert (repr(h), h._class) == (repr(expected), expected._class), \
+        (g, a, b)
+    return h
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_refine_matches_reference_along_clique_split_trees(k):
+    # the whole tree enumerate_dags walks: every split of a split result
+    stack, leaves = [_clique(k)], 0
+    stack[0].classify()
+    while stack:
+        g = stack.pop()
+        if not g.undirected_edges:
+            leaves += 1
+            continue
+        a, b = g.undirected_edges[0]
+        stack += [_assert_split_matches_reference(g, b, a),
+                  _assert_split_matches_reference(g, a, b)]
+    assert leaves == {5: 120, 6: 720}[k]
+
+
+def test_refine_matches_reference_along_random_split_chains():
+    # chains of splits down to a DAG, each on a random undirected edge in
+    # a random direction, from seeded MPDAGs with chordal components
+    rng = random.Random(41)
+    steps = 0
+    for g in _seeded_mpdags(41, 200):
+        for _ in range(4):
+            h = g
+            while h.undirected_edges:
+                a, b = rng.choice(h.undirected_edges)
+                h = _assert_split_matches_reference(
+                    h, *((a, b) if rng.random() < 0.5 else (b, a)))
+                steps += 1
+    assert steps > 1000

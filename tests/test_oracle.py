@@ -120,6 +120,28 @@ class TestDiscreteModel:
         with pytest.raises(ValueError, match=msg):
             DiscreteModel(parse_graph_text("A -> B\n"), cpts)
 
+    def test_placed_factors_match_stack_bytes(self):
+        # each CPT factor is placed by a transpose; np.stack at the node's
+        # place among its parents gave these bytes and shapes before: 0-4
+        # parents, the node at every place
+        rng = random.Random(14)
+        nodes = [f"N{i}" for i in range(5)]
+        for i, v in enumerate(nodes):
+            others = nodes[:i] + nodes[i + 1:]
+            for k in range(5):
+                for parents in itertools.combinations(others, k):
+                    dag = Graph(nodes, [(p, v) for p in parents])
+                    model = DiscreteModel.random(dag, rng)
+                    axes = [dag.index(p) for p in parents]
+                    want = np.stack(
+                        [1.0 - model.cpts[v], model.cpts[v]],
+                        axis=sum(ax < i for ax in axes)).reshape(
+                            [2 if j == i or j in axes else 1
+                             for j in range(len(nodes))])
+                    got = model._factors[i]
+                    assert got.shape == want.shape, (v, parents)
+                    assert got.tobytes() == want.tobytes(), (v, parents)
+
     def test_rejects_non_dag(self):
         g = parse_graph_text("A -- B\n")
         with pytest.raises(GraphError, match="^a discrete model needs a DAG$"):
