@@ -27,6 +27,7 @@ from .reachability import ancestors, path_search
 
 COLLIDER = "collider"
 NONCOLLIDER = "noncollider"
+_EMPTY: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ def triple_status(graph: Graph, a: str, b: str, c: str) -> str | None:
 
 
 def _triple_status(graph: Graph, a: str, b: str, c: str) -> str | None:
-    """:func:`triple_status` without the label check, for the searches."""
+    """:func:`triple_status` without the label check, for the witness."""
     if graph.has_directed(a, b) and graph.has_directed(c, b):
         return COLLIDER
     if graph.has_directed(b, a) or graph.has_directed(b, c):
@@ -60,11 +61,23 @@ def _triple_status(graph: Graph, a: str, b: str, c: str) -> str | None:
     return None
 
 
-def _open_at(graph: Graph, zset: frozenset[str]) -> dict[str, frozenset[str]]:
-    """The interior nodes open given Z, by triple status: colliders with a
-    descendant in Z, definite non-colliders outside Z."""
-    return {COLLIDER: ancestors(graph, zset),
-            NONCOLLIDER: frozenset(graph.nodes) - zset}
+def _open_next(graph: Graph, z: frozenset[str], an_z: frozenset[str],
+               prev: str, cur: str, steps: Iterable[str]) -> list[str]:
+    """The open-triple rule: the w of ``steps`` other than ``prev``, in
+    order, for which ``cur`` is a collider in ``an_z``, the ancestors of
+    Z, or a definite non-collider outside Z on (prev, cur, w), told by the
+    edge between prev and cur instead of by ``_triple_status``."""
+    pa, ch, nb = graph._pa, graph._ch, graph._nb
+    if prev in pa[cur]:  # an open collider, or a non-collider outside Z
+        near = ((pa[cur] if cur in an_z else _EMPTY)
+                | (_EMPTY if cur in z else ch[cur]))
+    elif cur in z:
+        return []
+    elif prev in ch[cur]:  # a non-collider with every neighbour
+        return [w for w in steps if w != prev]
+    else:  # a child, or an undirected neighbour not adjacent to prev
+        near = ch[cur] | (nb[cur] - pa[prev] - ch[prev] - nb[prev])
+    return [w for w in steps if w in near and w != prev]
 
 
 def _directed_descent(graph: Graph, start: str, zset: frozenset[str]) -> tuple[str, ...]:
@@ -84,30 +97,17 @@ def find_open_path(graph: Graph, xs: Iterable[str], ys: Iterable[str],
     """Lexicographically first shortest open definite-status path X to Y
     given Z, or None if X and Y are d-separated given Z."""
     x, y, z = graph.check_disjoint(xs, ys, zs)
-    pa, ch, nb = graph._pa, graph._ch, graph._nb
-    an_z, empty = ancestors(graph, z), frozenset()
+    an_z = ancestors(graph, z)
     order: dict[str, tuple[str, ...]] = {}
 
     def expand(path: tuple[str, ...]) -> Iterable[str]:
-        # the w for which cur is open on (prev, cur, w) given Z, by the
-        # edge between prev and cur: what _triple_status and _open_at give
         cur = path[-1]
         steps = order.get(cur)
         if steps is None:
             steps = order[cur] = graph.sorted_nodes(graph.neighbors_of(cur) - x)
         if len(path) == 1:
             return steps
-        prev = path[-2]
-        if prev in pa[cur]:  # an open collider, or a non-collider outside Z
-            near = ((pa[cur] if cur in an_z else empty)
-                    | (empty if cur in z else ch[cur]))
-        elif cur in z:
-            return ()
-        elif prev in ch[cur]:
-            return [w for w in steps if w != prev]
-        else:  # a child, or an undirected neighbour not adjacent to prev
-            near = ch[cur] | (nb[cur] - pa[prev] - ch[prev] - nb[prev])
-        return [w for w in steps if w in near and w != prev]
+        return _open_next(graph, z, an_z, path[-2], cur, steps)
 
     sources = graph.sorted_nodes(x)
     # no open walk means no open path; a walk with a repeat needs the exact search
@@ -139,6 +139,6 @@ def is_open_definite_status_path(graph: Graph, path: Sequence[str],
         return False
     if not all(map(graph.adjacent, path, path[1:])):
         return False
-    open_at = _open_at(graph, z)
-    return all(path[i] in open_at.get(_triple_status(graph, *path[i - 1:i + 2]), ())
+    an_z = ancestors(graph, z)
+    return all(_open_next(graph, z, an_z, *path[i - 1:i + 1], path[i + 1:i + 2])
                for i in range(1, len(path) - 1))

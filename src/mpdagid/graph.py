@@ -130,7 +130,7 @@ class Graph:
              pa: _Map, ch: _Map, nb: _Map) -> "Graph":
         """The one constructor tail, for ``__init__`` and every derived
         graph: keeps the node order and the edge maps.  ``_closed_masks``
-        is set by :mod:`mpdagid.meek` on a split result only."""
+        is set by :mod:`mpdagid.meek` on a split result that is an MPDAG only."""
         self._nodes, self._index = nodes, index
         self._pa, self._ch, self._nb = pa, ch, nb
         self._hash = self._class = self._closed_masks = None
@@ -470,9 +470,10 @@ def _dumps(obj) -> str:
                           f'"edges": {block(edges, inner)}'], pad, "{}"))
 
     def expression(e, pad: str) -> str:
-        # its kind, then each field in order: a tuple of labels, a tuple
-        # of expressions or one expression; a factor is keyed on all its
-        # fields, since fixed is left out of its equality
+        # the walk of ident.expression_to_json: its kind, then each field
+        # in order, a tuple of labels, a tuple of expressions or one
+        # expression; a factor is keyed on all its fields, since fixed is
+        # left out of its equality
         key = ((e.targets, e.given, e.fixed, pad)
                if e._json_kind == "factor" else None)
         if key in factors:

@@ -43,7 +43,7 @@ class Factor:
     it is presentation metadata and excluded from equality.
     """
 
-    _json_kind = "factor"  # for graph._dumps, as expression_to_json writes
+    _json_kind = "factor"  # "kind" in the JSON form; see expression_to_json
     targets: tuple[str, ...]
     given: tuple[str, ...] = ()
     fixed: tuple[str, ...] = field(default=(), compare=False)
@@ -171,16 +171,18 @@ def render_latex(expr: DensityExpression) -> str:
 
 
 def expression_to_json(expr: DensityExpression) -> dict:
-    return fold(
-        expr,
-        lambda f: {"kind": "factor", "targets": list(f.targets),
-                   "given": list(f.given), "fixed": list(f.fixed)},
-        lambda parts: {"kind": "product", "factors": parts},
-        lambda variables, body: {"kind": "marginal",
-                                 "variables": list(variables), "body": body},
-        lambda numerator, denominator: {"kind": "fraction",
-                                        "numerator": numerator,
-                                        "denominator": denominator})
+    """The JSON form: ``"kind"``, the class's ``_json_kind``, then each
+    dataclass field in order, labels as lists and expressions as their
+    forms.  ``graph._dumps`` writes the same walk as text."""
+    if not isinstance(expr, (Factor, Product, MarginalOver, Fraction)):
+        raise TypeError(f"not a density expression: {expr!r}")
+    out = {"kind": expr._json_kind}
+    for name in expr.__dataclass_fields__:
+        v = getattr(expr, name)
+        out[name] = (expression_to_json(v) if not isinstance(v, tuple)
+                     else list(v) if not v or isinstance(v[0], str)
+                     else [*map(expression_to_json, v)])
+    return out
 
 
 # -- errors and certificates -------------------------------------------------
@@ -307,23 +309,21 @@ def id_formula(graph: Graph, xs, ys, zs=()) -> DensityExpression:
             "a proper possibly directed path from the treatments to the outcomes "
             f"starts with an undirected edge: {' - '.join(path)}",
             FailCertificate(path, graph.sorted_nodes(x), graph.sorted_nodes(z)))
-    return _id_formula(graph, x, y, z, pd_x, possible_ancestors(graph, z))
+    return _id_formula(graph, x, y, z, pd_x, possible_ancestors(graph, z),
+                       pco(graph, graph.nodes))
 
 
 def _id_formula(graph: Graph, x, y, z, pd_x, pan_z,
-                order=None) -> DensityExpression:
+                order) -> DensityExpression:
     """The body of :func:`id_formula` without its checks, given the possible
-    descendants ``pd_x`` of X and the possible ancestors ``pan_z`` of Z.
-    ``order``, if given, is ``pco(graph, graph.nodes)``, whose buckets are
-    cut down to the nodes ordered.  The result is in normal form."""
+    descendants ``pd_x`` of X, the possible ancestors ``pan_z`` of Z and
+    ``order``, which is ``pco(graph, graph.nodes)``: cut down to the nodes
+    ordered, its buckets are theirs.  The result is in normal form."""
     # the ancestors of Y in G - X: a directed closure that never enters X
     anc = _closure(graph, y, lambda v: graph._pa[v] - x)
     d = anc - z
-    if order is None:
-        buckets = pco(graph, d)
-    else:
-        buckets = [b for b in (tuple(v for v in bucket if v in d)
-                               for bucket in order) if b]
+    buckets = [b for b in (tuple(v for v in bucket if v in d)
+                           for bucket in order) if b]
     integrate_over = anc - (z | y)
 
     factors: list[Factor] = []
@@ -374,17 +374,17 @@ def _finish(graph: Graph, x1: set[str], y: frozenset[str],
     directed path that starts with an undirected edge leads from X1 into
     Y | Z1, which holds both target sets, and z_rest avoids PossDe(X1).
     PossAn(Z1) serves the off-ramp, and PossAn(z_rest) when z_rest is Z1;
-    the fraction's two formulas share one ``pco`` order."""
+    every formula shares one ``pco`` order."""
     pan_z = possible_ancestors(graph, z1)
     if _rule3(graph, frozenset(), y, x1, z1, pan_z):
         return Factor(graph.sorted_nodes(y), graph.sorted_nodes(z1))
     pd_x1 = possible_descendants(graph, x1)
     z_desc = z1 & pd_x1
+    order = pco(graph, graph.nodes)
     if not z_desc:
-        return _id_formula(graph, x1, y, z1, pd_x1, pan_z)
+        return _id_formula(graph, x1, y, z1, pd_x1, pan_z, order)
     z_rest = frozenset(z1) - pd_x1
     pan_z = possible_ancestors(graph, z_rest)
-    order = pco(graph, graph.nodes)
     return Fraction(
         _id_formula(graph, x1, y | z_desc, z_rest, pd_x1, pan_z, order),
         _id_formula(graph, x1, z_desc, z_rest, pd_x1, pan_z, order))

@@ -111,8 +111,8 @@ def _close(graph: Graph, given: list[tuple[str, str]]) -> Graph:
     an MPDAG, first tries only the edges a new a -> b can license, since
     no rule applies to an MPDAG, and its result is recorded as an MPDAG or
     a DAG without the checks: the class holds DAGs with the edge each way,
-    so the closure is the MPDAG of a subclass (Meek, UAI 1995).  It keeps
-    its final masks, for a split of it to copy."""
+    so the closure is the MPDAG of a subclass (Meek, UAI 1995).  An MPDAG
+    result keeps its final masks, for a split of it to copy."""
     maps = graph._oriented_maps(given)
     nodes, index = graph.nodes, graph._index
     split = graph._class is GraphClass.MPDAG and len(given) == 1
@@ -144,8 +144,10 @@ def _close(graph: Graph, given: list[tuple[str, str]]) -> Graph:
         _orient_in_maps(*maps, nodes[a], nodes[b])
     g = graph._derive(*maps) if given or new else graph
     if split:
-        g._class = GraphClass.MPDAG if any(nb) else GraphClass.DAG
-        g._closed_masks = masks
+        if any(nb):  # a DAG has no edge to split, so only an MPDAG keeps them
+            g._class, g._closed_masks = GraphClass.MPDAG, masks
+        else:
+            g._class = GraphClass.DAG
         return g
     # g holds every directed edge of the start (graph with ``given``), so
     # the start is checked only when g has a cycle, to say whose it is

@@ -584,7 +584,8 @@ def test_every_split_keeps_the_masks_of_its_maps(battery, monkeypatch):
     # starts from a copy with one pair flipped instead of building them
     # from the maps: along every split of both trees they must equal the
     # masks built from the result's maps at its nodes with an undirected
-    # edge, and no other node may keep an undirected bit
+    # edge, and no other node may keep an undirected bit; a DAG result,
+    # which nothing splits, keeps none
     splits, copied = [], 0
 
     def recorded(g, a, b):
@@ -603,6 +604,9 @@ def test_every_split_keeps_the_masks_of_its_maps(battery, monkeypatch):
         rng.shuffle(vs)
         cidme_tree(g, vs[:2], vs[2:3], vs[3:4])
     for h in splits:
+        if h._class is GraphClass.DAG:
+            assert h._closed_masks is None, h
+            continue
         pa, ch, nb, adj, _ = h._closed_masks
         fresh = meek._masks(h._index, h._pa, h._ch, h._nb)
         for i in meek._bits(fresh[4]):
