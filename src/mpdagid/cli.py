@@ -191,8 +191,14 @@ def cmd_verify(graph: Graph, args) -> int:
     except NotIdentifiable as exc:
         print(f"not identifiable, nothing to verify: {exc}", file=sys.stderr)
         return 1
-    seed = args.seed if args.seed is not None \
-        else int(os.environ.get("MPDAG_ID_SEED", "0"))
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("MPDAG_ID_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError("MPDAG_ID_SEED must be an integer, "
+                             f"got {text!r}") from None
     worst, n_dags, _ = numeric_gap(graph, expr, x, y, z,
                                    random.Random(seed), args.trials)
     ok = worst <= VERIFY_TOL

@@ -30,6 +30,8 @@ if TYPE_CHECKING:
 
 MAX_ENUMERABLE_UNDIRECTED = 20
 MAX_TABLE_NODES = 20  # a joint table of n binary nodes holds 2^n floats
+MAX_TABLE_WORK = 2 ** 30  # table cells numeric_gap may fill, about 30 s
+MIN_TABLE_CELLS = 2 ** 10  # a model's Python work per table, in cells
 
 
 # -- the DAG class ------------------------------------------------------------
@@ -139,49 +141,47 @@ class DiscreteModel:
 
     def __init__(self, dag: Graph, cpts: Mapping[str, np.ndarray]):
         import numpy as np
-        if dag.classify() is not GraphClass.DAG:
-            raise GraphError("a discrete model needs a DAG")
-        self.dag = dag
-        self.parent_order = {v: dag.sorted_nodes(dag.parents_of(v))
-                             for v in dag.nodes}
+        layout = _Layout(dag)
         for v in (*dag.nodes, *cpts):
-            if v not in cpts or v not in self.parent_order:
+            if v not in cpts or v not in layout.parent_order:
                 raise ValueError(f"no CPT for {v!r}" if v not in cpts
                                  else f"CPT for {v!r}, which is not a node")
         tables = [np.array(cpts[v], dtype=float) for v in dag.nodes]
         cells = np.concatenate([table.ravel() for table in tables])
         in_range = np.all((cells > 0.0) & (cells < 1.0))  # NaN fails too
-        self.cpts: Dict[str, np.ndarray] = {}
         for v, table in zip(dag.nodes, tables):
-            want = (2,) * len(self.parent_order[v])
+            want = (2,) * len(layout.parent_order[v])
             if table.shape != want:
                 raise ValueError(f"CPT for {v!r} has shape {table.shape}, "
                                  f"expected {want}")
             if not (in_range or np.all((table > 0.0) & (table < 1.0))):
                 raise ValueError(f"CPT for {v!r} must lie strictly in (0, 1)")
             table.flags.writeable = False
-            self.cpts[v] = table
-        n = len(dag.nodes)
-        self._factors = []
-        for i, v in enumerate(dag.nodes):
-            axes = [dag.index(p) for p in self.parent_order[v]]
-            # v's axis moves from the front to its place among the parents
-            k = sum(ax < i for ax in axes)
-            perm = [*range(1, k + 1), 0, *range(k + 1, len(axes) + 1)]
-            self._factors.append(np.array(
-                [1.0 - self.cpts[v], self.cpts[v]]).transpose(perm).reshape(
-                    [2 if j == i or j in axes else 1 for j in range(n)]))
-        self._tables: Dict[tuple, np.ndarray] = {}
+        self._fill(layout, tables)
 
     @classmethod
     def random(cls, dag: Graph, rng: random.Random) -> "DiscreteModel":
+        return cls._drawn(_Layout(dag), rng)
+
+    @classmethod
+    def _drawn(cls, layout: "_Layout", rng: random.Random) -> "DiscreteModel":
+        """A model of ``layout``'s DAG, its CPT cells drawn in node order."""
         import numpy as np
-        cpts = {}
-        for v in dag.nodes:
-            k = len(dag.parents_of(v))
-            vals = [rng.uniform(0.1, 0.9) for _ in range(2 ** k)]
-            cpts[v] = np.asarray(vals).reshape((2,) * k)
-        return cls(dag, cpts)
+        values = np.array([rng.uniform(0.1, 0.9) for _ in range(layout.size)])
+        values.flags.writeable = False
+        model = cls.__new__(cls)
+        model._fill(layout, [values[cut].reshape(shape)
+                             for cut, shape, _, _ in layout.places])
+        return model
+
+    def _fill(self, layout: "_Layout", tables: list) -> None:
+        import numpy as np
+        self.dag, self.parent_order = layout.dag, layout.parent_order
+        self.cpts: Dict[str, np.ndarray] = dict(zip(layout.dag.nodes, tables))
+        self._factors = [np.array([1.0 - table, table]).transpose(perm)
+                         .reshape(shape) for table, (_, _, perm, shape)
+                         in zip(tables, layout.places)]
+        self._tables, self._products = {}, {}  # per assignment, per set
 
     def joint(self) -> np.ndarray:
         """Observational joint table, axes in graph node order."""
@@ -191,13 +191,14 @@ class DiscreteModel:
         """Joint under do(``do``) by truncated factorization: intervened
         nodes become point masses, every other factor is kept.
 
-        The table is a product taken in graph node order from a tensor of
-        ones, one broadcast factor per node: the CPT factor placed when
-        the model was made, or, for an intervened node, the indicator of
-        its set value (a row of ``np.eye(2)``, placed once per axis, value
-        and node count and shared read-only by every table).  The result
-        is read-only and kept per do-assignment, so a repeated call
-        returns the same array.
+        The product of the kept nodes' CPT factors, placed when the model
+        was made, is taken in graph node order from a tensor of ones and
+        kept per set of intervened nodes.  The table is that times each
+        intervened node's indicator in node order (a row of ``np.eye(2)``,
+        placed once per axis, value and node count and shared read-only);
+        factor cells lie in (0, 1] and indicator cells are 0.0 or 1.0, so
+        no bit moves.  The result is read-only and kept per do-assignment,
+        so a repeated call returns the same array.
 
         Raises ``ValueError`` when a key of ``do`` is not a node or a
         value is not 0 or 1.
@@ -208,29 +209,45 @@ class DiscreteModel:
         key = tuple(sorted(do.items()))
         if key not in self._tables:
             import numpy as np
-            n = len(self.dag.nodes)
-            table = np.ones((2,) * n)
-            for i, v in enumerate(self.dag.nodes):
-                table = table * (_indicator(i, int(do[v]), n)
-                                 if v in do else self._factors[i])
+            nodes, held = self.dag.nodes, tuple(v for v, _ in key)
+            if held not in self._products:
+                self._products[held] = math.prod(
+                    (f for v, f in zip(nodes, self._factors) if v not in do),
+                    start=np.ones((2,) * len(nodes)))
+            table = math.prod((_indicator(i, int(do[v]), len(nodes))
+                               for i, v in enumerate(nodes) if v in do),
+                              start=self._products[held])
             table.flags.writeable = False
             self._tables[key] = table
         return self._tables[key]
 
 
-def _place(factor: np.ndarray, axes: list[int], n: int) -> np.ndarray:
-    """``factor`` with its k-th axis moved to place ``axes[k]`` of ``n``,
-    every other place of length 1, so that it broadcasts onto a table."""
-    import numpy as np
-    shape = [2 if ax in axes else 1 for ax in range(n)]
-    return factor.transpose(np.argsort(axes)).reshape(shape)
+class _Layout:
+    """Each node's parents, CPT slice and shape, and factor placement, for
+    every model of one DAG.  Never cached on a ``Graph``: equal graphs may
+    order their nodes, and so the axes, differently."""
+
+    def __init__(self, dag: Graph):
+        if dag.classify() is not GraphClass.DAG:
+            raise GraphError("a discrete model needs a DAG")
+        self.dag, n, self.size, self.places = dag, len(dag.nodes), 0, []
+        self.parent_order = {v: dag.sorted_nodes(dag.parents_of(v))
+                             for v in dag.nodes}
+        for i, v in enumerate(dag.nodes):
+            axes = [dag.index(p) for p in self.parent_order[v]]
+            k, cells = sum(ax < i for ax in axes), 2 ** len(axes)
+            self.places.append((
+                slice(self.size, self.size + cells), (2,) * len(axes),
+                [*range(1, k + 1), 0, *range(k + 1, len(axes) + 1)],
+                [2 if j == i or j in axes else 1 for j in range(n)]))
+            self.size += cells
 
 
 @functools.cache
 def _indicator(i: int, value: int, n: int) -> np.ndarray:
     """The point mass at ``value`` on axis ``i`` of ``n``, read-only."""
     import numpy as np
-    out = _place(np.eye(2)[value], [i], n)
+    out = np.eye(2)[value].reshape([2 if j == i else 1 for j in range(n)])
     out.flags.writeable = False
     return out
 
@@ -274,32 +291,14 @@ def table_probability(table: np.ndarray, nodes: tuple[str, ...],
     return _sums(np.asarray(table), [_index(len(nodes), pinned)])[0]
 
 
-def _conditional(table: np.ndarray, nodes: tuple[str, ...]):
-    """``conditional(targets, given)``, the probability of ``targets``
-    given ``given`` under ``table``, each marginal summed once, in a memo
-    keyed on the assignment's items that lives in this closure with the
-    table itself (an ``id(table)`` key would outlive a freed table)."""
-    pos = {v: i for i, v in enumerate(nodes)}
-    sums: Dict[frozenset, float] = {}
-
-    def probability(assignment: Mapping[str, int]) -> float:
-        key = frozenset(assignment.items())
-        if key not in sums:
-            sums[key] = _sums(table, [_index(
-                len(nodes), ((pos[v], value) for v, value in key))])[0]
-        return sums[key]
-
-    def conditional(targets, given):
-        den = probability(given) if given else 1.0
-        return probability({**targets, **given}) / den
-    return conditional
-
-
-def _compile(expr: DensityExpression, nodes: tuple[str, ...]):
-    """``expr`` folded once into ``build(cond, env)``, an array with an
-    axis per node, of length 2 where the node is free in ``expr`` and not
-    pinned by ``env``.  A cell is the float one assignment's loop gives: a
-    ``Factor`` cell is ``cond(targets, given)``; a product multiplies left
+def _compile(expr: DensityExpression, nodes: tuple[str, ...],
+             env: Mapping[str, int]):
+    """``expr`` folded and planned with ``env`` pinned into ``build(table)``,
+    an array with an axis per node, of length 2 where the node is free in
+    ``expr`` and not pinned.  A cell is the float one assignment's loop
+    gives: a ``Factor`` cell divides the table's sum that pins targets and
+    given by the one that pins the given (or 1.0), each sum a slot shared
+    by every factor and summed once per table; a product multiplies left
     to right from ones (``math.prod``); a marginal lays its axes last in
     ``variables`` order, flattens them in ``itertools.product`` order and
     keeps the last sum of ``np.cumsum``, which adds strictly left to
@@ -309,54 +308,73 @@ def _compile(expr: DensityExpression, nodes: tuple[str, ...]):
     import numpy as np
     n, pos = len(nodes), {v: i for i, v in enumerate(nodes)}
     groups = []  # label tuples, checked once the fold has met every node
+    slots: Dict[tuple, int] = {}  # (axis, value) pairs by axis -> slot
+
+    def slot(labels, at) -> int:  # labels in node order, each once
+        key = tuple((pos[v], at[v]) for v in labels)
+        return slots.setdefault(key, len(slots))
 
     def factor(f: Factor):
-        groups.append(tuple(dict.fromkeys(f.targets + f.given)))
+        labels = tuple(dict.fromkeys(f.targets + f.given))
+        groups.append(labels)
 
-        def build(cond, env):
-            free = [v for v in dict.fromkeys(f.targets + f.given)
-                    if v not in env]
+        def plan(env):
+            num, den = (sorted(set(part), key=pos.get)
+                        for part in (labels, f.given))
+            free = [v for v in num if v not in env]
             cells = []
             for values in itertools.product((0, 1), repeat=len(free)):
                 at = {**env, **dict(zip(free, values))}
-                cells.append(cond({v: at[v] for v in f.targets},
-                                  {v: at[v] for v in f.given}))
-            return _place(np.reshape(cells, (2,) * len(free)),
-                          [pos[v] for v in free], n)
-        return build
+                cells.append((slot(num, at), slot(den, at) if den else -1))
+            shape = [2 if v in free else 1 for v in nodes]
+            return lambda sums: np.array(
+                [sums[i] / sums[j] for i, j in cells]).reshape(shape)
+        return plan
 
     def product(parts):
-        return lambda cond, env: math.prod(
-            (part(cond, env) for part in parts), start=np.ones((1,) * n))
+        def plan(env):
+            builds = [part(env) for part in parts]
+            return lambda sums: math.prod(
+                (build(sums) for build in builds), start=np.ones((1,) * n))
+        return plan
 
     def marginal(variables, body):
         groups.append(variables)
 
-        def build(cond, env):
-            value = body(cond, {v: env[v] for v in env if v not in variables})
-            summed, k = [pos[v] for v in variables], len(variables)
-            value = np.moveaxis(value * _place(np.ones((2,) * k), summed, n),
-                                summed, range(n - k, n))
-            total = np.cumsum(value.reshape(value.shape[:n - k] + (-1,)), -1)
-            return np.expand_dims(total[..., -1], sorted(summed))
-        return build
+        def plan(env):
+            inner = body({v: env[v] for v in env if v not in variables})
+            summed, kept = [pos[v] for v in variables], n - len(variables)
+            ones = np.ones([2 if j in summed else 1 for j in range(n)])
+
+            def build(sums):
+                value = np.moveaxis(inner(sums) * ones, summed, range(kept, n))
+                total = np.cumsum(value.reshape(*value.shape[:kept], -1), -1)
+                return np.expand_dims(total[..., -1], sorted(summed))
+            return build
+        return plan
 
     def fraction(numerator, denominator):
-        def build(cond, env):
-            top, bottom = numerator(cond, env), denominator(cond, env)
-            if not bottom.all():  # as Python's float division raises
-                raise ZeroDivisionError("float division by zero")
-            return top / bottom
-        return build
+        def plan(env):
+            top, bottom = numerator(env), denominator(env)
 
-    build = fold(expr, factor, product, marginal, fraction)
+            def build(sums):
+                over, under = top(sums), bottom(sums)
+                if not under.all():  # as Python's float division raises
+                    raise ZeroDivisionError("float division by zero")
+                return over / under
+            return build
+        return plan
+
+    plan = fold(expr, factor, product, marginal, fraction)
     for labels in groups:
         for i, v in enumerate(labels):
             if v not in pos or v in labels[:i]:
                 raise ValueError(f"unknown node {v!r} in the expression"
                                  if v not in pos else
                                  f"marginal lists {v!r} twice")
-    return build
+    root = plan(env)
+    indices = [_index(n, key) for key in slots]
+    return lambda table: root(_sums(table, indices) + [1.0])
 
 
 def evaluate_expression(expr: DensityExpression, joint: np.ndarray,
@@ -366,10 +384,9 @@ def evaluate_expression(expr: DensityExpression, joint: np.ndarray,
     at a binary assignment of every free variable of the expression (more
     keys are allowed), built with the assigned nodes pinned.  A value not
     0 or 1, or a free variable with none, raises ``ValueError``."""
-    build = _compile(expr, nodes)
     env = {v: _binary(v, value, "assignment")
            for v, value in assignment.items()}
-    value = build(_conditional(joint, nodes), env)
+    value = _compile(expr, nodes, env)(joint)
     if 2 in value.shape:
         raise ValueError(
             f"no value for free node {nodes[value.shape.index(2)]!r}")
@@ -382,59 +399,57 @@ def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
     """Check ``expr`` as f(y | do(x), z) against truncated factorization:
     on every DAG in ``graph``'s class, draw ``trials`` random binary models
     from ``rng`` and compare at every binary assignment of X, Y and Z.
-    The sums are planned once per call: the index tuples of Y | Z and Z
-    at each assignment of X (a set), shared where X pins them alike.  Per
-    model ``expr`` is built once, X's axes first so that its cells come in
-    comparison order, and each do-table sums each planned marginal once.
+    Planned once per call: ``expr``'s cells on the joint, and at each
+    assignment of X (a set) the cells of f(Y | Z) on its do-table, both
+    by ``_compile``; once per DAG, its model layout.  Per model each table
+    sums each planned marginal once, and ``expr`` is built with X's axes
+    first, so that its cells come in the order of the do-tables.
 
     Returns the worst absolute gap, the number of DAGs and the number of
-    comparisons.  ``graph`` is capped at ``MAX_TABLE_NODES`` nodes."""
+    comparisons.  ``graph`` is capped at ``MAX_TABLE_NODES`` nodes, and its
+    DAGs x trials x (2^|X| + 1) tables at ``MAX_TABLE_WORK`` cells."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if len(graph.nodes) > MAX_TABLE_NODES:
         raise GraphError(f"{len(graph.nodes)} nodes exceeds the joint-table "
                          f"cap ({MAX_TABLE_NODES})")
     import numpy as np
-    nodes, pos = graph.nodes, {v: i for i, v in enumerate(graph.nodes)}
+    nodes = graph.nodes
     xs = graph.sorted_nodes(set(x))
     rest = graph.sorted_nodes((set(y) | set(z)) - set(x))
-    up, down = graph.sorted_nodes({*y, *z}), graph.sorted_nodes(set(z))
     dags = enumerate_dags(graph)
-    build = _compile(expr, nodes)
-    shared: Dict[tuple, tuple] = {}
-    plan = []  # per assignment of X: do, index tuples, (num, den) slots
-    for do_values in itertools.product((0, 1), repeat=len(xs)):
-        do = dict(zip(xs, do_values))
-        pinned = tuple(do[v] for v in xs if v in up)
-        if pinned not in shared:
-            slots: Dict[tuple, int] = {}
-            rows = []
-            for values in itertools.product((0, 1), repeat=len(rest)):
-                env = {**do, **dict(zip(rest, values))}
-                num, den = (tuple((pos[v], env[v]) for v in part)
-                            for part in (up, down))
-                rows.append((slots.setdefault(num, len(slots)),
-                             slots.setdefault(den, len(slots)) if down else -1))
-            shared[pinned] = [_index(len(nodes), key) for key in slots], rows
-        plan.append((do, *shared[pinned]))
+    work = len(dags) * trials * (2 ** len(xs) + 1) * max(2 ** len(nodes),
+                                                          MIN_TABLE_CELLS)
+    if work > MAX_TABLE_WORK:
+        raise GraphError(f"{work} table cells exceeds the verify work cap "
+                         f"({MAX_TABLE_WORK})")
+    build = _compile(expr, nodes, {})
+    ratio = Factor(tuple(y), tuple(z))  # f(Y | Z) on each do-table
+    planned, truths = {}, []
+    for values in itertools.product((0, 1), repeat=len(xs)):
+        do = dict(zip(xs, values))
+        pins = tuple((v, do[v]) for v in xs if v in {*y, *z})
+        if pins not in planned:  # X pins Y | Z alike: the same cells
+            planned[pins] = _compile(ratio, nodes, dict(pins))
+        truths.append((do, planned[pins]))
     shape = [2 if v in xs or v in rest else 1 for v in nodes]
-    xaxes = [pos[v] for v in xs]
     worst = 0.0
     for dag in dags:
+        layout = _Layout(dag)
         for _ in range(trials):
-            model = DiscreteModel.random(dag, rng)
-            value = build(_conditional(model.joint(), nodes), {})
-            for v, size, want in zip(nodes, value.shape, shape):
-                if size > want:
+            model = DiscreteModel._drawn(layout, rng)
+            value = build(model.joint())
+            for v, size, most in zip(nodes, value.shape, shape):
+                if size > most:
                     raise ValueError(f"free node {v!r} of the expression "
                                      "is not in X, Y or Z")
-            cells = np.moveaxis(np.broadcast_to(value, shape), xaxes,
-                                range(len(xs))).reshape(len(plan), -1)
-            for (do, indices, rows), row_cells in zip(plan, cells.tolist()):
-                sums = _sums(model.interventional(do), indices) + [1.0]
-                for cell, (num, den) in zip(row_cells, rows):
-                    # slot -1 is the 1.0 that an empty Z divides by
-                    worst = max(worst, abs(cell - sums[num] / sums[den]))
+            cells = np.moveaxis(np.broadcast_to(value, shape),
+                                [nodes.index(v) for v in xs],
+                                range(len(xs))).reshape(len(truths), -1)
+            want = np.array([truth(model.interventional(do))
+                             for do, truth in truths])
+            worst = max(worst, float(np.abs(cells - want.reshape(cells.shape))
+                                     .max()))
     return worst, len(dags), len(dags) * trials * 2 ** (len(xs) + len(rest))
 
 

@@ -270,15 +270,20 @@ def reference_enumerate_dags(graph: Graph) -> list[Graph]:
     return out
 
 
-def reference_interventional_conditional(model: DiscreteModel, do, targets,
-                                         given) -> float:
-    """Ground truth f(targets | do, given): two marginals of the
-    do-table from the truncated factorization, summed afresh (through
-    ``oracle.table_probability``, whose sum a test can count at
+def reference_conditional(table, nodes, targets, given) -> float:
+    """P(targets | given) under ``table``: two marginals summed afresh
+    (through ``oracle.table_probability``, whose sum a test can count at
     ``oracle._sums``, as it counts ``numeric_gap``'s planned sums)."""
-    table, nodes = model.interventional(do), model.dag.nodes
     den = oracle.table_probability(table, nodes, given) if given else 1.0
     return oracle.table_probability(table, nodes, {**targets, **given}) / den
+
+
+def reference_interventional_conditional(model: DiscreteModel, do, targets,
+                                         given) -> float:
+    """Ground truth f(targets | do, given): the conditional of the
+    do-table from the truncated factorization."""
+    return reference_conditional(model.interventional(do), model.dag.nodes,
+                                 targets, given)
 
 
 def reference_evaluate_expression(expr: DensityExpression, joint, nodes,
@@ -290,11 +295,10 @@ def reference_evaluate_expression(expr: DensityExpression, joint, nodes,
     the table's conditional, summed afresh for each call.
     ``oracle._compile`` builds one array of every assignment instead, and
     each of its cells must equal this to the last bit."""
-    cond = oracle._conditional(joint, nodes)
-
     def factor(f):
-        return lambda env: cond({v: env[v] for v in f.targets},
-                                {v: env[v] for v in f.given})
+        return lambda env: reference_conditional(
+            joint, nodes, {v: env[v] for v in f.targets},
+            {v: env[v] for v in f.given})
 
     def product(parts):
         return lambda env: math.prod(part(env) for part in parts)

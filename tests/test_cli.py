@@ -288,6 +288,33 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["verified"] is True
 
+    @pytest.mark.parametrize("seed", ["abc", "", "1.5"])
+    def test_bad_seed_env_is_named(self, graph_file, capsys, monkeypatch,
+                                   seed):
+        # int()'s own message named neither the variable nor the command
+        monkeypatch.setenv("MPDAG_ID_SEED", seed)
+        path = graph_file("X -> Y\n")
+        code, out, err = run(capsys, "verify", path, "-x", "X", "-y", "Y")
+        assert (code, out) == (2, "")
+        assert err == (f"error: MPDAG_ID_SEED must be an integer, "
+                       f"got {seed!r}\n")
+        # --seed takes precedence, so the variable is not read
+        code, _, _ = run(capsys, "verify", path, "-x", "X", "-y", "Y",
+                         "--seed", "3")
+        assert code == 0
+
+    def test_work_past_the_cap_exits_two_at_once(self, graph_file, capsys):
+        # 10^8 models of X -> Y: each of the three tables counts as
+        # MIN_TABLE_CELLS; it ran silently for minutes before the cap
+        path = graph_file("X -> Y\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", path, "-x", "X", "-y", "Y",
+                             "--trials", "100000000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == ("error: 307200000000 table cells exceeds the verify "
+                       "work cap (1073741824)\n")
+
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_no_trials_is_input_error(self, graph_file, capsys, trials):
         # the count is checked before identification, so a query that is

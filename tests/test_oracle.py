@@ -16,7 +16,8 @@ from mpdagid import (CounterexampleReport, DagNotInClass, DiscreteModel,
 
 from cases import (counterexample_one, counterexample_two,
                    identification_cases, random_oracle_queries,
-                   reference_enumerate_dags, reference_evaluate_expression,
+                   reference_conditional, reference_enumerate_dags,
+                   reference_evaluate_expression,
                    reference_interventional_conditional,
                    reference_numeric_gap, reference_wright_covariance,
                    small_random_graphs)
@@ -142,6 +143,32 @@ class TestDiscreteModel:
                     assert got.shape == want.shape, (v, parents)
                     assert got.tobytes() == want.tobytes(), (v, parents)
 
+    def test_random_models_repeat_and_match_given_cpts(self):
+        # a model's cells are drawn into one array, node by node in graph
+        # node order, and sliced per node; equal rng states give equal
+        # bytes, and so does the checked constructor given the same CPTs
+        rng = random.Random(16)
+        for n in range(1, 9):
+            dag = random_dag(rng, [f"N{i}" for i in range(n)])
+            state = rng.getstate()
+            first = DiscreteModel.random(dag, rng)
+            rng.setstate(state)
+            draws = [rng.uniform(0.1, 0.9) for v in dag.nodes
+                     for _ in range(2 ** len(dag.parents_of(v)))]
+            assert np.concatenate([first.cpts[v].ravel() for v in dag.nodes]
+                                  ).tolist() == draws
+            rng.setstate(state)
+            second = DiscreteModel.random(dag, rng)
+            given = DiscreteModel(dag, dict(first.cpts))
+            for model in (second, given):
+                for v in dag.nodes:
+                    assert model.cpts[v].shape == first.cpts[v].shape
+                    assert model.cpts[v].tobytes() == first.cpts[v].tobytes()
+                for got, want in zip(model._factors, first._factors):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                assert model.joint().tobytes() == first.joint().tobytes()
+
     def test_rejects_non_dag(self):
         g = parse_graph_text("A -- B\n")
         with pytest.raises(GraphError, match="^a discrete model needs a DAG$"):
@@ -236,7 +263,8 @@ class TestDiscreteModel:
         model = DiscreteModel(g, {"A": np.array(0.5),
                                   "B": np.array([0.1, 0.8])})
         joint = model.joint()
-        got = oracle._conditional(joint, g.nodes)({"B": 1}, {"A": 0})
+        got = evaluate_expression(Factor(("B",), ("A",)), joint, g.nodes,
+                                  {"B": 1, "A": 0})
         assert abs(got - 0.1) < 1e-12
 
 
@@ -290,6 +318,30 @@ class TestInterventionalTable:
                 assert (model.interventional(do).tobytes()
                         == reference_interventional(model, do).tobytes()), \
                     (dag, do)
+
+    def test_shared_product_matches_reference_bytes(self, battery):
+        # each do-table is the product kept for its set of intervened nodes
+        # times their indicators; X of 1-3 nodes first, in the middle and
+        # last in node order, at every assignment, on every four-node DAG
+        # and on seeded 6-8-node ones; the joint comes last, from its own
+        # product
+        rng = random.Random(15)
+        dags = list(dict.fromkeys(d for _, members in battery
+                                  for d in members))
+        dags += [random_dag(rng, [f"N{i}" for i in range(n)])
+                 for n in (6, 7, 8) for _ in range(5)]
+        for dag in dags:
+            model = DiscreteModel.random(dag, rng)
+            n = len(dag.nodes)
+            sets = sorted({tuple(dag.nodes[at:at + k]) for k in (1, 2, 3)
+                           for at in (0, (n - k) // 2, n - k)})
+            for sub in sets + [()]:
+                for vals in itertools.product((0, 1), repeat=len(sub)):
+                    do = dict(zip(sub, vals))
+                    assert (model.interventional(do).tobytes()
+                            == reference_interventional(model, do)
+                            .tobytes()), (dag, do)
+            assert len(model._products) == len(sets) + 1
 
     @pytest.mark.parametrize("do", [{"A": 5}, {"A": -1}, {"A": 2},
                                     {"A": "1"}, {"Q": 1}, {"A": 1, "Q": 0}])
@@ -349,7 +401,8 @@ class TestEvaluateExpression:
         joint = model.joint()
         expr = MarginalOver(("B",), Product((
             Factor(("B",), ("A",)), Factor(("C",), ("B",)))))
-        conditional = oracle._conditional(joint, g.nodes)
+        def conditional(targets, given):
+            return reference_conditional(joint, g.nodes, targets, given)
         for a, c in itertools.product((0, 1), repeat=2):
             want = sum(conditional({"B": b}, {"A": a})
                        * conditional({"C": c}, {"B": b}) for b in (0, 1))
@@ -365,7 +418,8 @@ class TestEvaluateExpression:
         chain = [Factor(("A",)), Factor(("B",), ("A",)),
                  Factor(("C",), ("B",)), Factor(("D",), ("C",))]
         expr = MarginalOver(("A", "B", "C"), Product(tuple(chain)))
-        conditional = oracle._conditional(joint, g.nodes)
+        def conditional(targets, given):
+            return reference_conditional(joint, g.nodes, targets, given)
         for d in (0, 1):
             want = 0.0
             for a, b, c in itertools.product((0, 1), repeat=3):
@@ -418,8 +472,7 @@ class TestEvaluateExpression:
                   "other"] += 1
             joint = DiscreteModel.random(rng.choice(enumerate_dags(g)),
                                          rng).joint()
-            value = oracle._compile(expr, g.nodes)(
-                oracle._conditional(joint, g.nodes), {})
+            value = oracle._compile(expr, g.nodes, {})(joint)
             free = [v for v, size in zip(g.nodes, value.shape) if size == 2]
             assert set(y) <= set(free) <= {*x, *y, *z}, (g, x, y, z, expr)
             assert value.shape == tuple(2 if v in free else 1
@@ -572,9 +625,11 @@ class TestNumericGap:
     def test_sums_each_marginal_once_per_table(self, monkeypatch):
         # every (table, assignment) pair is summed once, counted at the one
         # helper every sum goes through; the tables stay referenced here,
-        # so their ids are not reused while counting
-        calls, tables = [], []
-        summed = oracle._sums
+        # so their ids are not reused while counting; each model's joint
+        # is summed in one call, for the slots of both factors, which
+        # share P(X)
+        calls, tables, models = [], [], []
+        summed, drawn = oracle._sums, DiscreteModel._drawn
 
         def counted(table, indices):
             indices = list(indices)
@@ -582,13 +637,24 @@ class TestNumericGap:
             calls.extend((id(table), repr(ix)) for ix in indices)
             return summed(table, indices)
 
+        def kept(layout, rng):
+            models.append(drawn(layout, rng))
+            return models[-1]
+
         monkeypatch.setattr(oracle, "_sums", counted)
+        monkeypatch.setattr(DiscreteModel, "_drawn", kept)
         for g, x, y, z in random_oracle_queries(seed=9, count=10):
-            expr = Factor(tuple(y), tuple(x))
+            expr = Product((Factor(tuple(y), tuple(x)), Factor(tuple(x))))
             calls.clear()
+            tables.clear()
+            models.clear()
             gap = numeric_gap(g, expr, x, y, z, random.Random(3), 2)
             fast = len(calls)
             assert fast == len(set(calls))
+            joints = [t for t in tables if any(t is m.joint() for m in models)]
+            assert len(joints) == len(models) == 2 * len(enumerate_dags(g))
+            assert len({id(t) for t in joints}) == len(models)
+            models.clear()
             calls.clear()
             assert reference_numeric_gap(g, expr, x, y, z,
                                          random.Random(3), 2) == gap
@@ -640,6 +706,7 @@ class TestNumericGap:
 
         monkeypatch.setattr(oracle, "enumerate_dags", work)
         monkeypatch.setattr(DiscreteModel, "random", work)
+        monkeypatch.setattr(DiscreteModel, "_drawn", work)
         expr = Factor(("V1",), ("V0",))
         for n in (oracle.MAX_TABLE_NODES + 1, 56):
             nodes = [f"V{i}" for i in range(n)]
@@ -654,6 +721,41 @@ class TestNumericGap:
         g = Graph(nodes, directed=list(zip(nodes, nodes[1:])))
         assert numeric_gap(g, expr, ("V0",), ("V1",), (),
                            random.Random(0)) == (0.0, 0, 0)
+
+    def test_work_cap_refuses_before_any_table(self, monkeypatch):
+        # two undirected K4s beside a 12-node chain: 20 nodes, 576 DAGs,
+        # 576 x 2 trials x 3 tables of 2^20 cells, which took 129 s; the
+        # 16-node version is under the cap, as is X -> Y with as many
+        # trials as the cap allows, and one trial more is refused
+        def work(*args):
+            raise AssertionError("a model or table before the cap check")
+
+        monkeypatch.setattr(DiscreteModel, "_drawn", work)
+        monkeypatch.setattr(DiscreteModel, "interventional", work)
+        cap, floor = oracle.MAX_TABLE_WORK, oracle.MIN_TABLE_CELLS
+
+        k4s = [(f"{p}{a}", f"{p}{b}") for p in "AB"
+               for a, b in itertools.combinations(range(4), 2)]
+        chain = [f"V{i}" for i in range(12)]
+        g = Graph([f"{p}{i}" for p in "AB" for i in range(4)] + chain,
+                  list(zip(chain, chain[1:])), k4s)
+        expr = Factor(("V11",), ("V0",))
+        start = time.perf_counter()
+        with pytest.raises(GraphError, match=rf"^{576 * 2 * 3 * 2 ** 20} "
+                           rf"table cells exceeds the verify work cap "
+                           rf"\({cap}\)$"):
+            numeric_gap(g, expr, ("V0",), ("V11",), (), random.Random(0), 2)
+        assert time.perf_counter() - start < 2.0
+        assert 576 * 2 * 3 * 2 ** 16 <= cap < 576 * 2 * 3 * 2 ** 20
+        g = parse_graph_text("X -> Y\n")
+        expr = Factor(("Y",), ("X",))
+        trials = cap // (3 * floor)
+        with pytest.raises(GraphError, match=rf"^{(trials + 1) * 3 * floor} "
+                           r"table cells exceeds"):
+            numeric_gap(g, expr, ("X",), ("Y",), (), random.Random(0),
+                        trials + 1)
+        with pytest.raises(AssertionError, match="before the cap check"):
+            numeric_gap(g, expr, ("X",), ("Y",), (), random.Random(0), trials)
 
 
 class TestLinearGaussian:
