@@ -5,10 +5,11 @@ of :func:`mpdagid.graph.parse_graph_text`, or as JSON when the input
 starts with ``{``.  Every subcommand accepts ``--json`` for structured
 output.  Exit codes: 0 on success, 1 when ``verify`` finds a numeric
 mismatch or nothing to verify, 2 on malformed input or queries, when
-numpy is missing or when ``verify``'s graph has more nodes than its joint
-table allows, 3 when ``identify`` finds the effect not identifiable, 141
-when stdout is closed before the output is written (as a shell reports
-SIGPIPE), with nothing on stderr.
+numpy is missing, when ``verify``'s graph has more nodes than its joint
+table allows or when its tables would fill more cells than its work cap
+(``oracle.MAX_TABLE_WORK``), 3 when ``identify`` finds the effect not
+identifiable, 141 when stdout is closed before the output is written (as
+a shell reports SIGPIPE), with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -223,7 +224,10 @@ def _add_query_args(sub, conditioning_help: str) -> None:
     sub.add_argument("-z", default="", metavar="NODES", help=conditioning_help)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parse_args keeps no state
+    # between calls, so one parser serves every call in the process
     parser = argparse.ArgumentParser(
         prog="mpdagid",
         description="Identify conditional interventional densities in "
@@ -286,13 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="RNG seed (default: MPDAG_ID_SEED or 0)")
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first call, not at import; parse_args keeps no state
-    # between calls, so one parser serves every call in the process
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -20,13 +20,11 @@ status).  The search along children gives each collider's descent into Z.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graph import Graph
 from .reachability import ancestors, path_search
 
-COLLIDER = "collider"
-NONCOLLIDER = "noncollider"
 _EMPTY: frozenset[str] = frozenset()
 
 
@@ -39,34 +37,12 @@ class OpenPathWitness:
     collider_descents: tuple[tuple[str, ...], ...]
 
 
-def triple_status(graph: Graph, a: str, b: str, c: str) -> str | None:
-    """Status of b as interior node of the path segment a, b, c.
-
-    Returns "collider", "noncollider" (definite), or None when b has no
-    definite status on the segment; a GraphError names an unknown label.
-    """
-    graph.check_nodes((a, b, c))
-    return _triple_status(graph, a, b, c)
-
-
-def _triple_status(graph: Graph, a: str, b: str, c: str) -> str | None:
-    """:func:`triple_status` without the label check, for the witness."""
-    if graph.has_directed(a, b) and graph.has_directed(c, b):
-        return COLLIDER
-    if graph.has_directed(b, a) or graph.has_directed(b, c):
-        return NONCOLLIDER
-    if graph.has_undirected(a, b) and graph.has_undirected(b, c) \
-            and not graph.adjacent(a, c):
-        return NONCOLLIDER
-    return None
-
-
 def _open_next(graph: Graph, z: frozenset[str], an_z: frozenset[str],
                prev: str, cur: str, steps: Iterable[str]) -> list[str]:
     """The open-triple rule: the w of ``steps`` other than ``prev``, in
     order, for which ``cur`` is a collider in ``an_z``, the ancestors of
     Z, or a definite non-collider outside Z on (prev, cur, w), told by the
-    edge between prev and cur instead of by ``_triple_status``."""
+    edge between prev and cur."""
     pa, ch, nb = graph._pa, graph._ch, graph._nb
     if prev in pa[cur]:  # an open collider, or a non-collider outside Z
         near = ((pa[cur] if cur in an_z else _EMPTY)
@@ -119,7 +95,7 @@ def find_open_path(graph: Graph, xs: Iterable[str], ys: Iterable[str],
     return OpenPathWitness(path, tuple(
         _directed_descent(graph, path[i], z)
         for i in range(1, len(path) - 1)
-        if _triple_status(graph, path[i - 1], path[i], path[i + 1]) == COLLIDER))
+        if {path[i - 1], path[i + 1]} <= graph._pa[path[i]]))
 
 
 def d_separated(graph: Graph, xs: Iterable[str], ys: Iterable[str],
@@ -127,18 +103,3 @@ def d_separated(graph: Graph, xs: Iterable[str], ys: Iterable[str],
     """True iff every definite-status path from X to Y is blocked by Z."""
     return find_open_path(graph, xs, ys, zs) is None
 
-
-def is_open_definite_status_path(graph: Graph, path: Sequence[str],
-                                 zs: Iterable[str]) -> bool:
-    """Validate an explicit path: distinct nodes, consecutive adjacency,
-    every interior of definite status and open given Z.  A GraphError
-    names the least label of ``path`` and ``zs`` that is not a node."""
-    z = frozenset(zs)
-    graph.check_nodes(z.union(path))
-    if len(path) < 2 or len(set(path)) != len(path):
-        return False
-    if not all(map(graph.adjacent, path, path[1:])):
-        return False
-    an_z = ancestors(graph, z)
-    return all(_open_next(graph, z, an_z, *path[i - 1:i + 1], path[i + 1:i + 2])
-               for i in range(1, len(path) - 1))

@@ -433,10 +433,6 @@ def parse_graph_json(text: str) -> Graph:
     return _parsed(nodes, directed, undirected)
 
 
-def graph_to_json(graph: Graph) -> str:
-    return _dumps(graph)
-
-
 def _dumps(obj) -> str:
     """``json.dumps(obj, indent=2, default=...)`` byte for byte, the default
     giving a :class:`Graph` as ``parse_graph_json`` reads it and an

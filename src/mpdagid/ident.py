@@ -95,42 +95,6 @@ def fold(expr: DensityExpression, factor: Callable[[Factor], T],
     return go(expr)
 
 
-def normal_form(expr: DensityExpression, graph: Graph) -> DensityExpression:
-    """Canonical shape: node tuples sorted by the graph's node order,
-    nested products flattened, factors sorted by target then given indices,
-    single-entry products unwrapped, empty marginals dropped.  No algebraic
-    rewriting (identical numerator/denominator factors are not cancelled)."""
-    # each subtree folds to the list of (sort key, term) whose product it
-    # is; a parent product concatenates and re-sorts its children's lists,
-    # and non-factor terms keep their order after the factors
-    other = (1, (), ())
-
-    def whole(terms):
-        if len(terms) == 1:
-            return terms[0][1]
-        return Product(tuple(term for _, term in terms))
-
-    def factor(f: Factor):
-        f = Factor(graph.sorted_nodes(f.targets), graph.sorted_nodes(f.given),
-                   graph.sorted_nodes(f.fixed))
-        return [((0, tuple(map(graph.index, f.targets)),
-                  tuple(map(graph.index, f.given))), f)]
-
-    def product(parts):
-        return sorted((t for terms in parts for t in terms), key=lambda t: t[0])
-
-    def marginal(variables, body):
-        if not variables:
-            return body
-        return [(other,
-                 MarginalOver(graph.sorted_nodes(variables), whole(body)))]
-
-    def fraction(numerator, denominator):
-        return [(other, Fraction(whole(numerator), whole(denominator)))]
-
-    return whole(fold(expr, factor, product, marginal, fraction))
-
-
 @functools.lru_cache(maxsize=4096)  # per label, not per leaf
 def _sym_latex(label: str) -> str:
     m = re.fullmatch(r"([A-Za-z]+)(\d+)", label)
@@ -318,7 +282,8 @@ def _id_formula(graph: Graph, x, y, z, pd_x, pan_z,
     """The body of :func:`id_formula` without its checks, given the possible
     descendants ``pd_x`` of X, the possible ancestors ``pan_z`` of Z and
     ``order``, which is ``pco(graph, graph.nodes)``: cut down to the nodes
-    ordered, its buckets are theirs.  The result is in normal form."""
+    ordered, its buckets are theirs.  The result is in normal form: node
+    tuples in node order, factors sorted by their targets' indices."""
     # the ancestors of Y in G - X: a directed closure that never enters X
     anc = _closure(graph, y, lambda v: graph._pa[v] - x)
     d = anc - z
@@ -339,8 +304,8 @@ def _id_formula(graph: Graph, x, y, z, pd_x, pan_z,
             factors.append(Factor(bucket, graph.sorted_nodes(given)))
         prev |= set(bucket)
 
-    # normal_form's order: the buckets are sorted and disjoint, so their
-    # first targets decide it
+    # the buckets are sorted and disjoint, so their first targets decide
+    # the normal form's factor order
     factors.sort(key=lambda f: graph._index[f.targets[0]])
     body: DensityExpression = factors[0] if len(factors) == 1 \
         else Product(tuple(factors))

@@ -275,10 +275,6 @@ def consistent_extension(graph: Graph) -> Graph | None:
             else graph._derive(*graph._oriented_maps(oriented)))
 
 
-def has_consistent_extension(graph: Graph) -> bool:
-    return _extension_edges(graph, graph.nodes) is not None
-
-
 def pattern_of(dag: Graph) -> Graph:
     """The maximally oriented graph of ``dag``'s equivalence class.
 

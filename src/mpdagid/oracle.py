@@ -1,11 +1,11 @@
 """Brute-force ground truth for the graphical machinery.
 
 Everything here works on the equivalence class of a maximally oriented
-graph by explicit enumeration: list every DAG in the class, answer
-d-separation on a DAG by moralization, and attach parametric models
-(binary Bayesian networks, linear Gaussian structural equation models) so
-that identification output can be checked numerically against truncated
-factorization or interventional Gaussian conditioning.
+graph by explicit enumeration: list every DAG in the class and attach
+parametric models (binary Bayesian networks, linear Gaussian structural
+equation models) so that identification output can be checked
+numerically against truncated factorization or interventional Gaussian
+conditioning.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .graph import Graph, GraphClass, GraphError
 from .ident import DensityExpression, Factor, fold
 from .meek import (InconsistentOrientation, apply_background, meek_closure,
                    pattern_of, refine)
-from .reachability import ancestors
 
 # numpy is imported inside the functions that use it, so that importing
 # the package and every CLI subcommand but ``verify`` leave it unloaded
@@ -63,41 +62,6 @@ def enumerate_dags(graph: Graph) -> list[Graph]:
         a, b = undirected[0]
         stack += [refine(g, b, a), refine(g, a, b)]
     return out
-
-
-def dag_d_separated(dag: Graph, xs, ys, zs=()) -> bool:
-    """Classic d-separation in a DAG via the moral graph of the ancestral
-    subgraph: marry parents, drop directions, delete Z, test connectivity."""
-    x, y, z = dag.check_disjoint(xs, ys, zs)
-    if not x or not y:
-        raise ValueError("d-separation needs nonempty endpoint sets")
-    if dag.classify() is not GraphClass.DAG:
-        raise GraphError("moralization test requires a DAG")
-
-    rel = ancestors(dag, x | y | z)
-    adj: Dict[str, set[str]] = {v: set() for v in rel}
-    for a, b in dag.directed_edges:
-        if a in rel and b in rel:
-            adj[a].add(b)
-            adj[b].add(a)
-    for v in rel:
-        parents_in = [p for p in dag.parents_of(v) if p in rel]
-        for p, q in itertools.combinations(parents_in, 2):
-            adj[p].add(q)
-            adj[q].add(p)
-
-    seen = set(x)
-    frontier = list(x)
-    while frontier:
-        node = frontier.pop()
-        for nxt in adj[node]:
-            if nxt in z or nxt in seen:
-                continue
-            if nxt in y:
-                return False
-            seen.add(nxt)
-            frontier.append(nxt)
-    return True
 
 
 # -- random instances ----------------------------------------------------------
@@ -274,21 +238,6 @@ def _sums(table: np.ndarray, indices: Iterable[tuple]) -> list[float]:
     oracle sums a table, by the reduction ``ndarray.sum()`` runs."""
     import numpy as np
     return [float(np.add.reduce(table[ix], axis=None)) for ix in indices]
-
-
-def table_probability(table: np.ndarray, nodes: tuple[str, ...],
-                      assignment: Mapping[str, int]) -> float:
-    """Marginal probability of a partial assignment under a joint table
-    whose axes are ``nodes``.  A label that is not in ``nodes``, or a value
-    other than 0 or 1 (``True``, ``1.0`` and ``np.int64(1)`` are 1), raises
-    ``ValueError``."""
-    import numpy as np
-    pinned = []
-    for v, value in assignment.items():
-        if v not in nodes:
-            raise ValueError(f"unknown node {v!r}")
-        pinned.append((nodes.index(v), _binary(v, value, "assignment")))
-    return _sums(np.asarray(table), [_index(len(nodes), pinned)])[0]
 
 
 def _compile(expr: DensityExpression, nodes: tuple[str, ...],

@@ -214,15 +214,3 @@ def find_proper_pc_path(graph: Graph, sources: Iterable[str],
     return _search(graph, src, blocked=src, targets=tgt,
                    start_undirected=start_undirected)[1]
 
-
-def is_possibly_directed_path(graph: Graph, path: Sequence[str]) -> bool:
-    """Check the pairwise condition on an explicit node sequence.  A
-    GraphError names the least label of ``path`` that is not a node."""
-    graph.check_nodes(path)
-    n = len(path)
-    if len(set(path)) != n or n == 0:
-        return False
-    if not all(map(graph.adjacent, path, path[1:])):
-        return False
-    return not any(graph.has_directed(path[j], path[i])
-                   for i in range(n) for j in range(i + 1, n))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from mpdagid import (DensityExpression, DiscreteModel, Factor, Fraction,
                      Graph, GraphClass, GraphError, InconsistentOrientation,
-                     MarginalOver, ParseError, Product, enumerate_dags,
-                     expression_to_json, fold, meek_closure, normal_form,
+                     MarginalOver, ParseError, Product, ancestors,
+                     enumerate_dags, expression_to_json, fold, meek_closure,
                      oracle, parse_graph_text, random_mpdag)
 
 MARGINAL_TEXT = """\
@@ -145,22 +145,60 @@ class QueryCase:
     expected: "DensityExpression | None"
 
 
+def reference_normal_form(expr: DensityExpression,
+                          graph: Graph) -> DensityExpression:
+    """Canonical shape: node tuples sorted by the graph's node order,
+    nested products flattened, factors sorted by target then given indices,
+    single-entry products unwrapped, empty marginals dropped.  No algebraic
+    rewriting (identical numerator/denominator factors are not cancelled).
+    ``ident`` builds its formulas in this shape directly."""
+    # each subtree folds to the list of (sort key, term) whose product it
+    # is; a parent product concatenates and re-sorts its children's lists,
+    # and non-factor terms keep their order after the factors
+    other = (1, (), ())
+
+    def whole(terms):
+        if len(terms) == 1:
+            return terms[0][1]
+        return Product(tuple(term for _, term in terms))
+
+    def factor(f: Factor):
+        f = Factor(graph.sorted_nodes(f.targets), graph.sorted_nodes(f.given),
+                   graph.sorted_nodes(f.fixed))
+        return [((0, tuple(map(graph.index, f.targets)),
+                  tuple(map(graph.index, f.given))), f)]
+
+    def product(parts):
+        return sorted((t for terms in parts for t in terms), key=lambda t: t[0])
+
+    def marginal(variables, body):
+        if not variables:
+            return body
+        return [(other,
+                 MarginalOver(graph.sorted_nodes(variables), whole(body)))]
+
+    def fraction(numerator, denominator):
+        return [(other, Fraction(whole(numerator), whole(denominator)))]
+
+    return whole(fold(expr, factor, product, marginal, fraction))
+
+
 def _marginal_expected(g: Graph) -> DensityExpression:
-    return normal_form(
+    return reference_normal_form(
         MarginalOver(("V2",), Product((
             Factor(("Y",), ("X", "V1", "V2")),
             Factor(("V2",), ("V1",))))), g)
 
 
 def _two_treatment_expected(g: Graph) -> DensityExpression:
-    return normal_form(
+    return reference_normal_form(
         MarginalOver(("V1",), Product((
             Factor(("V1",), ("X1",)),
             Factor(("Y",), ("X2", "V1", "V2"))))), g)
 
 
 def _fraction_expected(g: Graph) -> DensityExpression:
-    return normal_form(
+    return reference_normal_form(
         Fraction(
             MarginalOver(("V1",), Product((
                 Factor(("Z", "Y"), ("X", "V1")), Factor(("V1",))))),
@@ -178,13 +216,15 @@ def identification_cases() -> list[QueryCase]:
         QueryCase("two-treatment", gt, ("X1", "X2"), ("Y",), ("V2",),
                   _two_treatment_expected(gt)),
         QueryCase("shortcut", gs, ("X",), ("Y",), ("Z",),
-                  normal_form(Factor(("Y",), ("Z",)), gs)),
+                  reference_normal_form(Factor(("Y",), ("Z",)), gs)),
         QueryCase("absorb", ga, ("X",), ("Y",), ("V1", "V2"),
-                  normal_form(Factor(("Y",), ("X", "V1", "V2")), ga)),
+                  reference_normal_form(
+                      Factor(("Y",), ("X", "V1", "V2")), ga)),
         QueryCase("chain", gc, ("X",), ("Y",), ("Z",),
-                  normal_form(Factor(("Y",), ("X", "Z")), gc)),
+                  reference_normal_form(Factor(("Y",), ("X", "Z")), gc)),
         QueryCase("partial-absorb", gp, ("X1", "X2"), ("Y",), ("Z",),
-                  normal_form(Factor(("Y",), ("X1", "X2", "Z")), gp)),
+                  reference_normal_form(
+                      Factor(("Y",), ("X1", "X2", "Z")), gp)),
         QueryCase("fraction", gf, ("X",), ("Y",), ("Z",),
                   _fraction_expected(gf)),
         QueryCase("unidentifiable", gu, ("X",), ("Y",), ("Z",), None),
@@ -270,12 +310,30 @@ def reference_enumerate_dags(graph: Graph) -> list[Graph]:
     return out
 
 
+def reference_table_probability(table, nodes: tuple[str, ...],
+                                assignment) -> float:
+    """Marginal probability of a partial assignment under a joint table
+    whose axes are ``nodes``, summed by ``oracle._sums``, as ``numeric_gap``
+    sums its tables.  A label that is not in ``nodes``, or a value other
+    than 0 or 1 (``True``, ``1.0`` and ``np.int64(1)`` are 1), raises
+    ``ValueError``."""
+    import numpy as np
+    pinned = []
+    for v, value in assignment.items():
+        if v not in nodes:
+            raise ValueError(f"unknown node {v!r}")
+        pinned.append((nodes.index(v), oracle._binary(v, value, "assignment")))
+    return oracle._sums(np.asarray(table),
+                        [oracle._index(len(nodes), pinned)])[0]
+
+
 def reference_conditional(table, nodes, targets, given) -> float:
     """P(targets | given) under ``table``: two marginals summed afresh
-    (through ``oracle.table_probability``, whose sum a test can count at
+    (through ``reference_table_probability``, whose sum a test can count at
     ``oracle._sums``, as it counts ``numeric_gap``'s planned sums)."""
-    den = oracle.table_probability(table, nodes, given) if given else 1.0
-    return oracle.table_probability(table, nodes, {**targets, **given}) / den
+    den = reference_table_probability(table, nodes, given) if given else 1.0
+    return reference_table_probability(table, nodes,
+                                       {**targets, **given}) / den
 
 
 def reference_interventional_conditional(model: DiscreteModel, do, targets,
@@ -450,6 +508,96 @@ def diamond_chain(k: int) -> Graph:
         undirected += [(j, a), (j, b), (a, b), (a, nxt), (b, nxt)]
         j = nxt
     return Graph(nodes + ["Y"], undirected=undirected + [(j, "Y")])
+
+
+# -- reference: paths judged node by node ------------------------------------
+
+
+def reference_is_possibly_directed_path(graph: Graph, path) -> bool:
+    """The pairwise condition on an explicit node sequence: distinct nodes,
+    consecutive ones adjacent, and no edge ``path[i] <- path[j]`` for any
+    i < j.  A GraphError names the least label of ``path`` that is not a
+    node."""
+    graph.check_nodes(path)
+    n = len(path)
+    if len(set(path)) != n or n == 0:
+        return False
+    if not all(map(graph.adjacent, path, path[1:])):
+        return False
+    return not any(graph.has_directed(path[j], path[i])
+                   for i in range(n) for j in range(i + 1, n))
+
+
+def reference_triple_status(graph: Graph, a: str, b: str, c: str):
+    """Status of b as interior node of the segment a, b, c: "collider" when
+    both edges point into b; "noncollider" (definite) when an edge points
+    out of b, or when both edges are ``--`` and a, c are not adjacent; None
+    when b has no definite status on the segment."""
+    if graph.has_directed(a, b) and graph.has_directed(c, b):
+        return "collider"
+    if graph.has_directed(b, a) or graph.has_directed(b, c):
+        return "noncollider"
+    if graph.has_undirected(a, b) and graph.has_undirected(b, c) \
+            and not graph.adjacent(a, c):
+        return "noncollider"
+    return None
+
+
+def reference_open_definite_status_path(graph: Graph, path, zs) -> bool:
+    """Distinct nodes, consecutive ones adjacent, and every interior triple
+    of definite status by ``reference_triple_status`` and open given Z: a
+    collider with a directed path into Z, a non-collider outside Z.  It
+    shares no code with ``dsep``'s open-triple rule, which it judges.  A
+    GraphError names the least label of ``path`` and ``zs`` that is not a
+    node."""
+    z = frozenset(zs)
+    graph.check_nodes(z.union(path))
+    if len(path) < 2 or len(set(path)) != len(path):
+        return False
+    if not all(map(graph.adjacent, path, path[1:])):
+        return False
+    an_z = ancestors(graph, z)
+    for a, b, c in zip(path, path[1:], path[2:]):
+        status = reference_triple_status(graph, a, b, c)
+        if status is None or (status == "collider" and b not in an_z) \
+                or (status == "noncollider" and b in z):
+            return False
+    return True
+
+
+def reference_dag_d_separated(dag: Graph, xs, ys, zs=()) -> bool:
+    """Classic d-separation in a DAG via the moral graph of the ancestral
+    subgraph: marry parents, drop directions, delete Z, test connectivity."""
+    x, y, z = dag.check_disjoint(xs, ys, zs)
+    if not x or not y:
+        raise ValueError("d-separation needs nonempty endpoint sets")
+    if dag.classify() is not GraphClass.DAG:
+        raise GraphError("moralization test requires a DAG")
+
+    rel = ancestors(dag, x | y | z)
+    adj: dict[str, set[str]] = {v: set() for v in rel}
+    for a, b in dag.directed_edges:
+        if a in rel and b in rel:
+            adj[a].add(b)
+            adj[b].add(a)
+    for v in rel:
+        parents_in = [p for p in dag.parents_of(v) if p in rel]
+        for p, q in itertools.combinations(parents_in, 2):
+            adj[p].add(q)
+            adj[q].add(p)
+
+    seen = set(x)
+    frontier = list(x)
+    while frontier:
+        node = frontier.pop()
+        for nxt in adj[node]:
+            if nxt in z or nxt in seen:
+                continue
+            if nxt in y:
+                return False
+            seen.add(nxt)
+            frontier.append(nxt)
+    return True
 
 
 # -- reference: the sweep rules, the sink scan and the class ------------------
@@ -631,8 +779,8 @@ def reference_graph_obj(graph) -> dict:
     """A graph's JSON form as a dict, and an expression's as
     ``expression_to_json`` gives it: with this as ``default``,
     ``json.dumps(payload, indent=2, default=reference_graph_obj)`` is the
-    reference for every ``--json`` payload and ``graph_to_json``.  Like any
-    ``default``, it raises TypeError on what it cannot write."""
+    reference for every ``--json`` payload and graph.  Like any ``default``,
+    it raises TypeError on what it cannot write."""
     if isinstance(graph, (Factor, Product, MarginalOver, Fraction)):
         return expression_to_json(graph)
     if not isinstance(graph, Graph):

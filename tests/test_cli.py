@@ -7,7 +7,7 @@ import time
 import pytest
 
 from mpdagid import (Factor, Fraction, Graph, MarginalOver, Product, cli,
-                     graph_to_json, graph_to_text, parse_graph_text)
+                     graph_to_text, parse_graph_text)
 from mpdagid import graph as graph_module
 from mpdagid.cli import main
 from mpdagid.graph import _dumps
@@ -656,8 +656,8 @@ def test_golden_refusal(graph_file, capsys, as_json, digest):
 
 
 class TestJsonWriter:
-    """``graph._dumps``, the one writer of ``--json`` output and
-    ``graph_to_json``, is byte-identical to ``json.dumps(obj, indent=2)``,
+    """``graph._dumps``, the one writer of ``--json`` output and of a
+    graph's JSON form, is byte-identical to ``json.dumps(obj, indent=2)``,
     with ``cases.reference_graph_obj`` as the default that writes a graph."""
 
     def test_matches_json_dumps(self):
@@ -740,7 +740,7 @@ class TestJsonWriter:
         assert _dumps(payload) == json.dumps(payload, indent=2,
                                              default=reference_graph_obj)
         for h in graphs:
-            assert graph_to_json(h) == json.dumps(
+            assert _dumps(h) == json.dumps(
                 reference_graph_obj(h), indent=2)
 
     def test_expressions_match_json_dumps(self):

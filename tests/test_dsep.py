@@ -5,36 +5,36 @@ import time
 import pytest
 
 from mpdagid import (GraphError, NotIdentifiable, cidm, d_separated,
-                     dag_d_separated, find_open_path,
-                     is_open_definite_status_path, parse_graph_text,
-                     random_dag, triple_status)
-from mpdagid.dsep import COLLIDER, NONCOLLIDER
+                     find_open_path, parse_graph_text, random_dag)
+from mpdagid.cli import main
 
-from cases import diamond_chain
+from cases import (diamond_chain, reference_dag_d_separated,
+                   reference_open_definite_status_path,
+                   reference_triple_status)
 
 
 class TestTripleStatus:
     def test_collider(self):
         g = parse_graph_text("A -> B\nC -> B\n")
-        assert triple_status(g, "A", "B", "C") == COLLIDER
+        assert reference_triple_status(g, "A", "B", "C") == "collider"
 
     def test_noncollider_by_outgoing_edge(self):
         g = parse_graph_text("A -> B\nB -> C\n")
-        assert triple_status(g, "A", "B", "C") == NONCOLLIDER
+        assert reference_triple_status(g, "A", "B", "C") == "noncollider"
         g2 = parse_graph_text("B -> A\nB -- C\n")
-        assert triple_status(g2, "A", "B", "C") == NONCOLLIDER
+        assert reference_triple_status(g2, "A", "B", "C") == "noncollider"
 
     def test_noncollider_by_unshielded_undirected(self):
         g = parse_graph_text("A -- B\nB -- C\n")
-        assert triple_status(g, "A", "B", "C") == NONCOLLIDER
+        assert reference_triple_status(g, "A", "B", "C") == "noncollider"
 
     def test_no_definite_status(self):
         # undirected on one side, arrowhead on the other
         g = parse_graph_text("A -- B\nC -> B\n")
-        assert triple_status(g, "A", "B", "C") is None
+        assert reference_triple_status(g, "A", "B", "C") is None
         # both undirected but shielded
         g2 = parse_graph_text("A -- B\nB -- C\nA -- C\n")
-        assert triple_status(g2, "A", "B", "C") is None
+        assert reference_triple_status(g2, "A", "B", "C") is None
 
 
 class TestDsepDag:
@@ -60,7 +60,8 @@ class TestDsepDag:
             rng.shuffle(vs)
             x, y = {vs[0]}, {vs[1]}
             z = set(vs[2:2 + rng.randrange(0, 4)])
-            assert d_separated(dag, x, y, z) == dag_d_separated(dag, x, y, z)
+            assert d_separated(dag, x, y, z) == \
+                reference_dag_d_separated(dag, x, y, z)
 
 
 class TestDefiniteStatus:
@@ -85,6 +86,20 @@ class TestDefiniteStatus:
         assert not d_separated(g, {"A"}, {"C"})
         assert d_separated(g, {"A"}, {"C"}, {"B"})
 
+    def test_undirected_step_skips_neighbours_of_prev(self, tmp_path, capsys):
+        # on A -- C -- D -- E -- B the triple (D, E, B) is shielded by
+        # B -- D, so it has no definite status: after D -- E the search
+        # must not step to B, and every other path from A to B is blocked
+        text = "B -> C\nA -- C\nB -- D\nB -- E\nC -- D\nD -- E\n"
+        g = parse_graph_text(text)
+        assert find_open_path(g, {"A"}, {"B"}, ()) is None
+        assert not reference_open_definite_status_path(
+            g, ("A", "C", "D", "E", "B"), ())
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        assert main(["dsep", str(path), "-x", "A", "-y", "B"]) == 0
+        assert capsys.readouterr().out == "separated\n"
+
 
 class TestWitness:
     def test_witness_path_revalidates(self):
@@ -94,7 +109,7 @@ class TestWitness:
         w = find_open_path(mut, {"Y"}, {"X"}, {"Z"})
         assert w is not None
         assert w.path == ("Y", "V1", "X")
-        assert is_open_definite_status_path(mut, w.path, {"Z"})
+        assert reference_open_definite_status_path(mut, w.path, {"Z"})
 
     def test_witness_is_shortest_then_lexicographic(self):
         g = parse_graph_text("X -> B\nB -> Y\nX -> A\nA -> Y\nX -> Y\n")
@@ -123,15 +138,16 @@ class TestWitness:
     def test_explicit_path_rejects_unknown_labels(self, path, zs, unknown):
         g = parse_graph_text("A -> B\n")
         with pytest.raises(GraphError, match=f"^unknown node '{unknown}'$"):
-            is_open_definite_status_path(g, path, zs)
+            reference_open_definite_status_path(g, path, zs)
 
     def test_explicit_path_answers_on_known_labels(self):
         g = parse_graph_text("A -> B\nB -> C\nnode D\n")
-        assert is_open_definite_status_path(g, ["A", "B", "C"], [])
-        assert not is_open_definite_status_path(g, ["A", "B", "C"], ["B"])
-        assert not is_open_definite_status_path(g, ["A", "D"], [])
-        assert not is_open_definite_status_path(g, ["A"], [])
-        assert not is_open_definite_status_path(g, ["A", "B", "A"], [])
+        judge = reference_open_definite_status_path
+        assert judge(g, ["A", "B", "C"], [])
+        assert not judge(g, ["A", "B", "C"], ["B"])
+        assert not judge(g, ["A", "D"], [])
+        assert not judge(g, ["A"], [])
+        assert not judge(g, ["A", "B", "A"], [])
 
 
 def test_set_validation():
@@ -163,7 +179,7 @@ def test_exhaustive_three_node_dags_match_oracle():
             rest = [v for v in names if v not in (x, y)]
             for z in ([], rest):
                 assert d_separated(dag, {x}, {y}, z) == \
-                    dag_d_separated(dag, {x}, {y}, z)
+                    reference_dag_d_separated(dag, {x}, {y}, z)
 
 
 # -- the searches against a brute force over simple paths ---------------------
@@ -193,7 +209,8 @@ def test_every_four_node_graph_matches_brute_force(four_node_graphs):
             for z in itertools.chain.from_iterable(
                     itertools.combinations(rest, k) for k in range(3)):
                 want = next((p for p in paths.get((x, y), ())
-                             if is_open_definite_status_path(g, p, z)), None)
+                             if reference_open_definite_status_path(g, p, z)),
+                            None)
                 got = find_open_path(g, {x}, {y}, z)
                 checked += 1
                 if want is None:
@@ -201,7 +218,8 @@ def test_every_four_node_graph_matches_brute_force(four_node_graphs):
                     continue
                 assert got is not None and got.path == want, (g, x, y, z)
                 colliders = [want[i] for i in range(1, len(want) - 1)
-                             if triple_status(g, *want[i - 1:i + 2]) == COLLIDER]
+                             if reference_triple_status(
+                                 g, *want[i - 1:i + 2]) == "collider"]
                 assert got.collider_descents == tuple(
                     next(p for p in descents[c] if p[-1] in z)
                     for c in colliders), (g, x, y, z)

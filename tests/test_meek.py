@@ -6,9 +6,9 @@ import pytest
 from mpdagid import ident, meek, oracle
 from mpdagid import (Graph, GraphClass, GraphError, InconsistentOrientation,
                      apply_background, cidme_tree, consistent_extension,
-                     enumerate_dags, has_consistent_extension, is_meek_closed,
-                     meek_closure, parse_graph_text, pattern_of, random_dag,
-                     random_mpdag, refine)
+                     enumerate_dags, is_meek_closed, meek_closure,
+                     parse_graph_text, pattern_of, random_dag, random_mpdag,
+                     refine)
 
 from cases import (_ref_r1, _ref_r2, _ref_r3, _ref_r4,
                    _ref_rule_applications, background_graphs,
@@ -96,7 +96,7 @@ class TestFailures:
         # every rule's premise is unsatisfied, yet no DAG extends the square
         with pytest.raises(InconsistentOrientation):
             meek_closure(square)
-        assert not has_consistent_extension(square)
+        assert consistent_extension(square) is None
 
     def test_apply_background_conflict(self):
         g = parse_graph_text("A -> B\nB -- C\n")
@@ -255,7 +255,8 @@ def _assert_kernels_match_reference(graphs):
         raised += len(expected) == 2
         extension = reference_consistent_extension(g)
         assert repr(consistent_extension(g)) == repr(extension), g
-        assert has_consistent_extension(g) == (extension is not None), g
+        assert (consistent_extension(g) is not None) == \
+            (extension is not None), g
         assert is_meek_closed(g) == (not _ref_rule_applications(g)), g
     return raised
 
@@ -463,7 +464,8 @@ def test_classify_on_undirected_cycles(k, into, between, chord):
     decisive = meek._decisive_nodes(g)
     assert decisive == reference_decisive_nodes(g)
     assert ("M" in decisive) == between and "S" not in decisive
-    assert has_consistent_extension(g) == _restricted_verdict(g) == chord
+    assert (consistent_extension(g) is not None) == _restricted_verdict(g) \
+        == chord
     assert g.classify() is reference_classify(g) is (
         GraphClass.MPDAG if chord else GraphClass.PDAG)
 
@@ -476,7 +478,7 @@ def test_classify_on_closed_random_pdags():
     for g in graphs:
         decisive = meek._decisive_nodes(g)
         assert decisive == reference_decisive_nodes(g), g
-        extendable = has_consistent_extension(g)
+        extendable = consistent_extension(g) is not None
         assert _restricted_verdict(g) == extendable, g
         assert g.classify() is reference_classify(g), g
         kinds.add((extendable,
@@ -491,7 +493,7 @@ def test_restricted_verdict_replays_the_whole_search(four_node_graphs):
     graphs = sparse_pool_graphs() + closed
     verdicts = set()
     for g in graphs:
-        verdict = has_consistent_extension(g)
+        verdict = consistent_extension(g) is not None
         assert _restricted_verdict(g) == verdict, g
         verdicts.add(verdict)
     assert verdicts == {False, True}

@@ -17,7 +17,9 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from mpdagid import (Graph, d_separated, find_open_path,  # noqa: E402
-                     is_open_definite_status_path, random_mpdag)
+                     random_mpdag)
+
+from cases import reference_open_definite_status_path  # noqa: E402
 
 
 def simple_path_reference(g, x, y, z):
@@ -29,8 +31,8 @@ def simple_path_reference(g, x, y, z):
         for path in level:
             for w in g.sorted_nodes(g.neighbors_of(path[-1])):
                 longer = path + (w,)
-                if w in path or w in x \
-                        or not is_open_definite_status_path(g, longer, z):
+                if w in path or w in x or not \
+                        reference_open_definite_status_path(g, longer, z):
                     continue
                 if w in y:
                     return longer
