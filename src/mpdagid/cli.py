@@ -216,12 +216,13 @@ def cmd_verify(graph: Graph, args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _add_query_args(sub, conditioning_help: str) -> None:
+def _add_query_args(sub) -> None:
     sub.add_argument("-x", required=True, metavar="NODES",
                      help="treatment nodes, comma separated")
     sub.add_argument("-y", required=True, metavar="NODES",
                      help="outcome nodes, comma separated")
-    sub.add_argument("-z", default="", metavar="NODES", help=conditioning_help)
+    sub.add_argument("-z", default="", metavar="NODES",
+                     help="conditioning nodes, comma separated")
 
 
 @functools.cache
@@ -259,7 +260,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = add("dsep", cmd_dsep, "d-separation of definite-status paths, with "
                               "an open-path witness when connected")
-    _add_query_args(p, "conditioning nodes, comma separated")
+    _add_query_args(p)
 
     p = add("reach", cmd_reach, "reachability sets (possible descendants, "
                                 "possible ancestors, ...)")
@@ -271,19 +272,19 @@ def _parser() -> argparse.ArgumentParser:
     p = add("identify", cmd_identify,
             "closed-form expression for f(y | do(x), z), exit 3 with a "
             "certificate when not identifiable")
-    _add_query_args(p, "conditioning nodes, comma separated")
+    _add_query_args(p)
     p.add_argument("--latex", action="store_true",
                    help="print the LaTeX rendering")
 
     p = add("enumerate", cmd_enumerate,
             "per-class identification: one expression for each leaf of the "
             "orientation split")
-    _add_query_args(p, "conditioning nodes, comma separated")
+    _add_query_args(p)
 
     p = add("verify", cmd_verify,
             "check the identified expression numerically against truncated "
             "factorization on every DAG in the class")
-    _add_query_args(p, "conditioning nodes, comma separated")
+    _add_query_args(p)
     p.add_argument("--trials", type=int, default=2,
                    help="random models per DAG (default 2)")
     p.add_argument("--seed", type=int, default=None,

@@ -439,11 +439,10 @@ def _dumps(obj) -> str:
     expression of :mod:`mpdagid.ident` as ``expression_to_json`` does, with
     only scalars through json's C code, not its pure-Python indent encoder.
     Per call, a graph's nodes array is built once per node tuple and
-    indent, an edge once per edge and indent, and a factor once per
-    targets, given, fixed and indent.  TypeError for what json rejects."""
+    indent, and an edge once per edge and indent.  TypeError for what json
+    rejects."""
     out: list[str] = []
     chunks: dict[str, tuple[dict, dict]] = {}  # per indent: nodes, edges
-    factors: dict[tuple, str] = {}  # no None key: non-factors miss
 
     def block(items: list[str], pad: str, ends: str = "[]") -> str:
         inner = pad + "  "
@@ -468,12 +467,7 @@ def _dumps(obj) -> str:
     def expression(e, pad: str) -> str:
         # the walk of ident.expression_to_json: its kind, then each field
         # in order, a tuple of labels, a tuple of expressions or one
-        # expression; a factor is keyed on all its fields, since fixed is
-        # left out of its equality
-        key = ((e.targets, e.given, e.fixed, pad)
-               if e._json_kind == "factor" else None)
-        if key in factors:
-            return factors[key]
+        # expression
         inner = pad + "  "
         items = [f'"kind": "{e._json_kind}"']
         for name in e.__dataclass_fields__:
@@ -485,10 +479,7 @@ def _dumps(obj) -> str:
             else:
                 v = block([*map(_json_str, v)], inner)
             items.append(f'"{name}": {v}')
-        chunk = block(items, pad, "{}")
-        if key:
-            factors[key] = chunk
-        return chunk
+        return block(items, pad, "{}")
 
     def emit(o, pad: str) -> None:
         inner = pad + "  "

@@ -99,9 +99,9 @@ class DiscreteModel:
     stores P(v = 1 | parent values).
 
     The model keeps read-only copies of the CPTs, checked node by node,
-    shape before range, with every range compared at once.  It places each
-    node's CPT factor when it is made, and builds each do-assignment's
-    joint table once, so a table it has handed out can never go stale."""
+    shape before range.  It places each node's CPT factor when it is made,
+    and builds each do-assignment's joint table once, so a table it has
+    handed out can never go stale."""
 
     def __init__(self, dag: Graph, cpts: Mapping[str, np.ndarray]):
         import numpy as np
@@ -111,14 +111,12 @@ class DiscreteModel:
                 raise ValueError(f"no CPT for {v!r}" if v not in cpts
                                  else f"CPT for {v!r}, which is not a node")
         tables = [np.array(cpts[v], dtype=float) for v in dag.nodes]
-        cells = np.concatenate([table.ravel() for table in tables])
-        in_range = np.all((cells > 0.0) & (cells < 1.0))  # NaN fails too
         for v, table in zip(dag.nodes, tables):
             want = (2,) * len(layout.parent_order[v])
             if table.shape != want:
                 raise ValueError(f"CPT for {v!r} has shape {table.shape}, "
                                  f"expected {want}")
-            if not (in_range or np.all((table > 0.0) & (table < 1.0))):
+            if not np.all((table > 0.0) & (table < 1.0)):  # NaN fails too
                 raise ValueError(f"CPT for {v!r} must lie strictly in (0, 1)")
             table.flags.writeable = False
         self._fill(layout, tables)
@@ -240,23 +238,33 @@ def _sums(table: np.ndarray, indices: Iterable[tuple]) -> list[float]:
     return [float(np.add.reduce(table[ix], axis=None)) for ix in indices]
 
 
-def _compile(expr: DensityExpression, nodes: tuple[str, ...],
-             env: Mapping[str, int]):
-    """``expr`` folded and planned with ``env`` pinned into ``build(table)``,
-    an array with an axis per node, of length 2 where the node is free in
-    ``expr`` and not pinned.  A cell is the float one assignment's loop
-    gives: a ``Factor`` cell divides the table's sum that pins targets and
-    given by the one that pins the given (or 1.0), each sum a slot shared
-    by every factor and summed once per table; a product multiplies left
-    to right from ones (``math.prod``); a marginal lays its axes last in
-    ``variables`` order, flattens them in ``itertools.product`` order and
-    keeps the last sum of ``np.cumsum``, which adds strictly left to
-    right; a fraction divides cell by cell.  A label that is not in
-    ``nodes``, or a marginal that lists a label twice, raises
-    ``ValueError`` while folding."""
+def _compile(expr: DensityExpression, nodes: tuple[str, ...]):
+    """``expr`` folded into ``build(table)``, an array with an axis per
+    node, of length 2 where the node is free in ``expr``.  A cell is the
+    float one assignment's loop gives: a ``Factor`` cell divides the
+    table's sum that pins targets and given by the one that pins the given
+    (or 1.0), each sum a slot shared by every factor and summed once per
+    table; a product multiplies left to right from ones (``math.prod``); a
+    marginal lays its axes last in ``variables`` order, flattens them in
+    ``itertools.product`` order and keeps the last sum of ``np.cumsum``,
+    which adds strictly left to right; a fraction divides cell by cell.
+    Where the loop would divide by zero, a fraction cell over 0 is nan, as
+    is a factor cell of two zero sums, and no later step makes nan finite.
+    A first fold collects the labels: one that is not in ``nodes``, or a
+    marginal that lists a label twice, raises ``ValueError`` before the
+    second fold plans the build."""
     import numpy as np
     n, pos = len(nodes), {v: i for i, v in enumerate(nodes)}
-    groups = []  # label tuples, checked once the fold has met every node
+    groups = fold(expr, lambda f: [tuple(dict.fromkeys(f.targets + f.given))],
+                  lambda parts: sum(parts, []),
+                  lambda variables, body: [*body, variables],
+                  lambda top, bottom: top + bottom)  # labels in fold order
+    for labels in groups:
+        for i, v in enumerate(labels):
+            if v not in pos or v in labels[:i]:
+                raise ValueError(f"unknown node {v!r} in the expression"
+                                 if v not in pos else
+                                 f"marginal lists {v!r} twice")
     slots: Dict[tuple, int] = {}  # (axis, value) pairs by axis -> slot
 
     def slot(labels, at) -> int:  # labels in node order, each once
@@ -264,66 +272,39 @@ def _compile(expr: DensityExpression, nodes: tuple[str, ...],
         return slots.setdefault(key, len(slots))
 
     def factor(f: Factor):
-        labels = tuple(dict.fromkeys(f.targets + f.given))
-        groups.append(labels)
+        num, den = (sorted({*part}, key=pos.get)
+                    for part in (f.targets + f.given, f.given))
+        cells = []
+        for values in itertools.product((0, 1), repeat=len(num)):
+            at = dict(zip(num, values))
+            cells.append((slot(num, at), slot(den, at) if den else -1))
+        top, bottom = np.array(cells).T
+        shape = [2 if v in num else 1 for v in nodes]
+        return lambda sums: (sums[top] / sums[bottom]).reshape(shape)
 
-        def plan(env):
-            num, den = (sorted(set(part), key=pos.get)
-                        for part in (labels, f.given))
-            free = [v for v in num if v not in env]
-            cells = []
-            for values in itertools.product((0, 1), repeat=len(free)):
-                at = {**env, **dict(zip(free, values))}
-                cells.append((slot(num, at), slot(den, at) if den else -1))
-            shape = [2 if v in free else 1 for v in nodes]
-            return lambda sums: np.array(
-                [sums[i] / sums[j] for i, j in cells]).reshape(shape)
-        return plan
+    def product(builds):
+        return lambda sums: math.prod((build(sums) for build in builds),
+                                      start=np.ones((1,) * n))
 
-    def product(parts):
-        def plan(env):
-            builds = [part(env) for part in parts]
-            return lambda sums: math.prod(
-                (build(sums) for build in builds), start=np.ones((1,) * n))
-        return plan
+    def marginal(variables, inner):
+        summed, kept = [pos[v] for v in variables], n - len(variables)
+        ones = np.ones([2 if j in summed else 1 for j in range(n)])
 
-    def marginal(variables, body):
-        groups.append(variables)
+        def build(sums):
+            value = np.moveaxis(inner(sums) * ones, summed, range(kept, n))
+            total = np.cumsum(value.reshape(*value.shape[:kept], -1), -1)
+            return np.expand_dims(total[..., -1], sorted(summed))
+        return build
 
-        def plan(env):
-            inner = body({v: env[v] for v in env if v not in variables})
-            summed, kept = [pos[v] for v in variables], n - len(variables)
-            ones = np.ones([2 if j in summed else 1 for j in range(n)])
+    def fraction(top, bottom):
+        def build(sums):
+            over, under = top(sums), bottom(sums)
+            return np.where(under == 0, np.nan, over / under)
+        return build
 
-            def build(sums):
-                value = np.moveaxis(inner(sums) * ones, summed, range(kept, n))
-                total = np.cumsum(value.reshape(*value.shape[:kept], -1), -1)
-                return np.expand_dims(total[..., -1], sorted(summed))
-            return build
-        return plan
-
-    def fraction(numerator, denominator):
-        def plan(env):
-            top, bottom = numerator(env), denominator(env)
-
-            def build(sums):
-                over, under = top(sums), bottom(sums)
-                if not under.all():  # as Python's float division raises
-                    raise ZeroDivisionError("float division by zero")
-                return over / under
-            return build
-        return plan
-
-    plan = fold(expr, factor, product, marginal, fraction)
-    for labels in groups:
-        for i, v in enumerate(labels):
-            if v not in pos or v in labels[:i]:
-                raise ValueError(f"unknown node {v!r} in the expression"
-                                 if v not in pos else
-                                 f"marginal lists {v!r} twice")
-    root = plan(env)
+    root = fold(expr, factor, product, marginal, fraction)
     indices = [_index(n, key) for key in slots]
-    return lambda table: root(_sums(table, indices) + [1.0])
+    return lambda table: root(np.array(_sums(table, indices) + [1.0]))
 
 
 def evaluate_expression(expr: DensityExpression, joint: np.ndarray,
@@ -331,15 +312,25 @@ def evaluate_expression(expr: DensityExpression, joint: np.ndarray,
                         assignment: Mapping[str, int]) -> float:
     """Value of a density expression under an observational joint table,
     at a binary assignment of every free variable of the expression (more
-    keys are allowed), built with the assigned nodes pinned.  A value not
-    0 or 1, or a free variable with none, raises ``ValueError``."""
+    keys are allowed): ``_compile``'s array, read at the assignment.  A
+    value not 0 or 1 raises ``ValueError``; then a read cell that is not
+    finite, as where a denominator is zero, ``ZeroDivisionError``; then a
+    free variable with no value ``ValueError``."""
+    import numpy as np
     env = {v: _binary(v, value, "assignment")
            for v, value in assignment.items()}
-    value = _compile(expr, nodes, env)(joint)
-    if 2 in value.shape:
-        raise ValueError(
-            f"no value for free node {nodes[value.shape.index(2)]!r}")
-    return value.item()
+    build = _compile(expr, nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = build(joint)
+    missing = [v for v, size in zip(nodes, value.shape)
+               if size == 2 and v not in env]
+    cell = value[tuple(env.get(v, slice(None)) if size == 2 else 0
+                       for v, size in zip(nodes, value.shape))]
+    if not np.isfinite(cell).all():
+        raise ZeroDivisionError("float division by zero")
+    if missing:
+        raise ValueError(f"no value for free node {missing[0]!r}")
+    return cell.item()
 
 
 def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
@@ -348,10 +339,10 @@ def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
     """Check ``expr`` as f(y | do(x), z) against truncated factorization:
     on every DAG in ``graph``'s class, draw ``trials`` random binary models
     from ``rng`` and compare at every binary assignment of X, Y and Z.
-    Planned once per call: ``expr``'s cells on the joint, and at each
-    assignment of X (a set) the cells of f(Y | Z) on its do-table, both
-    by ``_compile``; once per DAG, its model layout.  Per model each table
-    sums each planned marginal once, and ``expr`` is built with X's axes
+    Planned once per call by ``_compile``: ``expr``'s cells on the joint,
+    and the cells of f(Y | Z), read on each do-table at X's values where
+    X (a set) meets Y ∪ Z; once per DAG, its model layout.  Per model each
+    table sums each planned marginal once, and ``expr``'s X axes are moved
     first, so that its cells come in the order of the do-tables.
 
     Returns the worst absolute gap, the number of DAGs and the number of
@@ -372,15 +363,13 @@ def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
     if work > MAX_TABLE_WORK:
         raise GraphError(f"{work} table cells exceeds the verify work cap "
                          f"({MAX_TABLE_WORK})")
-    build = _compile(expr, nodes, {})
-    ratio = Factor(tuple(y), tuple(z))  # f(Y | Z) on each do-table
-    planned, truths = {}, []
+    build = _compile(expr, nodes)
+    truth = _compile(Factor(tuple(y), tuple(z)), nodes)  # f(Y | Z)
+    meet = [(nodes.index(v), v) for v in xs if v in {*y, *z}]
+    reads = []  # each do-assignment and the index that reads its truths
     for values in itertools.product((0, 1), repeat=len(xs)):
         do = dict(zip(xs, values))
-        pins = tuple((v, do[v]) for v in xs if v in {*y, *z})
-        if pins not in planned:  # X pins Y | Z alike: the same cells
-            planned[pins] = _compile(ratio, nodes, dict(pins))
-        truths.append((do, planned[pins]))
+        reads.append((do, _index(len(nodes), [(i, do[v]) for i, v in meet])))
     shape = [2 if v in xs or v in rest else 1 for v in nodes]
     worst = 0.0
     for dag in dags:
@@ -394,9 +383,11 @@ def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
                                      "is not in X, Y or Z")
             cells = np.moveaxis(np.broadcast_to(value, shape),
                                 [nodes.index(v) for v in xs],
-                                range(len(xs))).reshape(len(truths), -1)
-            want = np.array([truth(model.interventional(do))
-                             for do, truth in truths])
+                                range(len(xs))).reshape(len(reads), -1)
+            # where X meets Z, the cells of other X values divide 0 by 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = np.array([truth(model.interventional(do))[ix]
+                                 for do, ix in reads])
             worst = max(worst, float(np.abs(cells - want.reshape(cells.shape))
                                      .max()))
     return worst, len(dags), len(dags) * trials * 2 ** (len(xs) + len(rest))

@@ -105,8 +105,7 @@ def path_search(sources: Sequence[str],
 
 
 def _walk_paths(graph: Graph, sources: frozenset[str], backward: bool,
-                blocked: frozenset[str], targets: frozenset[str],
-                start_undirected: bool
+                targets: frozenset[str], start_undirected: bool
                 ) -> tuple[frozenset[str], tuple[str, ...] | None]:
     """Exhaustive reference, valid on any graph: :func:`path_search` over
     simple paths that re-checks each new node against every node already
@@ -120,7 +119,7 @@ def _walk_paths(graph: Graph, sources: frozenset[str], backward: bool,
         # pairwise condition: a forward path grows at its end, so no edge
         # may run from w back into it; a backward one grows at its start,
         # so no edge may run from the path into w
-        return [w for w in graph.sorted_nodes(steps - blocked)
+        return [w for w in graph.sorted_nodes(steps - sources)
                 if not any(graph.has_directed(p, w) if backward
                            else graph.has_directed(w, p) for p in path)]
 
@@ -129,22 +128,21 @@ def _walk_paths(graph: Graph, sources: frozenset[str], backward: bool,
 
 
 def _search(graph: Graph, sources: frozenset[str], *, backward: bool = False,
-            blocked: frozenset[str], targets: frozenset[str] = frozenset(),
+            targets: frozenset[str] = frozenset(),
             start_undirected: bool = False
             ) -> tuple[frozenset[str], tuple[str, ...] | None]:
     """Possibly directed paths by :func:`path_search` over edge states on
     DAGs and MPDAGs, by :func:`_walk_paths` on other graphs.
 
-    From ``cur`` the search steps to a neighbour ``w`` not in ``blocked``
-    and not adjacent to ``prev``.  With ``start_undirected`` the first step
+    From ``cur`` the search steps to a neighbour ``w`` not a source and
+    not adjacent to ``prev``.  With ``start_undirected`` the first step
     takes undirected edges only, and the source ``prev`` of the second step
     may then have the directed chord ``prev -> w``: the shorter path over
-    that chord would start with a directed edge.  Sources are blocked, so
-    no later ``prev`` is a source.
+    that chord would start with a directed edge.  No step enters a source,
+    so no later ``prev`` is a source.
     """
     if graph.classify() is GraphClass.PDAG:
-        return _walk_paths(graph, sources, backward, blocked, targets,
-                           start_undirected)
+        return _walk_paths(graph, sources, backward, targets, start_undirected)
     order: dict[str, tuple[str, ...]] = {}
     shields: dict[str, frozenset[str]] = {}  # a node and its neighbours
 
@@ -152,11 +150,11 @@ def _search(graph: Graph, sources: frozenset[str], *, backward: bool = False,
         cur = path[-1]
         if len(path) == 1 and start_undirected:
             return graph.sorted_nodes(graph.undirected_neighbors_of(cur)
-                                      - blocked)
+                                      - sources)
         steps = order.get(cur)
         if steps is None:
             steps = order[cur] = graph.sorted_nodes(
-                _steps(graph, cur, backward) - blocked)
+                _steps(graph, cur, backward) - sources)
         if len(path) == 1:
             return steps
         prev = path[-2]
@@ -177,7 +175,7 @@ def _possible_relatives(graph: Graph, nodes: Iterable[str],
     start = graph.check_nodes(nodes)
     if not any(graph._nb.values()):
         return (ancestors if backward else descendants)(graph, start)
-    return _search(graph, start, backward=backward, blocked=start)[0]
+    return _search(graph, start, backward=backward)[0]
 
 
 def possible_descendants(graph: Graph, nodes: Iterable[str]) -> frozenset[str]:
@@ -211,6 +209,6 @@ def find_proper_pc_path(graph: Graph, sources: Iterable[str],
     other graphs.
     """
     src, tgt = graph.check_disjoint(sources, targets)
-    return _search(graph, src, blocked=src, targets=tgt,
+    return _search(graph, src, targets=tgt,
                    start_undirected=start_undirected)[1]
 

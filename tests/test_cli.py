@@ -8,7 +8,6 @@ import pytest
 
 from mpdagid import (Factor, Fraction, Graph, MarginalOver, Product, cli,
                      graph_to_text, parse_graph_text)
-from mpdagid import graph as graph_module
 from mpdagid.cli import main
 from mpdagid.graph import _dumps
 
@@ -744,9 +743,8 @@ class TestJsonWriter:
                 reference_graph_obj(h), indent=2)
 
     def test_expressions_match_json_dumps(self):
-        # a factor's chunk is kept per targets, given, fixed and indent:
-        # keyed on the Factor, whose equality leaves fixed out, or without
-        # the indent, the writer would reuse a wrong chunk here
+        # a factor's equality leaves fixed out, yet its fixed labels are
+        # written, and at the indent of each place it appears
         f = Factor(("A",), ("B", "C"), ("B",))
         unfixed = Factor(("A",), ("B", "C"))
         assert f == unfixed
@@ -757,19 +755,6 @@ class TestJsonWriter:
                    "bare": Factor(("A",)), "pair": [unfixed, f]}
         assert _dumps(payload) == json.dumps(payload, indent=2,
                                              default=reference_graph_obj)
-
-    def test_repeated_factors_hit_the_chunk_memo(self, monkeypatch):
-        # each label is escaped once, for the first chunk of its factor;
-        # the 49 repeats at the same indent reuse the chunks
-        escaped = []
-        escape = graph_module._json_str
-        monkeypatch.setattr(graph_module, "_json_str",
-                            lambda s: (escape(s), escaped.append(s))[0])
-        payload = [Product((Factor(("A",), ("B", "C")), Factor(("D",))))
-                   for _ in range(50)]
-        assert _dumps(payload) == json.dumps(payload, indent=2,
-                                             default=reference_graph_obj)
-        assert sorted(escaped) == ["A", "B", "C", "D"]
 
     @pytest.mark.parametrize("command", [
         "identify", "enumerate", "verify", "dags", "complete", "dsep",

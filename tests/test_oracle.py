@@ -197,8 +197,8 @@ class TestDiscreteModel:
     ], ids=["range-before-later-shape", "shape-before-later-range",
             "shape-before-own-range"])
     def test_first_bad_node_is_named(self, cpts, msg):
-        # every range is compared at once, yet the checks still read as
-        # node by node, shape before range: the first node to fail is named
+        # the checks read node by node, shape before range: the first node
+        # to fail is named
         with pytest.raises(ValueError, match=msg):
             DiscreteModel(parse_graph_text("A -> B\n"), cpts)
 
@@ -450,7 +450,7 @@ class TestEvaluateExpression:
     def test_every_cell_matches_reference_loop(self, battery):
         # the array one build gives holds at each cell the float that the
         # per-assignment loop gives there, to the last bit, on seeded
-        # identifiable queries; a build pinned at an assignment gives it too
+        # identifiable queries, and evaluate_expression reads it there
         rng = random.Random(41)
         graphs = [g for g in small_random_graphs(seed=11, count=300)
                   if g.classify() is not GraphClass.PDAG]
@@ -474,7 +474,7 @@ class TestEvaluateExpression:
                   "other"] += 1
             joint = DiscreteModel.random(rng.choice(enumerate_dags(g)),
                                          rng).joint()
-            value = oracle._compile(expr, g.nodes, {})(joint)
+            value = oracle._compile(expr, g.nodes)(joint)
             free = [v for v, size in zip(g.nodes, value.shape) if size == 2]
             assert set(y) <= set(free) <= {*x, *y, *z}, (g, x, y, z, expr)
             assert value.shape == tuple(2 if v in free else 1
@@ -493,15 +493,27 @@ class TestEvaluateExpression:
         assert cells >= 1000, cells
 
     def test_zero_denominator_raises_where_it_is_read(self):
-        # a joint with P(A = 1) = 0: the fraction is read at A = 0 and
-        # raises at A = 1, as the per-assignment loop does
+        # a joint with P(A = 1) = 0: each expression is read at A = 0 and
+        # raises at A = 1, as the per-assignment loop does; the nested
+        # fraction divides by 0.2 / 0 there, which must not read as 0.0
         g = parse_graph_text("A -> B\n")
         joint = np.array([[0.3, 0.2], [0.0, 0.0]])
-        expr = Fraction(Factor(("B",)), Factor(("A",)))
+        cases = [
+            (Fraction(Factor(("B",)), Factor(("A",))), 0.4),
+            (Factor(("B",), ("A",)), 0.4),
+            (MarginalOver(("B",), Fraction(Factor(("B",)), Factor(("A",)))),
+             1.0),
+            (Fraction(Factor(("B",)),
+                      Fraction(Factor(("B",)), Factor(("A",)))), 0.5)]
         for judge in (evaluate_expression, reference_evaluate_expression):
-            assert judge(expr, joint, g.nodes, {"A": 0, "B": 1}) == 0.4
-            with pytest.raises(ZeroDivisionError):
-                judge(expr, joint, g.nodes, {"A": 1, "B": 1})
+            for expr, want in cases:
+                assert judge(expr, joint, g.nodes, {"A": 0, "B": 1}) == want
+                with pytest.raises(ZeroDivisionError):
+                    judge(expr, joint, g.nodes, {"A": 1, "B": 1})
+        # A is free and has no value: its zero cell is read first
+        with pytest.raises(ZeroDivisionError):
+            evaluate_expression(Factor(("B",), ("A",)), joint, g.nodes,
+                                {"B": 1})
 
     CHAIN = MarginalOver(("B",), Product((
         Factor(("B",), ("A",)), Factor(("C",), ("B",)))))

@@ -165,7 +165,7 @@ def walk(g, sources, targets=(), *, backward=False, start_undirected=False):
     """The reference walker, called the way the public functions call a
     search: (reached nodes, first path into ``targets``)."""
     src = frozenset(sources)
-    return _walk_paths(g, src, backward, src, frozenset(targets),
+    return _walk_paths(g, src, backward, frozenset(targets),
                        start_undirected)
 
 
