@@ -31,6 +31,7 @@ MAX_ENUMERABLE_UNDIRECTED = 20
 MAX_TABLE_NODES = 20  # a joint table of n binary nodes holds 2^n floats
 MAX_TABLE_WORK = 2 ** 30  # table cells numeric_gap may fill, about 30 s
 MIN_TABLE_CELLS = 2 ** 10  # a model's Python work per table, in cells
+BATCH_CELLS = 2 ** 17  # cells per numeric_gap batch; a larger model runs alone
 
 
 # -- the DAG class ------------------------------------------------------------
@@ -153,14 +154,11 @@ class DiscreteModel:
         """Joint under do(``do``) by truncated factorization: intervened
         nodes become point masses, every other factor is kept.
 
-        The product of the kept nodes' CPT factors, placed when the model
-        was made, is taken in graph node order from a tensor of ones and
-        kept per set of intervened nodes.  The table is that times each
-        intervened node's indicator in node order (a row of ``np.eye(2)``,
-        placed once per axis, value and node count and shared read-only);
-        factor cells lie in (0, 1] and indicator cells are 0.0 or 1.0, so
-        no bit moves.  The result is read-only and kept per do-assignment,
-        so a repeated call returns the same array.
+        ``_product`` of the kept nodes' factors, placed when the model was
+        made, as a batch of one, kept per set of intervened nodes; then
+        ``_pinned`` to the do-values.  Factor cells lie in (0, 1] and
+        indicator cells are 0.0 or 1.0, so no bit moves.  The table is
+        read-only and kept per do-assignment.
 
         Raises ``ValueError`` when a key of ``do`` is not a node or a
         value is not 0 or 1.
@@ -170,18 +168,48 @@ class DiscreteModel:
             _binary(v, value, "do")
         key = tuple(sorted(do.items()))
         if key not in self._tables:
-            import numpy as np
-            nodes, held = self.dag.nodes, tuple(v for v, _ in key)
+            held = tuple(v for v, _ in key)
             if held not in self._products:
-                self._products[held] = math.prod(
-                    (f for v, f in zip(nodes, self._factors) if v not in do),
-                    start=np.ones((2,) * len(nodes)))
-            table = math.prod((_indicator(i, int(do[v]), len(nodes))
-                               for i, v in enumerate(nodes) if v in do),
-                              start=self._products[held])
+                self._products[held] = _product([_stacked([self])],
+                                                self.dag.nodes, held)[0]
+            table = _pinned(self._products[held], self.dag.nodes, do)
             table.flags.writeable = False
             self._tables[key] = table
         return self._tables[key]
+
+
+def _stacked(models: list) -> tuple[int, list]:
+    """A run of models of one DAG: their count, and each node's placed
+    factors stacked on a leading model axis, in node order."""
+    import numpy as np
+    return len(models), [np.array(fs) for fs in zip(*(m._factors
+                                                     for m in models))]
+
+
+def _product(runs: list, nodes: tuple[str, ...],
+             held: Collection[str] = ()) -> np.ndarray:
+    """The product of truncated factorization for a batch of ``_stacked``
+    runs of models over ``nodes``: ``np.ones`` with a leading model axis,
+    C-ordered, times the factors of each node not in ``held`` in node
+    order, broadcast in the multiply, so each model's cells are the
+    products its own table would hold."""
+    import numpy as np
+    out = np.ones((sum(count for count, _ in runs),) + (2,) * len(nodes))
+    at = 0
+    for count, factors in runs:
+        part, at = out[at:at + count], at + count
+        for v, factor in zip(nodes, factors):
+            if v not in held:
+                part *= factor
+    return out
+
+
+def _pinned(table: np.ndarray, nodes: tuple[str, ...],
+            do: Mapping[str, int]) -> np.ndarray:
+    """``table`` times each intervened node's ``_indicator`` in node order;
+    a leading model axis is broadcast."""
+    return math.prod((_indicator(i, int(do[v]), len(nodes))
+                      for i, v in enumerate(nodes) if v in do), start=table)
 
 
 class _Layout:
@@ -231,28 +259,32 @@ def _index(n: int, pinned: Iterable[tuple[int, int]]) -> tuple:
     return tuple(index)
 
 
-def _sums(table: np.ndarray, indices: Iterable[tuple]) -> list[float]:
-    """The sum of ``table[ix]`` for each index tuple, the one place the
-    oracle sums a table, by the reduction ``ndarray.sum()`` runs."""
+def _sums(tables: np.ndarray, indices: Iterable[tuple]) -> list[np.ndarray]:
+    """For each index tuple, the sums of ``tables[:, ix]`` over every axis
+    but the leading model axis: the one place the oracle sums a table.  On
+    a C-ordered batch each model's sum is the float that ``np.add.reduce``
+    with ``axis=None`` gives on its own table."""
     import numpy as np
-    return [float(np.add.reduce(table[ix], axis=None)) for ix in indices]
+    views = (tables[(slice(None),) + ix] for ix in indices)
+    return [np.add.reduce(v, axis=tuple(range(1, v.ndim))) for v in views]
 
 
 def _compile(expr: DensityExpression, nodes: tuple[str, ...]):
-    """``expr`` folded into ``build(table)``, an array with an axis per
+    """``expr`` folded into ``build(tables)``: for a batch of tables with
+    a leading model axis, an array with that axis and then an axis per
     node, of length 2 where the node is free in ``expr``.  A cell is the
-    float one assignment's loop gives: a ``Factor`` cell divides the
-    table's sum that pins targets and given by the one that pins the given
-    (or 1.0), each sum a slot shared by every factor and summed once per
-    table; a product multiplies left to right from ones (``math.prod``); a
-    marginal lays its axes last in ``variables`` order, flattens them in
-    ``itertools.product`` order and keeps the last sum of ``np.cumsum``,
-    which adds strictly left to right; a fraction divides cell by cell.
-    Where the loop would divide by zero, a fraction cell over 0 is nan, as
-    is a factor cell of two zero sums, and no later step makes nan finite.
-    A first fold collects the labels: one that is not in ``nodes``, or a
-    marginal that lists a label twice, raises ``ValueError`` before the
-    second fold plans the build."""
+    float one assignment's loop gives on that model's table: a ``Factor``
+    cell divides the table's sum that pins targets and given by the one
+    that pins the given (or 1.0), each sum a slot shared by every factor
+    and summed once per batch; a product multiplies left to right from
+    ones (``math.prod``); a marginal lays its axes last in ``variables``
+    order, flattens them in ``itertools.product`` order and keeps the last
+    sum of ``np.cumsum``, which adds strictly left to right; a fraction
+    divides cell by cell.  Where the loop would divide by zero, a fraction
+    cell over 0 is nan, as is a factor cell of two zero sums, and no later
+    step makes nan finite.  A first fold collects the labels: one that is
+    not in ``nodes``, or a marginal that lists a label twice, raises
+    ``ValueError`` before the second fold plans the build."""
     import numpy as np
     n, pos = len(nodes), {v: i for i, v in enumerate(nodes)}
     groups = fold(expr, lambda f: [tuple(dict.fromkeys(f.targets + f.given))],
@@ -280,18 +312,19 @@ def _compile(expr: DensityExpression, nodes: tuple[str, ...]):
             cells.append((slot(num, at), slot(den, at) if den else -1))
         top, bottom = np.array(cells).T
         shape = [2 if v in num else 1 for v in nodes]
-        return lambda sums: (sums[top] / sums[bottom]).reshape(shape)
+        return lambda sums: (sums[:, top] / sums[:, bottom]).reshape(-1,
+                                                                     *shape)
 
     def product(builds):
         return lambda sums: math.prod((build(sums) for build in builds),
-                                      start=np.ones((1,) * n))
+                                      start=np.ones((1,) * (n + 1)))
 
     def marginal(variables, inner):
-        summed, kept = [pos[v] for v in variables], n - len(variables)
-        ones = np.ones([2 if j in summed else 1 for j in range(n)])
+        summed, kept = [1 + pos[v] for v in variables], n + 1 - len(variables)
+        ones = np.ones([2 if j in summed else 1 for j in range(n + 1)])
 
         def build(sums):
-            value = np.moveaxis(inner(sums) * ones, summed, range(kept, n))
+            value = np.moveaxis(inner(sums) * ones, summed, range(kept, n + 1))
             total = np.cumsum(value.reshape(*value.shape[:kept], -1), -1)
             return np.expand_dims(total[..., -1], sorted(summed))
         return build
@@ -304,7 +337,8 @@ def _compile(expr: DensityExpression, nodes: tuple[str, ...]):
 
     root = fold(expr, factor, product, marginal, fraction)
     indices = [_index(n, key) for key in slots]
-    return lambda table: root(np.array(_sums(table, indices) + [1.0]))
+    return lambda tables: root(np.stack(
+        _sums(tables, indices) + [np.ones(len(tables))], axis=1))
 
 
 def evaluate_expression(expr: DensityExpression, joint: np.ndarray,
@@ -312,16 +346,17 @@ def evaluate_expression(expr: DensityExpression, joint: np.ndarray,
                         assignment: Mapping[str, int]) -> float:
     """Value of a density expression under an observational joint table,
     at a binary assignment of every free variable of the expression (more
-    keys are allowed): ``_compile``'s array, read at the assignment.  A
-    value not 0 or 1 raises ``ValueError``; then a read cell that is not
-    finite, as where a denominator is zero, ``ZeroDivisionError``; then a
-    free variable with no value ``ValueError``."""
+    keys are allowed): ``_compile``'s array for a batch of one, read at
+    the assignment.  A value not 0 or 1 raises ``ValueError``; then a read
+    cell that is not finite, as where a denominator is zero,
+    ``ZeroDivisionError``; then a free variable with no value
+    ``ValueError``."""
     import numpy as np
     env = {v: _binary(v, value, "assignment")
            for v, value in assignment.items()}
     build = _compile(expr, nodes)
     with np.errstate(divide="ignore", invalid="ignore"):
-        value = build(joint)
+        value = build(np.asarray(joint)[np.newaxis])[0]
     missing = [v for v, size in zip(nodes, value.shape)
                if size == 2 and v not in env]
     cell = value[tuple(env.get(v, slice(None)) if size == 2 else 0
@@ -341,9 +376,13 @@ def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
     from ``rng`` and compare at every binary assignment of X, Y and Z.
     Planned once per call by ``_compile``: ``expr``'s cells on the joint,
     and the cells of f(Y | Z), read on each do-table at X's values where
-    X (a set) meets Y ∪ Z; once per DAG, its model layout.  Per model each
-    table sums each planned marginal once, and ``expr``'s X axes are moved
-    first, so that its cells come in the order of the do-tables.
+    X (a set) meets Y ∪ Z; once per DAG, its model layout.  Models are
+    drawn one by one in class order and checked in batches of at most
+    ``BATCH_CELLS`` table cells, or of one model: ``_product`` builds the
+    batch's joints, then its do-tables one X assignment at a time, each
+    planned slot is summed once per batch, and ``expr``'s X axes are moved
+    first, so that its cells come in the order of the do-tables.  Each
+    model's worst gap is folded in model order.
 
     Returns the worst absolute gap, the number of DAGs and the number of
     comparisons.  ``graph`` is capped at ``MAX_TABLE_NODES`` nodes, and its
@@ -369,27 +408,34 @@ def numeric_gap(graph: Graph, expr: DensityExpression, x: Collection[str],
     reads = []  # each do-assignment and the index that reads its truths
     for values in itertools.product((0, 1), repeat=len(xs)):
         do = dict(zip(xs, values))
-        reads.append((do, _index(len(nodes), [(i, do[v]) for i, v in meet])))
+        reads.append((do, _index(1 + len(nodes),
+                                 [(1 + i, do[v]) for i, v in meet])))
     shape = [2 if v in xs or v in rest else 1 for v in nodes]
+
+    def truths(kept):  # f(Y | Z) on each do-table, read at X's values;
+        # kept is freed on return, before the next batch's joints are built
+        return [truth(_pinned(kept, nodes, do))[ix] for do, ix in reads]
+
+    models = (DiscreteModel._drawn(layout, rng)
+              for layout in map(_Layout, dags) for _ in range(trials))
+    per_batch = max(1, BATCH_CELLS // ((len(reads) + 1) * 2 ** len(nodes)))
     worst = 0.0
-    for dag in dags:
-        layout = _Layout(dag)
-        for _ in range(trials):
-            model = DiscreteModel._drawn(layout, rng)
-            value = build(model.joint())
-            for v, size, most in zip(nodes, value.shape, shape):
-                if size > most:
-                    raise ValueError(f"free node {v!r} of the expression "
-                                     "is not in X, Y or Z")
-            cells = np.moveaxis(np.broadcast_to(value, shape),
-                                [nodes.index(v) for v in xs],
-                                range(len(xs))).reshape(len(reads), -1)
-            # where X meets Z, the cells of other X values divide 0 by 0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                want = np.array([truth(model.interventional(do))[ix]
-                                 for do, ix in reads])
-            worst = max(worst, float(np.abs(cells - want.reshape(cells.shape))
-                                     .max()))
+    while batch := list(itertools.islice(models, per_batch)):
+        runs = [_stacked(list(run)) for _, run
+                in itertools.groupby(batch, key=lambda m: id(m.dag))]
+        value = build(_product(runs, nodes))
+        for v, size, most in zip(nodes, value.shape[1:], shape):
+            if size > most:
+                raise ValueError(f"free node {v!r} of the expression "
+                                 "is not in X, Y or Z")
+        cells = np.moveaxis(np.broadcast_to(value, (len(batch), *shape)),
+                            [1 + nodes.index(v) for v in xs],
+                            range(1, 1 + len(xs))).reshape(len(batch), -1)
+        # where X meets Z, the cells of other X values divide 0 by 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.stack(truths(_product(runs, nodes, xs)), axis=1)
+        for gap in np.abs(cells - want.reshape(cells.shape)).max(1).tolist():
+            worst = max(worst, gap)
     return worst, len(dags), len(dags) * trials * 2 ** (len(xs) + len(rest))
 
 

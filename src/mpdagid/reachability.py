@@ -18,7 +18,8 @@ One search, :func:`path_search`, serves this module and
 :mod:`mpdagid.dsep`; each caller passes its admissibility rule.  By
 default it enters each edge state ``(prev, cur)`` at most once, so a query
 costs O(sum of deg^2) steps without recursion; in its simple mode it keeps
-every simple path and is exponential in the worst case.  :func:`_search`
+every simple path, is exponential in the worst case, and stops with
+``GraphError`` past ``MAX_SIMPLE_PATHS`` kept paths.  :func:`_search`
 runs the first mode through unshielded triples.  Graphs that
 ``classify()`` as PDAG (cyclic, not closed, or without a consistent
 extension) give no such guarantee; there it falls back on
@@ -31,7 +32,12 @@ from __future__ import annotations
 from itertools import filterfalse
 from typing import Callable, Iterable, Sequence
 
-from .graph import Graph, GraphClass
+from .graph import Graph, GraphClass, GraphError
+
+# simple paths path_search may keep: 32 times the most (513) any test,
+# benchmark op or CI step keeps, and more than a graph of 8 nodes has from
+# one source (13,699); a diamond chain doubles them per diamond
+MAX_SIMPLE_PATHS = 2 ** 14
 
 
 def parents(graph: Graph, nodes: Iterable[str]) -> frozenset[str]:
@@ -80,14 +86,16 @@ def path_search(sources: Sequence[str],
     kept only when its last step ``(path[-1], w)`` is an edge state not
     entered before: O(sum of deg^2) steps, and the result may be a walk.
     With ``simple`` every path that repeats no node is kept: exact, and
-    exponential in the worst case.  With sources and expansions in node
-    order, the first path into ``targets`` is the lexicographically least
-    shortest one.  Returns the nodes reached and that path; when no target
-    is reached the path is None and the reached set is complete.
+    exponential in the worst case, so once a level ends with more than
+    ``MAX_SIMPLE_PATHS`` paths kept it raises ``GraphError``.  With sources
+    and expansions in node order, the first path into ``targets`` is the
+    lexicographically least shortest one.  Returns the nodes reached and
+    that path; when no target is reached the path is None and the reached
+    set is complete.
     """
     reached = set(sources)
     entered: set[tuple[str, str]] = set()
-    level = [(s,) for s in sources]
+    level, kept = [(s,) for s in sources], 0
     while level:
         nxt: list[tuple[str, ...]] = []
         for path in level:
@@ -100,7 +108,10 @@ def path_search(sources: Sequence[str],
                     return frozenset(reached), path + (w,)
                 reached.add(w)
                 nxt.append(path + (w,))
-        level = nxt
+        level, kept = nxt, kept + len(nxt)
+        if simple and kept > MAX_SIMPLE_PATHS:
+            raise GraphError(f"the exact path search kept more than "
+                             f"{MAX_SIMPLE_PATHS} simple paths")
     return frozenset(reached), None
 
 

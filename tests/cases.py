@@ -313,24 +313,25 @@ def reference_enumerate_dags(graph: Graph) -> list[Graph]:
 def reference_table_probability(table, nodes: tuple[str, ...],
                                 assignment) -> float:
     """Marginal probability of a partial assignment under a joint table
-    whose axes are ``nodes``, summed by ``oracle._sums``, as ``numeric_gap``
-    sums its tables.  A label that is not in ``nodes``, or a value other
-    than 0 or 1 (``True``, ``1.0`` and ``np.int64(1)`` are 1), raises
-    ``ValueError``."""
+    whose axes are ``nodes``: ``float(np.add.reduce(table[ix],
+    axis=None))`` on this one table, the reduction whose floats
+    ``oracle._sums`` must give model by model on a batch.  A label that is
+    not in ``nodes``, or a value other than 0 or 1 (``True``, ``1.0`` and
+    ``np.int64(1)`` are 1), raises ``ValueError``."""
     import numpy as np
     pinned = []
     for v, value in assignment.items():
         if v not in nodes:
             raise ValueError(f"unknown node {v!r}")
         pinned.append((nodes.index(v), oracle._binary(v, value, "assignment")))
-    return oracle._sums(np.asarray(table),
-                        [oracle._index(len(nodes), pinned)])[0]
+    table = np.asarray(table)
+    return float(np.add.reduce(table[oracle._index(len(nodes), pinned)],
+                               axis=None))
 
 
 def reference_conditional(table, nodes, targets, given) -> float:
     """P(targets | given) under ``table``: two marginals summed afresh
-    (through ``reference_table_probability``, whose sum a test can count at
-    ``oracle._sums``, as it counts ``numeric_gap``'s planned sums)."""
+    through ``reference_table_probability``."""
     den = reference_table_probability(table, nodes, given) if given else 1.0
     return reference_table_probability(table, nodes,
                                        {**targets, **given}) / den
@@ -381,9 +382,9 @@ def reference_numeric_gap(graph: Graph, expr: DensityExpression, x, y, z,
     """``numeric_gap`` as first written: the same models from the same
     ``rng``, but every assignment evaluates the expression afresh through
     ``reference_evaluate_expression`` and sums its marginals afresh.
-    ``oracle.numeric_gap`` builds the expression once per model and sums
-    each marginal of a table once, and must give the same result to the
-    last bit."""
+    ``oracle.numeric_gap`` builds the expression once per batch of models
+    and sums each marginal once per batch of tables, and must give the
+    same result to the last bit."""
     free = graph.sorted_nodes(set(x) | set(y) | set(z))
     dags = enumerate_dags(graph)
     worst = 0.0
@@ -508,6 +509,21 @@ def diamond_chain(k: int) -> Graph:
         undirected += [(j, a), (j, b), (a, b), (a, nxt), (b, nxt)]
         j = nxt
     return Graph(nodes + ["Y"], undirected=undirected + [(j, "Y")])
+
+
+def open_walk_behind_diamonds(k: int) -> Graph:
+    """``diamond_chain(k)`` without Y, then ``J_k -- A`` (``X0 -- A`` for
+    k = 0) and the edges ``A -> C``, ``R -> C``, ``R -> A``, ``S -> A``,
+    ``S -> Y``: given {C} the walk X0 ... A -> C <- R -> A <- S -> Y is
+    open and no path is, so ``find_open_path`` runs its exact search,
+    which keeps about twice as many paths per diamond."""
+    chain = diamond_chain(k)
+    return Graph([v for v in chain.nodes if v != "Y"] + ["A", "C", "R", "S",
+                                                         "Y"],
+                 directed=[("A", "C"), ("R", "C"), ("R", "A"), ("S", "A"),
+                           ("S", "Y")],
+                 undirected=[e for e in chain.undirected_edges if "Y" not in e]
+                 + [(f"J{k}" if k else "X0", "A")])
 
 
 # -- reference: paths judged node by node ------------------------------------

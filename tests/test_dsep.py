@@ -5,10 +5,12 @@ import time
 import pytest
 
 from mpdagid import (GraphError, NotIdentifiable, cidm, d_separated,
-                     find_open_path, parse_graph_text, random_dag)
+                     find_open_path, graph_to_text, parse_graph_text,
+                     random_dag, reachability)
 from mpdagid.cli import main
 
-from cases import (diamond_chain, reference_dag_d_separated,
+from cases import (diamond_chain, open_walk_behind_diamonds,
+                   reference_dag_d_separated,
                    reference_open_definite_status_path,
                    reference_triple_status)
 
@@ -80,6 +82,38 @@ class TestDefiniteStatus:
             "X -- A\nA -> C\nR -> C\nR -> A\nS -> A\nS -> Y\n")
         assert find_open_path(g, {"X"}, {"Y"}, {"C"}) is None
         assert d_separated(g, {"X"}, {"Y"}, {"C"})
+
+    def test_diamond_prefix_trips_the_path_budget(self, tmp_path, capsys):
+        # twenty diamonds in front of the graph above would keep about
+        # 2^20 simple paths; the exact search stops past MAX_SIMPLE_PATHS
+        # with one error line, and the CLI exits 2, within two seconds
+        budget = reachability.MAX_SIMPLE_PATHS
+        g = open_walk_behind_diamonds(20)
+        path = tmp_path / "g.txt"
+        path.write_text(graph_to_text(g))
+        start = time.perf_counter()
+        with pytest.raises(GraphError, match=rf"^the exact path search kept "
+                           rf"more than {budget} simple paths$"):
+            find_open_path(g, {"X0"}, {"Y"}, {"C"})
+        assert main(["dsep", str(path), "-x", "X0", "-y", "Y",
+                     "-z", "C"]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert capsys.readouterr().err == (
+            f"error: the exact path search kept more than {budget} "
+            "simple paths\n")
+
+    def test_diamond_prefix_inside_the_budget(self, monkeypatch):
+        # up to eight diamonds stay inside the budget, with the answer of
+        # the graph without them; twelve trip it, and with the budget
+        # raised give that answer too
+        for k in (0, 1, 4, 8):
+            assert find_open_path(open_walk_behind_diamonds(k), {"X0"},
+                                  {"Y"}, {"C"}) is None
+        g = open_walk_behind_diamonds(12)
+        with pytest.raises(GraphError):
+            find_open_path(g, {"X0"}, {"Y"}, {"C"})
+        monkeypatch.setattr(reachability, "MAX_SIMPLE_PATHS", 2 ** 20)
+        assert find_open_path(g, {"X0"}, {"Y"}, {"C"}) is None
 
     def test_undirected_chain_is_open(self):
         g = parse_graph_text("A -- B\nB -- C\n")

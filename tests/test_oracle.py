@@ -474,7 +474,7 @@ class TestEvaluateExpression:
                   "other"] += 1
             joint = DiscreteModel.random(rng.choice(enumerate_dags(g)),
                                          rng).joint()
-            value = oracle._compile(expr, g.nodes)(joint)
+            value = oracle._compile(expr, g.nodes)(joint[np.newaxis])[0]
             free = [v for v, size in zip(g.nodes, value.shape) if size == 2]
             assert set(y) <= set(free) <= {*x, *y, *z}, (g, x, y, z, expr)
             assert value.shape == tuple(2 if v in free else 1
@@ -637,43 +637,100 @@ class TestNumericGap:
         assert gaps[0] <= 1e-9 < 1e-3 < gaps[1]
 
     def test_sums_each_marginal_once_per_table(self, monkeypatch):
-        # every (table, assignment) pair is summed once, counted at the one
-        # helper every sum goes through; the tables stay referenced here,
-        # so their ids are not reused while counting; each model's joint
-        # is summed in one call, for the slots of both factors, which
-        # share P(X)
-        calls, tables, models = [], [], []
-        summed, drawn = oracle._sums, DiscreteModel._drawn
+        # every query here fits one batch, so _sums runs once on the batch
+        # of joints and once on each batch of do-tables, every table batch
+        # its own array, with each slot once per call; the joints' call
+        # holds the slots of both factors, which share P(X)
+        calls = []
+        summed = oracle._sums
 
-        def counted(table, indices):
+        def counted(tables, indices):
             indices = list(indices)
-            tables.append(table)
-            calls.extend((id(table), repr(ix)) for ix in indices)
-            return summed(table, indices)
-
-        def kept(layout, rng):
-            models.append(drawn(layout, rng))
-            return models[-1]
+            calls.append((tables, [repr(ix) for ix in indices]))
+            return summed(tables, indices)
 
         monkeypatch.setattr(oracle, "_sums", counted)
-        monkeypatch.setattr(DiscreteModel, "_drawn", kept)
         for g, x, y, z in random_oracle_queries(seed=9, count=10):
             expr = Product((Factor(tuple(y), tuple(x)), Factor(tuple(x))))
             calls.clear()
-            tables.clear()
-            models.clear()
             gap = numeric_gap(g, expr, x, y, z, random.Random(3), 2)
-            fast = len(calls)
-            assert fast == len(set(calls))
-            joints = [t for t in tables if any(t is m.joint() for m in models)]
-            assert len(joints) == len(models) == 2 * len(enumerate_dags(g))
-            assert len({id(t) for t in joints}) == len(models)
-            models.clear()
-            calls.clear()
+            models = 2 * len(enumerate_dags(g))
+            assert len(calls) == 1 + 2 ** len(x)
+            assert len({id(tables) for tables, _ in calls}) == len(calls)
+            for tables, slots in calls:
+                assert tables.shape == (models,) + (2,) * len(g.nodes)
+                assert tables.flags.c_contiguous
+                assert len(slots) == len(set(slots))
+            assert len(calls[0][1]) == 2 ** len({*x, *y}) + 2 ** len(x)
             assert reference_numeric_gap(g, expr, x, y, z,
                                          random.Random(3), 2) == gap
-            # the reference sums the same pairs, most of them many times
-            assert fast == len(set(calls)) < len(calls)
+
+    def test_batch_sums_match_each_table(self):
+        # on a C-ordered batch of five tables, every slot pattern on 6-8
+        # axes (each axis pinned to 0, to 1 or kept whole) sums each table
+        # to the float its own axis=None reduction gives; the cells span
+        # twelve decades, so another addition order shows in the bits
+        rng = np.random.default_rng(29)
+        moved = 0
+        for n in (6, 7, 8):
+            batch = rng.random((5,) + (2,) * n) * 10.0 ** rng.uniform(
+                -6, 6, (5,) + (2,) * n)
+            for pattern in itertools.product((None, 0, 1), repeat=n):
+                ix = oracle._index(n, [(i, v) for i, v in enumerate(pattern)
+                                       if v is not None])
+                got, = oracle._sums(batch, [ix])
+                want = [float(np.add.reduce(table[ix], axis=None))
+                        for table in batch]
+                assert got.tolist() == want, (n, pattern)
+                moved += any(sum(np.ravel(table[ix]).tolist()) != w
+                             for table, w in zip(batch, want))
+        assert moved >= 1000, moved
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_small_batches_match_reference_loop(self, trials, monkeypatch):
+        # BATCH_CELLS lowered to one or two models' tables: a query splits
+        # into several batches, with three trials one splits a DAG's models
+        # and the next spans two DAGs, and the result is still the loop's
+        # to the last bit
+        runs = []
+        product = oracle._product
+
+        def counted(batch, nodes, held=()):
+            if not held:
+                runs.append([count for count, _ in batch])
+            return product(batch, nodes, held)
+
+        monkeypatch.setattr(oracle, "_product", counted)
+        gaps, splits = [], 0
+        for g, x, y, z in random_oracle_queries(seed=37, count=15):
+            exprs = [Factor(tuple(y), tuple(x))]
+            try:
+                exprs.append(cidm(g, x, y, z))
+            except NotIdentifiable:
+                pass
+            models = trials * len(enumerate_dags(g))
+            cells = (2 ** len(x) + 1) * 2 ** len(g.nodes)
+            for per_batch in (1, 2):
+                monkeypatch.setattr(oracle, "BATCH_CELLS",
+                                    per_batch * cells + cells - 1)
+                for expr in exprs:
+                    runs.clear()
+                    got = numeric_gap(g, expr, x, y, z, random.Random(43),
+                                      trials)
+                    batches = runs[:]  # the reference's joints come next
+                    want = reference_numeric_gap(g, expr, x, y, z,
+                                                 random.Random(43), trials)
+                    assert got == want, (g, x, y, z, expr, per_batch)
+                    assert [sum(r) for r in batches] == (
+                        [per_batch] * (models // per_batch)
+                        + [models % per_batch] * (models % per_batch > 0))
+                    if per_batch == 2 and trials == 3 and models > 3:
+                        assert batches[:2] == [[2], [1, 1]]
+                        splits += 1
+                    gaps.append(got[0])
+        assert splits >= 5 or trials == 1
+        assert sum(gap > 1e-3 for gap in gaps) >= 5
+        assert sum(gap <= 1e-9 for gap in gaps) >= 5
 
     def test_free_node_outside_query_is_named(self):
         # the expression's cells are read at the assignments of X, Y and Z
